@@ -25,6 +25,7 @@ Structures implemented:
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -60,15 +61,94 @@ class RGrid:
 
 
 def _require_same_grid(f, g):
-    if f.grid != g.grid:
-        raise GridMismatch(f"grids differ: {f.grid} vs {g.grid}")
+    if f.grids != g.grids:
+        raise GridMismatch(f"grids differ: {f.grids} vs {g.grids}")
 
 
-def _zero() -> GaussSum1:
-    return GaussSum1.zero()
+def _sum_by_key(pieces) -> dict:
+    """Sum (key, profile) pairs sharing a key, in the order they arrive."""
+    out = {}
+    for key, p in pieces:
+        out[key] = out[key] + p if key in out else p
+    return out
 
 
-class TRFunction:
+class KeyedProfiles:
+    """Closed-form profiles keyed by integer indices inside finite windows.
+
+    windows holds one symmetric bound per key index, named by
+    KEY_NAMES; a key outside them raises TruncationTooSmall and empty
+    profiles are dropped. grids fixes where residuals and inner
+    products are sampled, and functions combine only on equal grids.
+    Subclass constructors take the windows, then the grids, then the
+    profiles, which is how like() rebuilds them.
+    """
+
+    __slots__ = ("windows", "grids", "profiles")
+    PROFILE = GaussSum1
+
+    def __init__(self, windows: tuple, grids: tuple, profiles: dict):
+        self.windows = windows
+        self.grids = grids
+        clean = {}
+        for key, p in profiles.items():
+            index = key if type(key) is tuple else (key,)
+            for name, i, window in zip(self.KEY_NAMES, index, windows):
+                if abs(i) > window:
+                    raise TruncationTooSmall(f"{name} {i} exceeds the window {window}")
+            if p.terms:
+                clean[key] = p
+        self.profiles = clean
+
+    @property
+    def mode_max(self) -> int:
+        return self.windows[-1]
+
+    def profile(self, *index):
+        key = index if len(index) > 1 else index[0]
+        return self.profiles.get(key, self.PROFILE.zero())
+
+    def like(self, profiles: dict):
+        """The function with these profiles on the same windows and grids."""
+        return type(self)(*self.windows, *self.grids, profiles)
+
+    def gather(self, pieces):
+        """like() on the (key, profile) pairs summed by key in arrival order."""
+        return self.like(_sum_by_key(pieces))
+
+    def __add__(self, other):
+        _require_same_grid(self, other)
+        windows = tuple(map(max, self.windows, other.windows))
+        pieces = itertools.chain(self.profiles.items(), other.profiles.items())
+        return type(self)(*windows, *self.grids, _sum_by_key(pieces))
+
+    def __sub__(self, other):
+        return self + other.scale(-1.0)
+
+    def scale(self, c):
+        return self.like({key: p.scale(c) for key, p in self.profiles.items()})
+
+    def _mesh(self):
+        """Points where residuals are sampled: every node of the grid."""
+        return (self.grids[0].nodes(),)
+
+    def max_abs_difference(self, other) -> float:
+        """Largest |self - other| over the sample points; NaN if any is NaN."""
+        _require_same_grid(self, other)
+        points = self._mesh()
+        zero = self.PROFILE.zero()
+        top = 0.0
+        for key in set(self.profiles) | set(other.profiles):
+            diff = self.profiles.get(key, zero) - other.profiles.get(key, zero)
+            if diff.terms:
+                err = float(np.max(np.abs(diff(*points))))
+                if math.isnan(err):
+                    return err
+                top = max(top, err)
+        return top
+
+
+class TRFunction(KeyedProfiles):
     """Finite Fourier sum over the circle with closed-form line profiles.
 
     Represents phi([x], r) = sum over modes m of p_m(r) e^{2 pi i m x}
@@ -76,62 +156,21 @@ class TRFunction:
     products are sampled; it does not constrain evaluation.
     """
 
-    __slots__ = ("mode_max", "grid", "profiles")
+    __slots__ = ()
+    KEY_NAMES = ("mode",)
 
     def __init__(self, mode_max: int, grid: RGrid, profiles: dict):
-        self.mode_max = mode_max
-        self.grid = grid
-        clean = {}
-        for m, p in profiles.items():
-            if abs(m) > mode_max:
-                raise TruncationTooSmall(
-                    f"mode {m} exceeds the window of size {mode_max}"
-                )
-            if p.terms:
-                clean[m] = p
-        self.profiles = clean
+        super().__init__((mode_max,), (grid,), profiles)
 
-    def profile(self, m: int) -> GaussSum1:
-        return self.profiles.get(m, _zero())
-
-    def modes(self):
-        return sorted(self.profiles)
-
-    def values(self) -> np.ndarray:
-        """Complex array of shape (2*mode_max + 1, grid.count)."""
-        r = self.grid.nodes()
-        out = np.zeros((2 * self.mode_max + 1, self.grid.count), dtype=complex)
-        for m, p in self.profiles.items():
-            out[m + self.mode_max] = p(r)
-        return out
+    @property
+    def grid(self) -> RGrid:
+        return self.grids[0]
 
     def eval_at(self, x: float, r) -> complex:
         total = 0j
         for m, p in self.profiles.items():
             total += p(r) * cmath.exp(TWO_PI * 1j * m * x)
         return total
-
-    def __add__(self, other: "TRFunction") -> "TRFunction":
-        _require_same_grid(self, other)
-        out = dict(self.profiles)
-        for m, p in other.profiles.items():
-            out[m] = out[m] + p if m in out else p
-        return TRFunction(max(self.mode_max, other.mode_max), self.grid, out)
-
-    def scale(self, c) -> "TRFunction":
-        return TRFunction(
-            self.mode_max, self.grid, {m: p.scale(c) for m, p in self.profiles.items()}
-        )
-
-    def max_abs_difference(self, other: "TRFunction") -> float:
-        _require_same_grid(self, other)
-        r = self.grid.nodes()
-        top = 0.0
-        for m in set(self.profiles) | set(other.profiles):
-            diff = self.profile(m) - other.profile(m)
-            if diff.terms:
-                top = max(top, float(np.max(np.abs(diff(r)))))
-        return top
 
 
 class CTValued:
@@ -194,14 +233,12 @@ def _mode_products(phi: TRFunction, psi: TRFunction):
     Yields (m, profile) where m is the Fourier mode of the product and
     the profile is sum over beta of conj(p_{beta-m}) q_beta.
     """
-    out = {}
-    for alpha, p in phi.profiles.items():
-        pc = p.conjugate()
-        for beta, q in psi.profiles.items():
-            m = beta - alpha
-            piece = pc * q
-            out[m] = out[m] + piece if m in out else piece
-    return out
+    conjugates = {alpha: p.conjugate() for alpha, p in phi.profiles.items()}
+    return _sum_by_key(
+        (beta - alpha, pc * q)
+        for alpha, pc in conjugates.items()
+        for beta, q in psi.profiles.items()
+    )
 
 
 def line_module_inner(phi: TRFunction, psi: TRFunction, route: str = "grid") -> CTValued:
@@ -226,7 +263,7 @@ def line_module_translate(phi: TRFunction, l: int, theta: float) -> TRFunction:
     out = {}
     for m, p in phi.profiles.items():
         out[m] = p.affine(1.0, -float(l)).scale(lambda_power(theta, -m * l))
-    return TRFunction(phi.mode_max, phi.grid, out)
+    return phi.like(out)
 
 
 def _trig_poly(f) -> dict:
@@ -237,32 +274,20 @@ def _trig_poly(f) -> dict:
 
 def line_module_left(phi: TRFunction, f, b: int) -> TRFunction:
     """Left circle-function action through the sheared argument x + r b."""
-    out = {}
-    for n, c in _trig_poly(f).items():
-        for m, p in phi.profiles.items():
-            key = m + n
-            if abs(key) > phi.mode_max:
-                raise TruncationTooSmall(
-                    f"left action pushes mode {m} to {key} beyond {phi.mode_max}"
-                )
-            piece = p.modulate(n * b).scale(c)
-            out[key] = out[key] + piece if key in out else piece
-    return TRFunction(phi.mode_max, phi.grid, out)
+    return phi.gather(
+        (m + n, p.modulate(n * b).scale(c))
+        for n, c in _trig_poly(f).items()
+        for m, p in phi.profiles.items()
+    )
 
 
 def line_module_right(phi: TRFunction, f) -> TRFunction:
     """Right circle-function action through the plain argument x."""
-    out = {}
-    for n, c in _trig_poly(f).items():
-        for m, p in phi.profiles.items():
-            key = m + n
-            if abs(key) > phi.mode_max:
-                raise TruncationTooSmall(
-                    f"right action pushes mode {m} to {key} beyond {phi.mode_max}"
-                )
-            piece = p.scale(c)
-            out[key] = out[key] + piece if key in out else piece
-    return TRFunction(phi.mode_max, phi.grid, out)
+    return phi.gather(
+        (m + n, p.scale(c))
+        for n, c in _trig_poly(f).items()
+        for m, p in phi.profiles.items()
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -301,17 +326,7 @@ def sheared_module_translate(phi: TRFunction, l: int, theta: float) -> TRFunctio
     out = {}
     for m, p in phi.profiles.items():
         out[m] = p.affine(1.0, float(l)).scale(lambda_power(theta, -m * l))
-    return TRFunction(phi.mode_max, phi.grid, out)
-
-
-def sheared_module_left(phi: TRFunction, f) -> TRFunction:
-    """Left circle action of the sheared structure (plain argument)."""
-    return line_module_right(phi, f)
-
-
-def sheared_module_right(phi: TRFunction, f, b: int) -> TRFunction:
-    """Right circle action of the sheared structure (sheared argument)."""
-    return line_module_left(phi, f, b)
+    return phi.like(out)
 
 
 def shear_unitary(phi: TRFunction, b: int, inverse: bool = False) -> TRFunction:
@@ -327,7 +342,7 @@ def shear_unitary(phi: TRFunction, b: int, inverse: bool = False) -> TRFunction:
     out = {}
     for m, p in phi.profiles.items():
         out[m] = p.affine(-1.0, 0.0).modulate(m * b).scale(factor)
-    return TRFunction(phi.mode_max, phi.grid, out)
+    return phi.like(out)
 
 
 def sheared_dirac(phi: TRFunction, sign: int, b: int) -> TRFunction:
@@ -346,7 +361,7 @@ def sheared_dirac(phi: TRFunction, sign: int, b: int) -> TRFunction:
         angular = p.scale(sign * TWO_PI * 1j * m)
         position = p.mul_poly((0.0, -TWO_PI))
         out[m] = radial + angular + position
-    return TRFunction(phi.mode_max, phi.grid, out)
+    return phi.like(out)
 
 
 def scalar_inner(phi: TRFunction, psi: TRFunction, route: str = "grid") -> complex:
@@ -359,31 +374,26 @@ def scalar_inner(phi: TRFunction, psi: TRFunction, route: str = "grid") -> compl
 # ---------------------------------------------------------------------------
 
 
-class ZTRFunction:
+class ZTRFunction(KeyedProfiles):
     """Finitely supported integer layers of cylinder functions.
 
     Represents Psi(k, [x], r) = sum over (k, m) of p_{k,m}(r)
     e^{2 pi i m x}, with k in a finite window.
     """
 
-    __slots__ = ("z_max", "mode_max", "grid", "profiles")
+    __slots__ = ()
+    KEY_NAMES = ("layer", "mode")
 
     def __init__(self, z_max: int, mode_max: int, grid: RGrid, profiles: dict):
-        self.z_max = z_max
-        self.mode_max = mode_max
-        self.grid = grid
-        clean = {}
-        for (k, m), p in profiles.items():
-            if abs(k) > z_max:
-                raise TruncationTooSmall(f"layer {k} exceeds the window {z_max}")
-            if abs(m) > mode_max:
-                raise TruncationTooSmall(f"mode {m} exceeds the window {mode_max}")
-            if p.terms:
-                clean[(k, m)] = p
-        self.profiles = clean
+        super().__init__((z_max, mode_max), (grid,), profiles)
 
-    def profile(self, k: int, m: int) -> GaussSum1:
-        return self.profiles.get((k, m), _zero())
+    @property
+    def z_max(self) -> int:
+        return self.windows[0]
+
+    @property
+    def grid(self) -> RGrid:
+        return self.grids[0]
 
     def layer(self, k: int) -> TRFunction:
         return TRFunction(
@@ -399,43 +409,6 @@ class ZTRFunction:
                 total += p(r) * cmath.exp(TWO_PI * 1j * m * x)
         return total
 
-    def __add__(self, other: "ZTRFunction") -> "ZTRFunction":
-        _require_same_grid(self, other)
-        out = dict(self.profiles)
-        for key, p in other.profiles.items():
-            out[key] = out[key] + p if key in out else p
-        return ZTRFunction(
-            max(self.z_max, other.z_max),
-            max(self.mode_max, other.mode_max),
-            self.grid,
-            out,
-        )
-
-    def scale(self, c) -> "ZTRFunction":
-        return ZTRFunction(
-            self.z_max,
-            self.mode_max,
-            self.grid,
-            {key: p.scale(c) for key, p in self.profiles.items()},
-        )
-
-    def max_abs_difference(self, other: "ZTRFunction") -> float:
-        _require_same_grid(self, other)
-        r = self.grid.nodes()
-        top = 0.0
-        for key in set(self.profiles) | set(other.profiles):
-            diff = self.profiles.get(key, _zero()) - other.profiles.get(key, _zero())
-            if diff.terms:
-                top = max(top, float(np.max(np.abs(diff(r)))))
-        return top
-
-
-def _check_window(psi: ZTRFunction, k: int, m: int):
-    if abs(k) > psi.z_max or abs(m) > psi.mode_max:
-        raise TruncationTooSmall(
-            f"index ({k}, {m}) escapes windows ({psi.z_max}, {psi.mode_max})"
-        )
-
 
 def descended_left(a: SmoothElement, psi: ZTRFunction, b: int) -> ZTRFunction:
     """Left action of the rotation algebra on the descended module.
@@ -445,31 +418,26 @@ def descended_left(a: SmoothElement, psi: ZTRFunction, b: int) -> ZTRFunction:
     line translation by j.
     """
     theta = a.theta
-    out = {}
+    pieces = []
     for (nu, j), c in a.coeffs.items():
         for (k, mu), p in psi.profiles.items():
-            key = (k + j, mu + nu)
-            _check_window(psi, *key)
             piece = (
                 p.affine(1.0, -float(j))
                 .modulate(-nu * b)
                 .scale(c * lambda_power(theta, -mu * j))
             )
-            out[key] = out[key] + piece if key in out else piece
-    return ZTRFunction(psi.z_max, psi.mode_max, psi.grid, out)
+            pieces.append(((k + j, mu + nu), piece))
+    return psi.gather(pieces)
 
 
 def descended_right(psi: ZTRFunction, a: SmoothElement) -> ZTRFunction:
     """Right action of the rotation algebra: phases and index shifts only."""
     theta = a.theta
-    out = {}
-    for (nu, j), c in a.coeffs.items():
-        for (k, mu), p in psi.profiles.items():
-            key = (k + j, mu + nu)
-            _check_window(psi, *key)
-            piece = p.scale(c * lambda_power(theta, -nu * k))
-            out[key] = out[key] + piece if key in out else piece
-    return ZTRFunction(psi.z_max, psi.mode_max, psi.grid, out)
+    return psi.gather(
+        ((k + j, mu + nu), p.scale(c * lambda_power(theta, -nu * k)))
+        for (nu, j), c in a.coeffs.items()
+        for (k, mu), p in psi.profiles.items()
+    )
 
 
 def descended_inner(
@@ -519,19 +487,16 @@ def pair_module_right(
     first factor acts through the circle slot and a line translation,
     the second through the sheared position and the layer index.
     """
-    out = {}
+    pieces = []
     for (p1, q1, p2, q2), c in xi.items():
         if c == 0:
             continue
         for (k, mu), p in phi.profiles.items():
             k_out = k + q2 - q1
-            m_out = mu + p1 + p2
-            _check_window(phi, k_out, m_out)
             phase = lambda_power(theta, (mu + p1) * q1 + p2 * (q2 - k_out))
             piece = p.affine(1.0, -float(q1)).modulate(p2 * b).scale(c * phase)
-            key = (k_out, m_out)
-            out[key] = out[key] + piece if key in out else piece
-    return ZTRFunction(phi.z_max, phi.mode_max, phi.grid, out)
+            pieces.append(((k_out, mu + p1 + p2), piece))
+    return phi.gather(pieces)
 
 
 class APairValued:
@@ -648,26 +613,21 @@ def pair_module_inner(
 
 def descent_left(phi: ZTRFunction, p1: int, q1: int, theta: float) -> ZTRFunction:
     """Left action of an elementary algebra generator on descent functions."""
-    out = {}
+    pieces = []
     for (k, mu), p in phi.profiles.items():
-        key = (k + q1, mu + p1)
-        _check_window(phi, *key)
         piece = p.affine(1.0, float(q1)).scale(lambda_power(theta, -mu * q1))
-        out[key] = out[key] + piece if key in out else piece
-    return ZTRFunction(phi.z_max, phi.mode_max, phi.grid, out)
+        pieces.append(((k + q1, mu + p1), piece))
+    return phi.gather(pieces)
 
 
 def descent_right(phi: ZTRFunction, p2: int, q2: int, theta: float, b: int) -> ZTRFunction:
     """Right action of an elementary generator on descent functions."""
-    out = {}
+    pieces = []
     for (k, mu), p in phi.profiles.items():
         k_out = k + q2
-        key = (k_out, mu + p2)
-        _check_window(phi, *key)
         phase = lambda_power(theta, p2 * (q2 - k_out))
-        piece = p.modulate(p2 * b).scale(phase)
-        out[key] = out[key] + piece if key in out else piece
-    return ZTRFunction(phi.z_max, phi.mode_max, phi.grid, out)
+        pieces.append(((k_out, mu + p2), p.modulate(p2 * b).scale(phase)))
+    return phi.gather(pieces)
 
 
 def descent_inner(

@@ -2,15 +2,14 @@
 
 Each check draws its randomness from a seed derived from the run seed
 and its own identifier, so a rerun with the same configuration yields
-the same numbers. Checks are independent and run in a worker pool; the
-assembled report is sorted by identifier, never by completion order.
+the same numbers. Checks are independent and run one after another; the
+assembled report is sorted by identifier.
 """
 
 import cmath
 import math
 import random
 import zlib
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -483,13 +482,11 @@ def _dirac_conjugation(cfg, rng):
         for sign in (1, -1):
             inner_op = bm.sheared_dirac(bm.shear_unitary(phi, b), sign, b)
             conjugated = bm.shear_unitary(inner_op, b, inverse=True).scale(b)
-            expected = bm.TRFunction(
-                phi.mode_max,
-                grid,
+            expected = phi.like(
                 {
                     m: p.mul_poly((0.0, TWO_PI * b)) + p.derivative().scale(sign)
                     for m, p in phi.profiles.items()
-                },
+                }
             )
             worst = max(worst, conjugated.max_abs_difference(expected))
     return (
@@ -730,33 +727,26 @@ def _fixed_parts(cfg, rng):
 # ---------------------------------------------------------------------------
 
 
-def suite_check_ids(name: str):
-    if name == "all":
-        return [cid for suite in SUITE_NAMES for cid, _ in _REGISTRY[suite]]
-    return [cid for cid, _ in _REGISTRY[name]]
-
-
-def run_suite(name: str, config, max_workers: int = 4) -> dict:
+def run_suite(name: str, config) -> dict:
     """Run every check in the named suite and assemble a sorted report."""
     if name == "all":
         items = [pair for suite in SUITE_NAMES for pair in _REGISTRY[suite]]
     else:
         items = list(_REGISTRY[name])
 
-    def run_one(item):
-        check_id, fn = item
+    results = []
+    for check_id, fn in items:
         anchor, params, max_error, tolerance = fn(config, _rng_for(check_id, config.seed))
-        return CheckResult(
-            check_id=check_id,
-            anchor=anchor,
-            params=params,
-            max_error=float(max_error),
-            tolerance=float(tolerance),
-            passed=bool(max_error <= tolerance),
+        results.append(
+            CheckResult(
+                check_id=check_id,
+                anchor=anchor,
+                params=params,
+                max_error=float(max_error),
+                tolerance=float(tolerance),
+                passed=bool(max_error <= tolerance),
+            )
         )
-
-    with ThreadPoolExecutor(max_workers=max_workers) as pool:
-        results = list(pool.map(run_one, items))
     results.sort(key=lambda r: r.check_id)
     return {
         "suite": name,

@@ -20,15 +20,15 @@ import math
 
 import numpy as np
 
-from .bimodules import APairValued, RGrid, ZTRFunction, pair_module_right
+from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, pair_module_right
 from .closedform import GaussSum1, GaussSum2
-from .errors import AliasingDetected, GridMismatch, TruncationTooSmall
+from .errors import AliasingDetected
 from .nctorus import SmoothElement, lambda_power
 
 TWO_PI = 2.0 * math.pi
 
 
-class SB2Function:
+class SB2Function(KeyedProfiles):
     """Layered two-variable functions with finite circle mode content.
 
     Represents F(k, [x], r, s) = sum over (k, m) of G_{k,m}(r, s)
@@ -36,25 +36,24 @@ class SB2Function:
     in a finite window.
     """
 
-    __slots__ = ("z_max", "mode_max", "rgrid", "sgrid", "profiles")
+    __slots__ = ()
+    KEY_NAMES = ("layer", "mode")
+    PROFILE = GaussSum2
 
     def __init__(self, z_max, mode_max, rgrid: RGrid, sgrid: RGrid, profiles: dict):
-        self.z_max = z_max
-        self.mode_max = mode_max
-        self.rgrid = rgrid
-        self.sgrid = sgrid
-        clean = {}
-        for (k, m), g in profiles.items():
-            if abs(k) > z_max:
-                raise TruncationTooSmall(f"layer {k} exceeds the window {z_max}")
-            if abs(m) > mode_max:
-                raise TruncationTooSmall(f"mode {m} exceeds the window {mode_max}")
-            if g.terms:
-                clean[(k, m)] = g
-        self.profiles = clean
+        super().__init__((z_max, mode_max), (rgrid, sgrid), profiles)
 
-    def profile(self, k: int, m: int) -> GaussSum2:
-        return self.profiles.get((k, m), GaussSum2.zero())
+    @property
+    def z_max(self) -> int:
+        return self.windows[0]
+
+    @property
+    def rgrid(self) -> RGrid:
+        return self.grids[0]
+
+    @property
+    def sgrid(self) -> RGrid:
+        return self.grids[1]
 
     def eval_at(self, k: int, x: float, r, s) -> complex:
         total = 0j
@@ -63,47 +62,12 @@ class SB2Function:
                 total += g(r, s) * cmath.exp(TWO_PI * 1j * m * x)
         return total
 
-    def __add__(self, other: "SB2Function") -> "SB2Function":
-        if (self.rgrid, self.sgrid) != (other.rgrid, other.sgrid):
-            raise GridMismatch("mixed grids")
-        out = dict(self.profiles)
-        for key, g in other.profiles.items():
-            out[key] = out[key] + g if key in out else g
-        return SB2Function(
-            max(self.z_max, other.z_max),
-            max(self.mode_max, other.mode_max),
-            self.rgrid,
-            self.sgrid,
-            out,
-        )
-
-    def __sub__(self, other: "SB2Function") -> "SB2Function":
-        return self + other.scale(-1.0)
-
-    def scale(self, c) -> "SB2Function":
-        return SB2Function(
-            self.z_max,
-            self.mode_max,
-            self.rgrid,
-            self.sgrid,
-            {key: g.scale(c) for key, g in self.profiles.items()},
-        )
-
     def _mesh(self, per_slot=24):
         r = self.rgrid.nodes()
         s = self.sgrid.nodes()
         rstep = max(1, len(r) // per_slot)
         sstep = max(1, len(s) // per_slot)
         return np.meshgrid(r[::rstep], s[::sstep], indexing="ij")
-
-    def max_abs_difference(self, other: "SB2Function", per_slot=24) -> float:
-        rr, ss = self._mesh(per_slot)
-        top = 0.0
-        for key in set(self.profiles) | set(other.profiles):
-            diff = self.profile(*key) - other.profile(*key)
-            if diff.terms:
-                top = max(top, float(np.max(np.abs(diff(rr, ss)))))
-        return top
 
     def sup_norm(self, per_slot=24) -> float:
         rr, ss = self._mesh(per_slot)
@@ -161,18 +125,15 @@ def base_right_act(fn: SB2Function, xi: dict, theta: float) -> SB2Function:
     xi maps (l1, k1, l2, k2) to a coefficient for the elementary tensor
     with powers (l1, k1) in the first factor and (l2, k2) in the second.
     """
-    out = {}
+    pieces = []
     for (l1, k1, l2, k2), c in xi.items():
         if c == 0:
             continue
         for (k, mu), g in fn.profiles.items():
-            key = (k + k2 - k1, mu + l1 + l2)
-            if abs(key[0]) > fn.z_max or abs(key[1]) > fn.mode_max:
-                raise TruncationTooSmall(f"action escapes windows at {key}")
             phase = lambda_power(theta, mu * k2 + l1 * (k + k2) + l2 * k2)
             piece = g.modulate(l2, -k2).scale(c * phase)
-            out[key] = out[key] + piece if key in out else piece
-    return SB2Function(fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid, out)
+            pieces.append(((k + k2 - k1, mu + l1 + l2), piece))
+    return fn.gather(pieces)
 
 
 def base_dirac(fn: SB2Function, sign: int) -> SB2Function:
@@ -182,7 +143,7 @@ def base_dirac(fn: SB2Function, sign: int) -> SB2Function:
     out = {}
     for key, g in fn.profiles.items():
         out[key] = g.mul_poly({(1, 0): 1.0, (0, 1): -sign * 1j})
-    return SB2Function(fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid, out)
+    return fn.like(out)
 
 
 def _layer_eval(fn: SB2Function, k: int, x: float, r, s):
@@ -260,7 +221,7 @@ def fourier_slot_transform(fn: SB2Function, inverse: bool = False) -> SB2Functio
     out = {
         key: g.partial_fourier(1, sign) for key, g in fn.profiles.items()
     }
-    return SB2Function(fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid, out)
+    return fn.like(out)
 
 
 def fourier_slot_quadrature(fn: SB2Function, k: int, x: float, r: float, s_values):
@@ -302,7 +263,7 @@ def shear_substitution(fn: SB2Function, b: int, theta: float, inverse: bool = Fa
             moved = g.affine(float(b), float(b), 0.0, 1.0, float(b * k), 0.0)
             phase = lambda_power(theta, -m * k)
         out[(k, m)] = moved.scale(phase)
-    return SB2Function(fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid, out)
+    return fn.like(out)
 
 
 def full_transform(fn: SB2Function, b: int, theta: float, inverse: bool = False) -> SB2Function:
@@ -317,14 +278,6 @@ def full_transform(fn: SB2Function, b: int, theta: float, inverse: bool = False)
 # ---------------------------------------------------------------------------
 # conjugated operators on the transform side
 # ---------------------------------------------------------------------------
-
-
-def _first_slot_weight(fn: SB2Function, b: int) -> SB2Function:
-    """b (M_r + M_layer) on profiles: multiply by b (r + k) per layer."""
-    out = {}
-    for (k, m), g in fn.profiles.items():
-        out[(k, m)] = g.mul_poly({(1, 0): float(b), (0, 0): float(b * k)})
-    return SB2Function(fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid, out)
 
 
 def transformed_dirac(fn: SB2Function, sign: int, b: int) -> SB2Function:
@@ -343,7 +296,7 @@ def transformed_dirac(fn: SB2Function, sign: int, b: int) -> SB2Function:
         radial = g.derivative(0).scale(-sign / TWO_PI)
         dual = g.derivative(1).scale(sign / TWO_PI)
         out[(k, m)] = weighted + radial + dual
-    return SB2Function(fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid, out)
+    return fn.like(out)
 
 
 def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
@@ -359,30 +312,22 @@ def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
         return full_transform(inner, b, theta)
 
     def mul_r(f):
-        return SB2Function(
-            f.z_max, f.mode_max, f.rgrid, f.sgrid,
-            {key: g.mul_poly({(1, 0): 1.0}) for key, g in f.profiles.items()},
-        )
+        return f.like({key: g.mul_poly({(1, 0): 1.0}) for key, g in f.profiles.items()})
 
     def mul_s(f):
-        return SB2Function(
-            f.z_max, f.mode_max, f.rgrid, f.sgrid,
-            {key: g.mul_poly({(0, 1): 1.0}) for key, g in f.profiles.items()},
-        )
+        return f.like({key: g.mul_poly({(0, 1): 1.0}) for key, g in f.profiles.items()})
 
-    expected_r = SB2Function(
-        fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid,
+    expected_r = fn.like(
         {
             (k, m): g.mul_poly({(1, 0): float(b), (0, 1): float(b), (0, 0): float(b * k)})
             for (k, m), g in fn.profiles.items()
-        },
+        }
     )
-    expected_s = SB2Function(
-        fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid,
+    expected_s = fn.like(
         {
             key: (g.derivative(1) - g.derivative(0)).scale(1j / TWO_PI)
             for key, g in fn.profiles.items()
-        },
+        }
     )
     report = {
         "first_slot": conjugate(mul_r).max_abs_difference(expected_r),
@@ -447,23 +392,19 @@ def transformed_right_act(fn: SB2Function, xi: dict, theta: float, b: int) -> SB
     """Right action of the doubled algebra on the transform side."""
     if b == 0:
         raise ValueError("the structure needs a nonzero shear")
-    out = {}
+    pieces = []
     for (l1, kap1, l2, kap2), c in xi.items():
         if c == 0:
             continue
         for (k, mu), g in fn.profiles.items():
             k_out = k + kap2 - kap1
-            key = (k_out, mu + l1 + l2)
-            if abs(key[0]) > fn.z_max or abs(key[1]) > fn.mode_max:
-                raise TruncationTooSmall(f"action escapes windows at {key}")
             moved = g.affine(1.0, 0.0, 0.0, 1.0, -float(kap1), float(kap2))
             moved = moved.modulate(l2 * b, l2 * b)
             phase = lambda_power(
                 theta, mu * kap1 + l1 * kap1 + l2 * (kap2 - k_out)
             )
-            piece = moved.scale(c * phase)
-            out[key] = out[key] + piece if key in out else piece
-    return SB2Function(fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid, out)
+            pieces.append(((k_out, mu + l1 + l2), moved.scale(c * phase)))
+    return fn.gather(pieces)
 
 
 def transformed_inner(
@@ -563,7 +504,7 @@ def layered_line_dirac(phi: ZTRFunction, sign: int, b: int) -> ZTRFunction:
         out[(k, mu)] = p.mul_poly((float(b * k), float(b))) + p.derivative().scale(
             -sign / TWO_PI
         )
-    return ZTRFunction(phi.z_max, phi.mode_max, phi.grid, out)
+    return phi.like(out)
 
 
 def profile_dirac(p: GaussSum1, sign: int, b: int) -> GaussSum1:
@@ -576,7 +517,7 @@ def profile_dirac(p: GaussSum1, sign: int, b: int) -> GaussSum1:
 def descended_line_dirac(psi: ZTRFunction, sign: int, b: int) -> ZTRFunction:
     """profile_dirac applied per profile of a layered function."""
     out = {key: profile_dirac(p, sign, b) for key, p in psi.profiles.items()}
-    return ZTRFunction(psi.z_max, psi.mode_max, psi.grid, out)
+    return psi.like(out)
 
 
 def angular_weight_correction(a: SmoothElement, sign: int) -> SmoothElement:

@@ -374,16 +374,16 @@ def _sheared_structure(rng):
     psi = _tr(rng, freqs=(0.0,), modes=(-1, 0, 1))
     fa = bm.CTValued({0: 0.8, 1: 0.3j})
     fb = bm.CTValued({-1: 0.2, 0: 0.5})
-    assoc = bm.sheared_module_right(
-        bm.sheared_module_right(phi, fa, b), fb, b
-    ).max_abs_difference(bm.sheared_module_right(phi, fa.mul(fb), b))
+    assoc = bm.line_module_left(
+        bm.line_module_left(phi, fa, b), fb, b
+    ).max_abs_difference(bm.line_module_left(phi, fa.mul(fb), b))
     closed = bm.sheared_module_inner(phi, psi, b, "closed")
     linear = bm.sheared_module_inner(
-        phi, bm.sheared_module_right(psi, fa, b), b, "closed"
+        phi, bm.line_module_left(psi, fa, b), b, "closed"
     ).max_abs_difference(closed.mul(fa))
     herm = closed.star().max_abs_difference(bm.sheared_module_inner(psi, phi, b, "closed"))
     grid = bm.sheared_module_inner(
-        phi, bm.sheared_module_right(psi, fa, b), b, "grid"
+        phi, bm.line_module_left(psi, fa, b), b, "grid"
     ).max_abs_difference(bm.sheared_module_inner(phi, psi, b, "grid").mul(fa))
     return max(assoc, linear, herm), grid
 

@@ -37,11 +37,10 @@ from rotalab.bimodules import (
     shear_unitary,
     sheared_dirac,
     sheared_module_inner,
-    sheared_module_left,
-    sheared_module_right,
     sheared_module_translate,
 )
-from rotalab.closedform import GaussSum1
+from rotalab.closedform import GaussSum1, GaussSum2
+from rotalab.duality import SB2Function
 from rotalab.errors import GridMismatch, TruncationTooSmall
 from rotalab.nctorus import SmoothElement, lambda_power, nct_adjoint, nct_multiply, nct_trace
 
@@ -185,7 +184,7 @@ class TestShearedModule:
         phi, psi = random_tr(rng), random_tr(rng)
         f = CTValued({0: 0.4, 1: 0.3 - 0.2j})
         for b in (1, 2):
-            lhs = sheared_module_inner(phi, sheared_module_right(psi, f, b), b)
+            lhs = sheared_module_inner(phi, line_module_left(psi, f, b), b)
             rhs = sheared_module_inner(phi, psi, b).mul(f)
             assert lhs.max_abs_difference(rhs) < 1e-12
 
@@ -193,14 +192,14 @@ class TestShearedModule:
         rng = random.Random(23)
         phi, psi = random_tr(rng), random_tr(rng)
         f = CTValued({1: 0.5, -1: 0.2 + 0.4j})
-        lhs = sheared_module_inner(sheared_module_left(phi, f), psi, 2)
-        rhs = sheared_module_inner(phi, sheared_module_left(psi, f.star()), 2)
+        lhs = sheared_module_inner(line_module_right(phi, f), psi, 2)
+        rhs = sheared_module_inner(phi, line_module_right(psi, f.star()), 2)
         assert lhs.max_abs_difference(rhs) < 1e-12
 
     def test_unit_left_action_is_identity(self):
         rng = random.Random(24)
         phi = random_tr(rng)
-        acted = sheared_module_left(phi, CTValued({0: 1.0}))
+        acted = line_module_right(phi, CTValued({0: 1.0}))
         assert acted.max_abs_difference(phi) == 0.0
 
     def test_right_by_wave_then_conjugate_wave_is_identity(self):
@@ -208,7 +207,7 @@ class TestShearedModule:
         phi = random_tr(rng, modes=(-2, -1, 0, 1))
         z = CTValued({1: 1.0})
         zbar = CTValued({-1: 1.0})
-        roundtrip = sheared_module_right(sheared_module_right(phi, z, 2), zbar, 2)
+        roundtrip = line_module_left(line_module_left(phi, z, 2), zbar, 2)
         assert roundtrip.max_abs_difference(phi) < 1e-14
 
     def test_translation_covariance_of_inner(self):
@@ -588,3 +587,36 @@ class TestDescentBimodule:
                     if ll == l
                 )
                 assert abs(primary - oracle(x, l)) < 1e-9
+
+
+def single_profile(cls, key, grid=GRID, poly=(1.0,)):
+    """A function of container class cls with one bump at (layer, mode) key."""
+    p = bump(1.0, 0.0, poly=poly)
+    if cls is TRFunction:
+        return TRFunction(2, grid, {key[1]: p})
+    if cls is ZTRFunction:
+        return ZTRFunction(2, 2, grid, {key: p})
+    return SB2Function(2, 2, grid, grid, {key: GaussSum2.outer(p, bump(1.0, 0.0))})
+
+
+@pytest.mark.parametrize("cls", [TRFunction, ZTRFunction, SB2Function])
+class TestKeyedProfiles:
+    def test_out_of_window_key_raises(self, cls):
+        keys = [(0, 3)] if cls is TRFunction else [(0, 3), (-3, 0)]
+        for key in keys:
+            with pytest.raises(TruncationTooSmall):
+                single_profile(cls, key)
+
+    def test_mixed_grids_raise(self, cls):
+        f = single_profile(cls, (0, 1))
+        g = single_profile(cls, (0, 1), grid=RGrid(10.0, 64))
+        with pytest.raises(GridMismatch):
+            f + g
+
+    def test_nan_residual_is_not_hidden(self, cls):
+        finite = single_profile(cls, (0, 0))
+        broken = finite + single_profile(cls, (1, 1), poly=(math.nan,))
+        doubled = finite.scale(2.0)
+        assert 0.5 < doubled.max_abs_difference(finite) <= 1.0
+        assert math.isnan(broken.max_abs_difference(doubled))
+        assert math.isnan(doubled.max_abs_difference(broken))
