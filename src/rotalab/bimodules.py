@@ -20,6 +20,10 @@ Structures implemented:
   algebra and a pair-valued inner product;
 * the descent bimodule whose inner product collapses the pair-valued
   one by integrating out the first circle slot.
+
+The pair-valued inner product is a sum over a coset of line offsets; it
+evaluates each layer's profiles once on the array of all truncated
+offsets instead of one offset at a time.
 """
 
 from __future__ import annotations
@@ -63,6 +67,16 @@ class RGrid:
 def _require_same_grid(f, g):
     if f.grids != g.grids:
         raise GridMismatch(f"grids differ: {f.grids} vs {g.grids}")
+
+
+def _worst(values) -> float:
+    """Largest of 0 and the values; NaN if any value is NaN, unlike max()."""
+    top = 0.0
+    for x in values:
+        if math.isnan(x):
+            return math.nan
+        top = max(top, x)
+    return top
 
 
 def _sum_by_key(pieces) -> dict:
@@ -137,15 +151,11 @@ class KeyedProfiles:
         _require_same_grid(self, other)
         points = self._mesh()
         zero = self.PROFILE.zero()
-        top = 0.0
-        for key in set(self.profiles) | set(other.profiles):
-            diff = self.profiles.get(key, zero) - other.profiles.get(key, zero)
-            if diff.terms:
-                err = float(np.max(np.abs(diff(*points))))
-                if math.isnan(err):
-                    return err
-                top = max(top, err)
-        return top
+        diffs = (
+            self.profiles.get(key, zero) - other.profiles.get(key, zero)
+            for key in set(self.profiles) | set(other.profiles)
+        )
+        return _worst(float(np.max(np.abs(d(*points)))) for d in diffs if d.terms)
 
 
 class TRFunction(KeyedProfiles):
@@ -215,11 +225,9 @@ class CTValued:
         return CTValued(out)
 
     def max_abs_difference(self, other: "CTValued") -> float:
+        """Largest coefficient difference; NaN if any difference is NaN."""
         keys = set(self.coeffs) | set(other.coeffs)
-        return max(
-            (abs(self.coefficient(m) - other.coefficient(m)) for m in keys),
-            default=0.0,
-        )
+        return _worst(abs(self.coefficient(m) - other.coefficient(m)) for m in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -557,21 +565,14 @@ class APairValued:
         return APairValued(multiplied, self.l_max + max(abs(k[1]) + abs(k[3]) for k, _ in items), theta)
 
     def max_abs_difference(self, other: "APairValued", points: int = 5) -> float:
-        xs = np.linspace(0.05, 0.95, points)
-        top = 0.0
+        """Largest |self - other| over jumps and a circle mesh; NaN if any is NaN."""
+        xs = [float(x) for x in np.linspace(0.05, 0.95, points)]
         span = max(self.l_max, other.l_max)
-        for l1 in range(-span, span + 1):
-            for l2 in range(-span, span + 1):
-                for v in xs:
-                    for w in xs:
-                        top = max(
-                            top,
-                            abs(
-                                self.value(l1, l2, float(v), float(w))
-                                - other.value(l1, l2, float(v), float(w))
-                            ),
-                        )
-        return top
+        jumps = range(-span, span + 1)
+        return _worst(
+            abs(self.value(l1, l2, v, w) - other.value(l1, l2, v, w))
+            for l1, l2, v, w in itertools.product(jumps, jumps, xs, xs)
+        )
 
 
 def pair_module_inner(
@@ -581,27 +582,33 @@ def pair_module_inner(
 
     The line argument runs over the coset (k1 + k2 theta + w - v) / b,
     so the result is an evaluator in the two circle points; the k1 sum
-    is truncated where the Gaussian profiles are negligible.
+    is truncated where the Gaussian profiles are negligible. Each layer
+    pair is evaluated once on the array of all truncated coset offsets,
+    skipping offsets where the phi layer vanishes, and the products are
+    summed in real arithmetic so that a self-pairing's diagonal comes
+    out exactly real.
     """
     if b == 0:
         raise ValueError("the transversal structure needs a nonzero shear")
     cut = int(math.ceil(abs(b) * (phi.grid.radius + 2) + phi.z_max + 2))
     l_max = 2 * phi.z_max
+    offsets = np.arange(-cut, cut + 1, dtype=float)
+    layers = sorted({k for k, _ in phi.profiles})
 
     def fn(l1, l2, v, w):
-        total = 0j
-        for k2 in range(-phi.z_max, phi.z_max + 1):
+        re = im = 0.0
+        for k2 in layers:
             k_psi = k2 + l2 - l1
             if abs(k_psi) > psi.z_max:
                 continue
-            for k1 in range(-cut, cut + 1):
-                r0 = (k1 + k2 * theta + w - v) / b
-                left = phi.eval_at(k2, v, r0)
-                if left == 0:
-                    continue
-                right = psi.eval_at(k_psi, v - l1 * theta, r0 + l1)
-                total += left.conjugate() * right
-        return total
+            r0 = (offsets + k2 * theta + w - v) / b
+            left = phi.eval_at(k2, v, r0)
+            keep = left != 0
+            left = left[keep]
+            right = psi.eval_at(k_psi, v - l1 * theta, r0[keep] + l1)
+            re += float(np.sum(left.real * right.real + left.imag * right.imag))
+            im += float(np.sum(left.real * right.imag - left.imag * right.real))
+        return complex(re, im)
 
     return APairValued(fn, l_max, theta)
 

@@ -145,7 +145,8 @@ _PAIR_SAMPLES = [(0, 0, 0.15, 0.4), (1, 0, 0.7, 0.2), (0, 1, 0.3, 0.8), (-1, 1, 
 
 
 def _pair_difference(left, right):
-    return max(abs(left.value(*s) - right.value(*s)) for s in _PAIR_SAMPLES)
+    """Largest |left - right| over the sample points; NaN if any is NaN."""
+    return bm._worst(abs(left.value(*s) - right.value(*s)) for s in _PAIR_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -666,11 +667,12 @@ def _duality_dual_routes(cfg, rng):
     f1, f2 = _sb_pair(rng, grid)
     base_grid = du.base_inner(f1, f2, cfg.theta, "grid")
     base_closed = du.base_inner(f1, f2, cfg.theta, "closed")
-    worst = _pair_difference(base_grid, base_closed)
     b = max(1, abs(cfg.b))
     t_grid = du.transformed_inner(f1, f2, cfg.theta, b, "grid")
     t_closed = du.transformed_inner(f1, f2, cfg.theta, b, "closed")
-    worst = max(worst, _pair_difference(t_grid, t_closed))
+    worst = bm._worst(
+        (_pair_difference(base_grid, base_closed), _pair_difference(t_grid, t_closed))
+    )
     return "pairings, quadrature vs closed form", {"b": b}, worst, 1e-8
 
 

@@ -10,7 +10,10 @@ operators, which is verified here by direct residual computation.
 
 Profiles are two-variable Gaussian closed forms per (layer, mode) key,
 so substitutions and derivatives are exact; quadrature enters only in
-integrals, always with an exact closed-form route alongside.
+integrals, always with an exact closed-form route alongside. The closed
+routes of the two pair-valued inner products integrate the second slot
+once per profile pair, as a closed form in the coset offset, and
+evaluate it on all truncated offsets at once.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import math
 
 import numpy as np
 
-from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, pair_module_right
+from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, _worst, pair_module_right
 from .closedform import GaussSum1, GaussSum2
 from .errors import AliasingDetected
 from .nctorus import SmoothElement, lambda_power
@@ -70,11 +73,9 @@ class SB2Function(KeyedProfiles):
         return np.meshgrid(r[::rstep], s[::sstep], indexing="ij")
 
     def sup_norm(self, per_slot=24) -> float:
+        """Largest |profile| on the sample mesh; NaN if any sample is NaN."""
         rr, ss = self._mesh(per_slot)
-        top = 0.0
-        for g in self.profiles.values():
-            top = max(top, float(np.max(np.abs(g(rr, ss)))))
-        return top
+        return _worst(float(np.max(np.abs(g(rr, ss)))) for g in self.profiles.values())
 
     def boundary_decay_ratio(self) -> float:
         """Largest boundary-ring magnitude over the global maximum."""
@@ -95,14 +96,15 @@ def sb_seminorm(fn: SB2Function, n: int, alpha=(0, 0)) -> float:
     The weight is |k|^n + |r|^n + |s|^n + 1 for positive n; at n = 0 the
     weight collapses to 1 so the seminorm is the plain sup. The supremum
     is taken over the layer window and a subsampled grid mesh, with
-    derivatives exact on the closed-form profiles.
+    derivatives exact on the closed-form profiles. A NaN sample makes
+    the seminorm NaN.
     """
     if n < 0:
         raise ValueError("the weight exponent must be nonnegative")
     a1, a2 = alpha
     rr, ss = fn._mesh()
     weight_rs = np.abs(rr) ** n + np.abs(ss) ** n + 1.0 if n > 0 else 1.0
-    top = 0.0
+    sups = []
     for (k, _m), g in fn.profiles.items():
         d = g
         for _ in range(a1):
@@ -110,8 +112,8 @@ def sb_seminorm(fn: SB2Function, n: int, alpha=(0, 0)) -> float:
         for _ in range(a2):
             d = d.derivative(1)
         weight = weight_rs + (abs(k) ** n if n > 0 else 0.0)
-        top = max(top, float(np.max(weight * np.abs(d(rr, ss)))))
-    return top
+        sups.append(float(np.max(weight * np.abs(d(rr, ss)))))
+    return _worst(sups)
 
 
 # ---------------------------------------------------------------------------
@@ -157,12 +159,52 @@ def _layer_eval(fn: SB2Function, k: int, x: float, r, s):
     return total
 
 
+def _closed_coset_sum(fn1: SB2Function, fn2: SB2Function, line):
+    """Closed-route coset sum shared by the two pair-valued inner products.
+
+    line(g1, g2, *jumps) is the exact integral over the second slot for
+    one profile pair, a closed form H in the coset offset. The returned
+    sum(k1, k2, jumps, x1, x2, offsets) adds, over the profile pairs of
+    layer k1 of fn1 and layer k2 of fn2, the circle phases at x1 and x2
+    times H summed over the offsets array. Each H is built on first use
+    of its (k1, k2, jumps) and kept for later evaluations.
+    """
+    lines = {}
+
+    def coset_sum(k1, k2, jumps, x1, x2, offsets):
+        key = (k1, k2, jumps)
+        if key not in lines:
+            lines[key] = [
+                (m1, m2, line(g1, g2, *jumps))
+                for (kk1, m1), g1 in fn1.profiles.items()
+                if kk1 == k1
+                for (kk2, m2), g2 in fn2.profiles.items()
+                if kk2 == k2
+            ]
+        total = 0j
+        for m1, m2, h in lines[key]:
+            ph1 = cmath.exp(-TWO_PI * 1j * m1 * x1)
+            ph2 = cmath.exp(TWO_PI * 1j * m2 * x2)
+            total += ph1 * ph2 * complex(np.sum(h(offsets)))
+        return total
+
+    return coset_sum
+
+
+def _base_line(g1: GaussSum2, g2: GaussSum2, l2: int) -> GaussSum1:
+    """rho -> integral over s of conj(g1)(rho, s) g2(rho, s) e^{2 pi i l2 s}."""
+    return (g1.conjugate() * g2).modulate(0, l2).integral_slot(1)
+
+
 def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -> APairValued:
     """Pair-valued inner product of the base module.
 
     The first line slot is pinned to coset points k2 + k1 theta - v + w
     while the second is integrated out, by quadrature on the stored grid
-    (route "grid") or by exact closed forms (route "closed").
+    (route "grid") or by exact closed forms (route "closed"). The closed
+    route integrates the second slot once per profile pair and jump l2,
+    leaving a closed form in the coset offset that is evaluated on all
+    truncated offsets at once and kept for later evaluations.
     """
     if route not in ("grid", "closed"):
         raise ValueError(f"unknown route {route!r}")
@@ -170,6 +212,8 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
     l_max = 2 * max(fn1.z_max, fn2.z_max)
     t = fn1.sgrid.nodes()
     wt = fn1.sgrid.weights()
+    offsets = np.arange(-cut, cut + 1, dtype=float)
+    coset_sum = _closed_coset_sum(fn1, fn2, _base_line)
 
     def fn(l1, l2, v, w):
         total = 0j
@@ -179,32 +223,21 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
                 continue
             x1 = v - k1 * theta
             x2 = v - (k1 + l2) * theta
+            if route == "closed":
+                rho = offsets + k1 * theta - v + w
+                total += coset_sum(k1, k_other, (l2,), x1, x2, rho)
+                continue
             for k2 in range(-cut, cut + 1):
                 rho = k2 + k1 * theta - v + w
-                if route == "grid":
-                    left = _layer_eval(fn1, k1, x1, rho, t)
-                    if left is None:
-                        continue
-                    right = _layer_eval(fn2, k_other, x2, rho, t)
-                    if right is None:
-                        continue
-                    total += complex(
-                        np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right)
-                    )
-                else:
-                    for (kk1, m1), g1 in fn1.profiles.items():
-                        if kk1 != k1:
-                            continue
-                        line1 = g1.conjugate().restrict_line((0.0, 1.0), (rho, 0.0))
-                        ph1 = cmath.exp(-TWO_PI * 1j * m1 * x1)
-                        for (kk2, m2), g2 in fn2.profiles.items():
-                            if kk2 != k_other:
-                                continue
-                            line2 = g2.restrict_line((0.0, 1.0), (rho, 0.0))
-                            ph2 = cmath.exp(TWO_PI * 1j * m2 * x2)
-                            total += (
-                                ph1 * ph2 * (line1 * line2).modulate(l2).integral()
-                            )
+                left = _layer_eval(fn1, k1, x1, rho, t)
+                if left is None:
+                    continue
+                right = _layer_eval(fn2, k_other, x2, rho, t)
+                if right is None:
+                    continue
+                total += complex(
+                    np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right)
+                )
         return total
 
     return APairValued(fn, l_max, theta)
@@ -407,6 +440,13 @@ def transformed_right_act(fn: SB2Function, xi: dict, theta: float, b: int) -> SB
     return fn.gather(pieces)
 
 
+def _transformed_line(g1: GaussSum2, g2: GaussSum2, l1: int, l2: int) -> GaussSum1:
+    """c -> integral over s of conj(g1)(c - s, s) g2(c - s + l1, s - l2)."""
+    left = g1.conjugate().affine(1.0, -1.0, 0.0, 1.0, 0.0, 0.0)
+    right = g2.affine(1.0, -1.0, 0.0, 1.0, float(l1), float(-l2))
+    return (left * right).integral_slot(1)
+
+
 def transformed_inner(
     fn1: SB2Function, fn2: SB2Function, theta: float, b: int, route="grid"
 ) -> APairValued:
@@ -414,8 +454,10 @@ def transformed_inner(
 
     The first slot is pinned to the b-scaled coset points minus the
     integration variable, which runs through the second slot; route
-    "grid" integrates on the stored rule, route "closed" restricts the
-    closed forms to the integration line and integrates exactly.
+    "grid" integrates on the stored rule, route "closed" integrates the
+    second slot once per profile pair and jump pair (l1, l2), leaving a
+    closed form in the coset offset that is evaluated on all truncated
+    offsets at once and kept for later evaluations.
     """
     if b == 0:
         raise ValueError("the structure needs a nonzero shear")
@@ -425,6 +467,8 @@ def transformed_inner(
     l_max = 2 * max(fn1.z_max, fn2.z_max)
     t = fn1.rgrid.nodes()
     wt = fn1.rgrid.weights()
+    offsets = np.arange(-cut, cut + 1, dtype=float)
+    coset_sum = _closed_coset_sum(fn1, fn2, _transformed_line)
 
     def fn(l1, l2, v, w):
         total = 0j
@@ -433,30 +477,19 @@ def transformed_inner(
             if abs(k_other) > fn2.z_max:
                 continue
             x2 = v - l1 * theta
+            if route == "closed":
+                c0 = (offsets + k1 * theta - v + w) / b
+                total += coset_sum(k1, k_other, (l1, l2), v, x2, c0)
+                continue
             for k2 in range(-cut, cut + 1):
                 c0 = (k2 + k1 * theta - v + w) / b
-                if route == "grid":
-                    left = _layer_eval(fn1, k1, v, c0 - t, t)
-                    if left is None:
-                        continue
-                    right = _layer_eval(fn2, k_other, x2, c0 - t + l1, t - l2)
-                    if right is None:
-                        continue
-                    total += complex(np.sum(wt * np.conj(left) * right))
-                else:
-                    for (kk1, m1), g1 in fn1.profiles.items():
-                        if kk1 != k1:
-                            continue
-                        line1 = g1.conjugate().restrict_line((-1.0, 1.0), (c0, 0.0))
-                        ph1 = cmath.exp(-TWO_PI * 1j * m1 * v)
-                        for (kk2, m2), g2 in fn2.profiles.items():
-                            if kk2 != k_other:
-                                continue
-                            line2 = g2.restrict_line(
-                                (-1.0, 1.0), (c0 + l1, float(-l2))
-                            )
-                            ph2 = cmath.exp(TWO_PI * 1j * m2 * x2)
-                            total += ph1 * ph2 * (line1 * line2).integral()
+                left = _layer_eval(fn1, k1, v, c0 - t, t)
+                if left is None:
+                    continue
+                right = _layer_eval(fn2, k_other, x2, c0 - t + l1, t - l2)
+                if right is None:
+                    continue
+                total += complex(np.sum(wt * np.conj(left) * right))
         return total
 
     return APairValued(fn, l_max, theta)
@@ -556,12 +589,12 @@ def i_norm(gram: APairValued, points: int = 4) -> float:
     Treats the pair-valued array as a kernel on the doubled translation
     groupoid and returns the max of the two sup-of-fiber-sums (arrows
     into a point, arrows out of a point), the standard convolution
-    algebra bound.
+    algebra bound. A NaN value makes the norm NaN.
     """
     theta = gram.theta
     span = gram.l_max
     anchors = (np.arange(points) + 0.37) / points
-    top = 0.0
+    sums = []
     for v in anchors:
         for w in anchors:
             into = 0.0
@@ -574,5 +607,5 @@ def i_norm(gram: APairValued, points: int = 4) -> float:
                             l1, l2, float(v + l1 * theta), float(w + l2 * theta)
                         )
                     )
-            top = max(top, into, out_of)
-    return top
+            sums += (into, out_of)
+    return _worst(sums)

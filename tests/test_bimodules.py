@@ -420,6 +420,35 @@ def tensor_multiply(xi, eta, theta):
     return out
 
 
+# (l1, l2, v, w) sample points with both jumps nonzero among them
+COSET_SAMPLES = [
+    (0, 0, 0.15, 0.4),
+    (1, 0, 0.7, 0.2),
+    (0, 1, 0.3, 0.8),
+    (-1, 1, 0.5, 0.1),
+    (1, -2, 0.85, 0.35),
+    (2, 1, 0.05, 0.6),
+]
+
+
+def pair_inner_per_point(phi, psi, theta, b, l1, l2, v, w):
+    """The pair-valued inner product summed one coset point at a time."""
+    cut = int(math.ceil(abs(b) * (phi.grid.radius + 2) + phi.z_max + 2))
+    total = 0j
+    for k2 in range(-phi.z_max, phi.z_max + 1):
+        k_psi = k2 + l2 - l1
+        if abs(k_psi) > psi.z_max:
+            continue
+        for k1 in range(-cut, cut + 1):
+            r0 = (k1 + k2 * theta + w - v) / b
+            left = phi.eval_at(k2, v, r0)
+            if left == 0:
+                continue
+            right = psi.eval_at(k_psi, v - l1 * theta, r0 + l1)
+            total += left.conjugate() * right
+    return total
+
+
 class TestPairModule:
     def make_pair(self, rng, z_max=3):
         f1 = ZTRFunction(
@@ -507,6 +536,17 @@ class TestPairModule:
         psi = ZTRFunction(3, 8, GRID, {(0, 0): bump(1.0, 0.0)})
         gram = pair_module_inner(phi, psi, THETA, 1)
         assert gram.value(0, 0, 0.3, 0.6) == 0j
+
+    def test_coset_array_matches_per_point_sum(self):
+        rng = random.Random(66)
+        phi, psi = self.make_pair(rng)
+        phi = phi + ZTRFunction(3, 8, GRID, {(-1, 2): random_profile(rng, (1,))})
+        psi = psi + ZTRFunction(3, 8, GRID, {(1, -1): random_profile(rng, (-1,))})
+        for b in (1, 2):
+            gram = pair_module_inner(phi, psi, THETA, b)
+            for l1, l2, v, w in COSET_SAMPLES:
+                expected = pair_inner_per_point(phi, psi, THETA, b, l1, l2, v, w)
+                assert abs(gram.value(l1, l2, v, w) - expected) < 1e-13
 
 
 class TestDescentBimodule:
@@ -620,3 +660,16 @@ class TestKeyedProfiles:
         assert 0.5 < doubled.max_abs_difference(finite) <= 1.0
         assert math.isnan(broken.max_abs_difference(doubled))
         assert math.isnan(doubled.max_abs_difference(broken))
+
+
+class TestNanResiduals:
+    def test_circle_valued_difference_keeps_nan(self):
+        broken = CTValued({0: 1.0, 1: math.nan})
+        assert math.isnan(broken.max_abs_difference(CTValued({})))
+        assert math.isnan(CTValued({}).max_abs_difference(broken))
+
+    def test_pair_valued_difference_keeps_nan(self):
+        broken = APairValued(lambda l1, l2, v, w: math.nan if v > 0.5 else 1.0, 1, THETA)
+        zero = APairValued(lambda l1, l2, v, w: 0j, 1, THETA)
+        assert math.isnan(broken.max_abs_difference(zero))
+        assert math.isnan(zero.max_abs_difference(broken))

@@ -19,6 +19,7 @@ from rotalab.bimodules import (
     descended_left,
     pair_module_right,
 )
+from rotalab.checks import _pair_difference
 from rotalab.closedform import GaussSum1, GaussSum2
 from rotalab.duality import (
     SB2Function,
@@ -107,6 +108,113 @@ SAMPLES = [(0, 0, 0.15, 0.4), (1, 0, 0.7, 0.2), (0, 1, 0.3, 0.8), (-1, 1, 0.5, 0
 
 def pair_difference(left: APairValued, right: APairValued) -> float:
     return max(abs(left.value(*s) - right.value(*s)) for s in SAMPLES)
+
+
+# (l1, l2, v, w) sample points with both jumps nonzero among them
+COSET_SAMPLES = [
+    (0, 0, 0.15, 0.4),
+    (1, 0, 0.7, 0.2),
+    (0, 1, 0.3, 0.8),
+    (-1, 1, 0.5, 0.1),
+    (1, -2, 0.85, 0.35),
+    (2, 1, 0.05, 0.6),
+]
+
+
+def coset_pair():
+    """small_pair plus modulated, polynomial-weighted profiles in more modes."""
+    f1, f2 = small_pair()
+    f1 = f1 + SB2Function(
+        1, 4, GRID, GRID,
+        {(0, -1): GaussSum2.outer(bump(1.4, 0.1, 1.0, (0.5, 1.0)), bump(1.3, -0.2))},
+    )
+    f2 = f2 + SB2Function(
+        1, 4, GRID, GRID,
+        {(0, 2): GaussSum2.outer(bump(1.2, -0.3), bump(1.5, 0.2, -1.0, (1.0, -0.5)))},
+    )
+    return f1, f2
+
+
+def _profile_pairs(fn1, fn2, k1, k_other):
+    for (kk1, m1), g1 in fn1.profiles.items():
+        if kk1 != k1:
+            continue
+        for (kk2, m2), g2 in fn2.profiles.items():
+            if kk2 == k_other:
+                yield m1, g1, m2, g2
+
+
+def base_inner_per_point(fn1, fn2, theta, l1, l2, v, w):
+    """The closed route of base_inner, restricted and integrated per coset point."""
+    cut = int(math.ceil(fn1.rgrid.radius + fn1.z_max + 2))
+    total = 0j
+    for k1 in range(-fn1.z_max, fn1.z_max + 1):
+        k_other = k1 + l2 - l1
+        if abs(k_other) > fn2.z_max:
+            continue
+        x1 = v - k1 * theta
+        x2 = v - (k1 + l2) * theta
+        for k2 in range(-cut, cut + 1):
+            rho = k2 + k1 * theta - v + w
+            for m1, g1, m2, g2 in _profile_pairs(fn1, fn2, k1, k_other):
+                line1 = g1.conjugate().restrict_line((0.0, 1.0), (rho, 0.0))
+                line2 = g2.restrict_line((0.0, 1.0), (rho, 0.0))
+                phase = cmath.exp(-TWO_PI * 1j * m1 * x1) * cmath.exp(TWO_PI * 1j * m2 * x2)
+                total += phase * (line1 * line2).modulate(l2).integral()
+    return total
+
+
+def transformed_inner_per_point(fn1, fn2, theta, b, l1, l2, v, w):
+    """The closed route of transformed_inner, restricted and integrated per coset point."""
+    cut = int(math.ceil(abs(b) * (fn1.rgrid.radius + 2) + fn1.z_max + 2))
+    total = 0j
+    for k1 in range(-fn1.z_max, fn1.z_max + 1):
+        k_other = k1 + l2 - l1
+        if abs(k_other) > fn2.z_max:
+            continue
+        x2 = v - l1 * theta
+        for k2 in range(-cut, cut + 1):
+            c0 = (k2 + k1 * theta - v + w) / b
+            for m1, g1, m2, g2 in _profile_pairs(fn1, fn2, k1, k_other):
+                line1 = g1.conjugate().restrict_line((-1.0, 1.0), (c0, 0.0))
+                line2 = g2.restrict_line((-1.0, 1.0), (c0 + l1, float(-l2)))
+                phase = cmath.exp(-TWO_PI * 1j * m1 * v) * cmath.exp(TWO_PI * 1j * m2 * x2)
+                total += phase * (line1 * line2).integral()
+    return total
+
+
+class TestClosedCosetSums:
+    def test_base_inner_matches_per_point_integrals(self):
+        f1, f2 = coset_pair()
+        gram = base_inner(f1, f2, THETA, "closed")
+        for l1, l2, v, w in COSET_SAMPLES:
+            expected = base_inner_per_point(f1, f2, THETA, l1, l2, v, w)
+            assert abs(gram.value(l1, l2, v, w) - expected) < 1e-13
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_transformed_inner_matches_per_point_integrals(self, b):
+        f1, f2 = coset_pair()
+        gram = transformed_inner(f1, f2, THETA, b, "closed")
+        for l1, l2, v, w in COSET_SAMPLES:
+            expected = transformed_inner_per_point(f1, f2, THETA, b, l1, l2, v, w)
+            assert abs(gram.value(l1, l2, v, w) - expected) < 1e-13
+
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda f1, f2: base_inner(f1, f2, THETA, "closed"),
+            lambda f1, f2: transformed_inner(f1, f2, THETA, 1, "closed"),
+            lambda f1, f2: transformed_inner(f1, f2, THETA, 2, "closed"),
+        ],
+        ids=["base", "transformed-b1", "transformed-b2"],
+    )
+    def test_kept_line_integrals_do_not_depend_on_request_order(self, build):
+        f1, f2 = coset_pair()
+        forward, backward = build(f1, f2), build(f1, f2)
+        first = [forward.value(*s) for s in COSET_SAMPLES]
+        last = [backward.value(*s) for s in reversed(COSET_SAMPLES)]
+        assert first == last[::-1]
+        assert [forward.value(*s) for s in reversed(COSET_SAMPLES)] == last
 
 
 class TestSeminorms:
@@ -433,3 +541,25 @@ class TestINorm:
             ratios.append(gram / weight)
         assert all(math.isfinite(r) for r in ratios)
         assert max(ratios) <= 25.0 * min(ratios)
+
+
+class TestNanResiduals:
+    def test_sup_norm_and_seminorm_keep_nan(self):
+        fn = standard_function() + sb(
+            {(2, 2): GaussSum2.outer(bump(1.0, 0.0, 0.0, (math.nan,)), bump(1.0, 0.0))}
+        )
+        assert math.isnan(fn.sup_norm())
+        assert math.isnan(sb_seminorm(fn, 0))
+        assert math.isnan(sb_seminorm(fn, 4, (1, 0)))
+
+    def test_i_norm_keeps_nan(self):
+        gram = APairValued(
+            lambda l1, l2, v, w: math.nan if (l1, l2) == (1, 0) else 1.0, 1, THETA
+        )
+        assert math.isnan(i_norm(gram, points=2))
+
+    def test_check_pair_difference_keeps_nan(self):
+        finite = APairValued(lambda l1, l2, v, w: 1.0, 1, THETA)
+        broken = APairValued(lambda l1, l2, v, w: math.nan if l2 == 1 else 1.0, 1, THETA)
+        assert math.isnan(_pair_difference(finite, broken))
+        assert _pair_difference(finite, finite) == 0.0
