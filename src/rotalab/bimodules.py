@@ -69,9 +69,9 @@ def _require_same_grid(f, g):
         raise GridMismatch(f"grids differ: {f.grids} vs {g.grids}")
 
 
-def _worst(values) -> float:
-    """Largest of 0 and the values; NaN if any value is NaN, unlike max()."""
-    top = 0.0
+def _worst(values, floor: float = 0.0) -> float:
+    """Largest of the floor and the values; NaN if any value is NaN, unlike max()."""
+    top = floor
     for x in values:
         if math.isnan(x):
             return math.nan

@@ -655,10 +655,11 @@ def _diagonal_lower_bound(cfg, rng):
     grid = _grid_of(cfg)
     f1, _ = _sb_pair(rng, grid)
     samples = [(0, 0.2, 0.5), (1, 0.6, -0.3), (0, 0.8, 1.1)]
-    worst = -math.inf
-    for b in sorted({1, abs(cfg.b) or 1}):
-        worst = max(worst, du.transformed_lower_bound_gap(f1, cfg.theta, b, samples))
-    return "diagonal dominates the line integral", {"samples": len(samples)}, max(0.0, worst), cfg.tol_quad
+    worst = bm._worst(
+        du.transformed_lower_bound_gap(f1, cfg.theta, b, samples)
+        for b in sorted({1, abs(cfg.b) or 1})
+    )
+    return "diagonal dominates the line integral", {"samples": len(samples)}, worst, cfg.tol_quad
 
 
 @_register("duality", "inner_dual_routes")

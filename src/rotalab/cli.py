@@ -90,10 +90,14 @@ def validate_config(config: RunConfig, suite: str = None, for_spectrum: bool = F
         raise ConfigInvalid("spectrum targets need at least two levels")
     if config.grid_nodes < 8:
         raise ConfigInvalid("the quadrature grid needs at least 8 nodes")
+    if not math.isfinite(config.radius):
+        raise ConfigInvalid("the grid radius must be finite")
     if config.radius <= 0:
         raise ConfigInvalid("the grid radius must be positive")
     if config.tol_exact <= 0 or config.tol_quad <= 0:
         raise ConfigInvalid("tolerances must be positive")
+    if not math.isfinite(config.lam):
+        raise ConfigInvalid("the oscillator slope must be finite")
     if config.lam == 0:
         raise ConfigInvalid("the oscillator slope must be nonzero")
 

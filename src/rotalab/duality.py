@@ -78,15 +78,20 @@ class SB2Function(KeyedProfiles):
         return _worst(float(np.max(np.abs(g(rr, ss)))) for g in self.profiles.values())
 
     def boundary_decay_ratio(self) -> float:
-        """Largest boundary-ring magnitude over the global maximum."""
+        """Largest boundary-ring magnitude over the global maximum.
+
+        NaN when any sampled magnitude is NaN.
+        """
         rr, ss = self._mesh()
         edge_r = np.array([self.rgrid.nodes()[0], self.rgrid.nodes()[-1]])
         edge_s = np.array([self.sgrid.nodes()[0], self.sgrid.nodes()[-1]])
-        top, edge = 0.0, 0.0
-        for g in self.profiles.values():
-            top = max(top, float(np.max(np.abs(g(rr, ss)))))
-            edge = max(edge, float(np.max(np.abs(g(edge_r[:, None], ss[0][None, :])))))
-            edge = max(edge, float(np.max(np.abs(g(rr[:, 0][:, None], edge_s[None, :])))))
+        rings = ((edge_r[:, None], ss[0][None, :]), (rr[:, 0][:, None], edge_s[None, :]))
+        top = _worst(float(np.max(np.abs(g(rr, ss)))) for g in self.profiles.values())
+        edge = _worst(
+            float(np.max(np.abs(g(*ring)))) for g in self.profiles.values() for ring in rings
+        )
+        if math.isnan(top) or math.isnan(edge):
+            return math.nan
         return edge / top if top > 0 else 0.0
 
 
@@ -501,10 +506,10 @@ def transformed_lower_bound_gap(fn: SB2Function, theta: float, b: int, samples) 
     For each (k, v, s) sample the inner product diagonal at paired
     points dominates the single-term integral of |F|^2 along the
     anti-diagonal line through s. Nonpositive return means the bound
-    held everywhere.
+    held everywhere; a NaN sample makes the result NaN.
     """
     gram = transformed_inner(fn, fn, theta, b, "closed")
-    worst = -math.inf
+    gaps = []
     for (k, v, s) in samples:
         w = v + b * s - k * theta
         diag = gram.value(0, 0, v, w).real
@@ -519,8 +524,8 @@ def transformed_lower_bound_gap(fn: SB2Function, theta: float, b: int, samples) 
                 line2 = g2.restrict_line((-1.0, 1.0), (float(s), 0.0))
                 phase = cmath.exp(TWO_PI * 1j * (m2 - m1) * v)
                 single += phase * (line1 * line2).integral()
-        worst = max(worst, single.real - diag)
-    return worst
+        gaps.append(single.real - diag)
+    return _worst(gaps, floor=-math.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .errors import (
 )
 from .scalars import (
     THETA,
+    ZERO,
     IntMatrix2,
     ThetaScalar,
     TorusPoint,
@@ -116,12 +117,11 @@ class FlowArrow:
 
     @classmethod
     def unit(cls, x: TorusPoint, y: TorusPoint) -> "FlowArrow":
-        zero = ThetaScalar.of(0)
-        return cls(x, y, zero, zero)
+        return cls(x, y, ZERO, ZERO)
 
     @property
     def is_unit(self) -> bool:
-        return self.dx == ThetaScalar.of(0) and self.dy == ThetaScalar.of(0)
+        return self.dx == ZERO and self.dy == ZERO
 
 
 def flow_compose(f: FlowArrow, h: FlowArrow) -> FlowArrow:
@@ -191,15 +191,13 @@ class LatticeFlowArrow:
 
     def first_time(self) -> ThetaScalar:
         mu = _exact_defect(self.g)
-        return (ThetaScalar.of(self.k) + THETA * self.l) / mu
+        return ThetaScalar(self.k, self.l) / mu
 
     def second_time(self) -> ThetaScalar:
         a, b, c, d = self.g.a, self.g.b, self.g.c, self.g.d
         mu = _exact_defect(self.g)
-        num = ThetaScalar.of(self.k) * ThetaScalar(d, c) + ThetaScalar.of(
-            self.l
-        ) * ThetaScalar(b, a)
-        return num / mu
+        # k*(d + c*theta) + l*(b + a*theta)
+        return ThetaScalar(self.k * d + self.l * b, self.k * c + self.l * a) / mu
 
     @property
     def range(self) -> tuple:
@@ -357,7 +355,7 @@ def lattice_act_on_transversal(
     _require(arrow.g == z.g, NotComposable, "arrow and point use different matrices")
     l1, l2 = arrow.k, arrow.l
     b = z.g.b
-    offset = (ThetaScalar.of(l1) + THETA * l2) / ThetaScalar.of(b)
+    offset = ThetaScalar(l1, l2) / b
     new_r = offset + z.r
     expected_anchor = (
         z.v + new_r * THETA,
@@ -446,8 +444,7 @@ def transversal_to_balanced(z: TransversalPoint) -> BalancedPair:
     x = z.v + r * THETA
     y = torus_reduce(r)
     w = torus_reduce(z.v.x * a + r * b - THETA * z.k)
-    zero = ThetaScalar.of(0)
-    return BalancedPair(x, y, r, r2, z.v, zero, w, zero, z.g)
+    return BalancedPair(x, y, r, r2, z.v, ZERO, w, ZERO, z.g)
 
 
 def balanced_to_transversal(p: BalancedPair) -> TransversalPoint:

@@ -2,7 +2,7 @@
 
 All samplers draw from a caller-supplied random.Random so that every
 check run is reproducible from its seed. Rationals keep small
-denominators; that bounds the Fraction arithmetic in long batches.
+denominators; that bounds the exact integer arithmetic in long batches.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ def rational(rng: random.Random, lo: int = -5, hi: int = 5, max_den: int = 12) -
 
 
 def theta_scalar(rng: random.Random, degree: int = 1) -> ThetaScalar:
-    parts = [rational(rng) if k <= degree else Fraction(0) for k in range(3)]
+    parts = [rational(rng) if k <= degree else 0 for k in range(3)]
     return ThetaScalar(*parts)
 
 

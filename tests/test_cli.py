@@ -144,6 +144,22 @@ class TestVerifyCommand:
         assert main(["verify", "duality", "--b", "0"]) == 2
         assert "twist degree" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, field",
+        [
+            (["verify", "oscillator", "--lambda", "nan"], "slope"),
+            (["verify", "oscillator", "--lambda", "inf"], "slope"),
+            (["verify", "bimodules", "--R", "nan"], "radius"),
+            (["verify", "bimodules", "--R", "inf"], "radius"),
+        ],
+    )
+    def test_non_finite_value_exits_two(self, capsys, argv, field):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert field in err and "finite" in err
+        assert "Traceback" not in err
+
     def test_unwritable_output_exits_two(self, capsys):
         code = main(["verify", "ktheory", "--output", "/no/such/dir/report.json"])
         assert code == 2

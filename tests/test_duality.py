@@ -19,7 +19,10 @@ from rotalab.bimodules import (
     descended_left,
     pair_module_right,
 )
+from rotalab import checks
+from rotalab import duality as du
 from rotalab.checks import _pair_difference
+from rotalab.cli import RunConfig
 from rotalab.closedform import GaussSum1, GaussSum2
 from rotalab.duality import (
     SB2Function,
@@ -557,6 +560,28 @@ class TestNanResiduals:
             lambda l1, l2, v, w: math.nan if (l1, l2) == (1, 0) else 1.0, 1, THETA
         )
         assert math.isnan(i_norm(gram, points=2))
+
+    @staticmethod
+    def nan_in_layer_one():
+        return standard_function() + sb(
+            {(1, 2): GaussSum2.outer(bump(1.0, 0.0, 0.0, (math.nan,)), bump(1.0, 0.0))}
+        )
+
+    def test_lower_bound_gap_keeps_nan_and_its_sign(self):
+        samples = [(0, 0.2, 0.5), (1, 0.6, -0.3)]
+        assert math.isnan(transformed_lower_bound_gap(self.nan_in_layer_one(), THETA, 1, samples))
+        # finite input keeps the signed gap, not clamped at zero
+        assert transformed_lower_bound_gap(standard_function(), THETA, 1, samples) < 0.0
+
+    def test_diagonal_lower_bound_check_keeps_nan(self, monkeypatch):
+        monkeypatch.setattr(du, "transformed_lower_bound_gap", lambda *args: math.nan)
+        check = dict(checks._REGISTRY["duality"])["duality.diagonal_lower_bound"]
+        _, _, max_error, _ = check(RunConfig(), random.Random(0))
+        assert math.isnan(max_error)
+
+    def test_boundary_decay_ratio_keeps_nan(self):
+        assert math.isnan(self.nan_in_layer_one().boundary_decay_ratio())
+        assert standard_function().boundary_decay_ratio() < 1e-12
 
     def test_check_pair_difference_keeps_nan(self):
         finite = APairValued(lambda l1, l2, v, w: 1.0, 1, THETA)

@@ -1,6 +1,8 @@
 """Exact scalar layer: ring arithmetic, circle reduction, matrix actions."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -164,3 +166,130 @@ class TestHashability:
         d = {ThetaScalar(1, 2): "a", TorusPoint(ThetaScalar(Fraction(1, 2))): "b"}
         assert d[ThetaScalar(1, 2)] == "a"
         assert d[torus_reduce(ThetaScalar(Fraction(3, 2)))] == "b"
+
+
+# ---------------------------------------------------------------------------
+# the integer-numerator representation against a plain Fraction triple
+# ---------------------------------------------------------------------------
+
+# coefficients that are often zero, so products both stay in degree two and
+# overflow, and denominators large enough to make the shared one non-trivial
+coefficients = st.one_of(
+    st.just(Fraction(0)),
+    rationals,
+    st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4),
+)
+triples = st.tuples(coefficients, coefficients, coefficients)
+nonzero_rationals = st.fractions(max_denominator=50).filter(lambda f: f != 0)
+
+
+def ref_of(s):
+    return (s.p, s.q, s.r)
+
+
+def ref_add(x, y):
+    return tuple(a + b for a, b in zip(x, y))
+
+
+def ref_mul(x, y):
+    """Product of coefficient triples, or None when theta^3 or theta^4 appears."""
+    (p1, q1, r1), (p2, q2, r2) = x, y
+    if q1 * r2 + r1 * q2 != 0 or r1 * r2 != 0:
+        return None
+    return (p1 * p2, p1 * q2 + q1 * p2, p1 * r2 + q1 * q2 + r1 * p2)
+
+
+class TestIntegerNumeratorRepresentation:
+    @given(triples, triples)
+    def test_add_sub_neg_agree_with_reference(self, x, y):
+        s, t = ThetaScalar(*x), ThetaScalar(*y)
+        assert ref_of(s) == x
+        assert ref_of(s + t) == ref_add(x, y)
+        assert ref_of(s - t) == tuple(a - b for a, b in zip(x, y))
+        assert ref_of(-s) == tuple(-a for a in x)
+
+    @given(triples, triples)
+    def test_product_and_overflow_agree_with_reference(self, x, y):
+        s, t = ThetaScalar(*x), ThetaScalar(*y)
+        expected = ref_mul(x, y)
+        if expected is None:
+            with pytest.raises(DegreeOverflow):
+                s * t
+        else:
+            assert ref_of(s * t) == expected
+
+    @given(triples, small_ints)
+    def test_int_operands_agree_with_reference(self, x, n):
+        s = ThetaScalar(*x)
+        assert ref_of(s * n) == ref_of(n * s) == tuple(a * n for a in x)
+        assert ref_of(s + n) == ref_of(n + s) == ref_add(x, (n, 0, 0))
+        assert ref_of(n - s) == tuple(b - a for a, b in zip(x, (n, 0, 0)))
+
+    @given(triples, nonzero_rationals)
+    def test_division_by_rational_agrees_with_reference(self, x, f):
+        s = ThetaScalar(*x)
+        expected = tuple(a / f for a in x)
+        assert ref_of(s / f) == expected
+        assert ref_of(s / ThetaScalar(f)) == expected
+
+    def test_division_guards(self):
+        with pytest.raises(ValueError):
+            ThetaScalar(1) / ThetaScalar(1, 1)
+        with pytest.raises(ZeroDivisionError):
+            ThetaScalar(1, 2) / 0
+
+    @given(triples, triples, nonzero_rationals)
+    def test_equal_values_hash_equally(self, x, y, f):
+        s, t = ThetaScalar(*x), ThetaScalar(*y)
+        for same in ((s + t) - t, (s * f) / f, ThetaScalar(*ref_of(s)), copy.copy(s)):
+            assert same == s
+            assert hash(same) == hash(s)
+        assert (s == t) == (x == y)
+
+    @given(triples)
+    def test_torus_point_reduces_rational_part_only(self, x):
+        point = torus_reduce(ThetaScalar(*x))
+        p, q, r = ref_of(point.x)
+        assert 0 <= p < 1
+        assert (p - x[0]).denominator == 1
+        assert (q, r) == (x[1], x[2])
+
+    @given(triples, st.floats(min_value=-4.0, max_value=4.0))
+    def test_evalf_is_bit_equal_to_fraction_floats(self, x, theta):
+        p, q, r = x
+        expected = float(p) + float(q) * theta + float(r) * theta * theta
+        assert ThetaScalar(*x).evalf(theta).hex() == expected.hex()
+
+    @pytest.mark.parametrize("name", ["p", "q", "r", "_a", "_d", "extra"])
+    def test_assignment_raises(self, name):
+        s = ThetaScalar(1, 2, 3)
+        with pytest.raises(AttributeError):
+            setattr(s, name, Fraction(5))
+        with pytest.raises(AttributeError):
+            delattr(s, name)
+        assert s == ThetaScalar(1, 2, 3)
+
+    def test_torus_point_is_frozen(self):
+        point = torus_reduce(ThetaScalar(Fraction(1, 2)))
+        with pytest.raises(AttributeError):
+            point.x = ThetaScalar(0)
+
+    @pytest.mark.parametrize("bad", [0.5, "1", None, ThetaScalar(1)])
+    def test_constructor_rejects_non_rationals(self, bad):
+        with pytest.raises(TypeError, match="expected int or Fraction"):
+            ThetaScalar(0, bad)
+
+    def test_coercion_rejects_floats(self):
+        with pytest.raises(TypeError, match="expected int or Fraction, got float"):
+            ThetaScalar.of(0.5)
+        with pytest.raises(TypeError):
+            ThetaScalar(1) + 0.5
+
+    def test_canonical_form_and_views(self):
+        s = ThetaScalar(Fraction(1, 2), Fraction(-1, 3), 2)
+        assert (s._a, s._b, s._c, s._d) == (3, -2, 12, 6)
+        assert repr(s) == "1/2 - 1/3*theta + 2*theta^2"
+        assert ThetaScalar.of(4).as_integer() == 4
+        assert ThetaScalar(Fraction(8, 2)).is_integer
+        assert not ThetaScalar(Fraction(1, 2)).is_integer
+        assert pickle.loads(pickle.dumps(s)) == s
