@@ -38,7 +38,7 @@ import numpy as np
 
 from .closedform import GaussSum1
 from .errors import GridMismatch, TruncationTooSmall
-from .nctorus import SmoothElement, lambda_power
+from .nctorus import SmoothElement, _worst, lambda_power
 
 TWO_PI = 2.0 * math.pi
 
@@ -67,16 +67,6 @@ class RGrid:
 def _require_same_grid(f, g):
     if f.grids != g.grids:
         raise GridMismatch(f"grids differ: {f.grids} vs {g.grids}")
-
-
-def _worst(values, floor: float = 0.0) -> float:
-    """Largest of the floor and the values; NaN if any value is NaN, unlike max()."""
-    top = floor
-    for x in values:
-        if math.isnan(x):
-            return math.nan
-        top = max(top, x)
-    return top
 
 
 def _sum_by_key(pieces) -> dict:

@@ -23,7 +23,7 @@ import numpy as np
 
 from .checks import SUITE_NAMES, run_suite
 from .errors import ConfigInvalid, IoError
-from .nctorus import basis_dim, nct_dolbeault
+from .nctorus import nct_dolbeault
 from .oscillator import dirac_matrix, dirac_squared_spectrum
 
 SUITE_CHOICES = SUITE_NAMES + ("all",)
@@ -234,9 +234,7 @@ def render_report(report: dict, fmt: str) -> str:
 def spectrum_rows(target: str, config: RunConfig):
     """Sorted (label, value) rows for one of the model operators."""
     if target == "d_lambda":
-        level = config.level_cut
-        mat = dirac_matrix(config.lam, 0.0, level)
-        sv = np.sort(np.linalg.svd(mat.data, compute_uv=False))
+        sv = np.sort(np.linalg.svd(dirac_matrix(config.lam, config.level_cut), compute_uv=False))
         return [(f"sv[{i}]", float(value)) for i, value in enumerate(sv)]
     if target == "d_squared":
         top, bottom = dirac_squared_spectrum(config.lam, config.level_cut)
@@ -245,9 +243,8 @@ def spectrum_rows(target: str, config: RunConfig):
         rows.sort(key=lambda row: (row[1], row[0]))
         return rows
     size = config.mode_cut
-    d = nct_dolbeault(size, size)
-    n = basis_dim(size, size)
-    magnitudes = np.abs(np.diag(d.data[:n, n:]))
+    upper, _ = nct_dolbeault(size, size)
+    magnitudes = np.abs(upper)
     rows = []
     index = 0
     for l in range(-size, size + 1):

@@ -23,10 +23,10 @@ import math
 
 import numpy as np
 
-from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, _worst, pair_module_right
+from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, pair_module_right
 from .closedform import GaussSum1, GaussSum2
 from .errors import AliasingDetected
-from .nctorus import SmoothElement, lambda_power
+from .nctorus import SmoothElement, _worst, lambda_power
 
 TWO_PI = 2.0 * math.pi
 
@@ -410,15 +410,15 @@ def resolvent_residual(psi1: SB2Function, psi2: SB2Function, sign: int) -> float
     """Max pointwise defect of the resolvent equation over the grid mesh."""
     rr, ss = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij")
     phi1, phi2 = resolvent_solve(psi1, psi2, sign)
-    top = 0.0
+    errs = []
     for key in phi1:
         target1 = psi1.profile(*key)(rr, ss)
         target2 = psi2.profile(*key)(rr, ss)
         got1 = (rr + 1j * ss) * phi2[key] + sign * 1j * phi1[key]
         got2 = (rr - 1j * ss) * phi1[key] + sign * 1j * phi2[key]
-        top = max(top, float(np.max(np.abs(got1 - target1))))
-        top = max(top, float(np.max(np.abs(got2 - target2))))
-    return top
+        errs.append(float(np.max(np.abs(got1 - target1))))
+        errs.append(float(np.max(np.abs(got2 - target2))))
+    return _worst(errs)
 
 
 # ---------------------------------------------------------------------------

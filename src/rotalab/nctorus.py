@@ -4,8 +4,13 @@ An element is a finite sum  sum_{n,m} a_{n,m} V^n U^m  where the two
 unitaries satisfy V U = e^{2 pi i theta} U V. Products, adjoints, the
 canonical trace and the Schwartz-type seminorms act on the coefficient
 array directly. Two commuting representations on l^2 of the doubled index
-set (torus mode l, group index k) realize the same elements as matrices,
-and a flat-torus Dirac operator pairs with them.
+set (torus mode l, group index k) realize the same elements as plain
+matrices. The flat-torus Dirac operator that pairs with them is odd with
+diagonal blocks, so it is kept as its two block diagonals, never as a
+dense matrix.
+
+Residuals throughout the package reduce through `_worst`, which keeps a
+NaN where `max()` would drop it.
 
 Phase convention: lambda = e^{2 pi i theta}, and the covariance phases of
 the two representations are derived from the single rule that the group
@@ -16,13 +21,22 @@ hand anywhere else in the package.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import TruncationTooSmall
 
 TWO_PI = 2.0 * math.pi
+
+
+def _worst(values, floor: float = 0.0) -> float:
+    """Largest of the floor and the values; NaN if any value is NaN, unlike max()."""
+    top = floor
+    for x in values:
+        if math.isnan(x):
+            return math.nan
+        top = max(top, x)
+    return top
 
 
 def lambda_power(theta: float, exponent: float) -> complex:
@@ -87,9 +101,7 @@ class SmoothElement:
     def max_abs_difference(self, other: "SmoothElement") -> float:
         _check_theta(self, other)
         keys = set(self.coeffs) | set(other.coeffs)
-        if not keys:
-            return 0.0
-        return max(abs(self.coefficient(*k) - other.coefficient(*k)) for k in keys)
+        return _worst(abs(self.coefficient(*k) - other.coefficient(*k)) for k in keys)
 
     def __repr__(self) -> str:
         terms = ", ".join(
@@ -138,33 +150,12 @@ def nct_seminorm(a: SmoothElement, k: int) -> float:
     """sup over the support of (|n|^k + |m|^k) |a_{n,m}|."""
     if k < 0:
         raise ValueError("seminorm degree must be nonnegative")
-    if not a.coeffs:
-        return 0.0
-    return max(
-        (abs(n) ** k + abs(m) ** k) * abs(c) for (n, m), c in a.coeffs.items()
-    )
+    return _worst((abs(n) ** k + abs(m) ** k) * abs(c) for (n, m), c in a.coeffs.items())
 
 
 # ---------------------------------------------------------------------------
 # Matrix representations
 # ---------------------------------------------------------------------------
-
-
-@dataclass
-class OperatorMatrix:
-    """Dense matrix of an operator together with its basis bookkeeping."""
-
-    data: np.ndarray
-    basis: str
-    grading: str = "none"
-    interior: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def dim(self) -> int:
-        return self.data.shape[0]
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.data, ord=2))
 
 
 def basis_index(l: int, k: int, L: int, K: int) -> int:
@@ -190,17 +181,15 @@ def interior_mask(L: int, K: int, margin_l: int, margin_k: int) -> np.ndarray:
     return mask
 
 
-def nct_represent(
-    a: SmoothElement, which: str, L: int, K: int
-) -> OperatorMatrix:
+def nct_represent(a: SmoothElement, which: str, L: int, K: int) -> np.ndarray:
     """Truncated matrix of one of the two commuting representations.
 
     which = "left": V^j U^m sends z^l (x) eps_k to
         e^{2 pi i theta j (k + m)} z^{l+j} (x) eps_{k+m};
     which = "right": V^j U^m sends z^l (x) eps_k to
         e^{-2 pi i theta l m} z^{l+j} (x) eps_{k-m}.
-    Images that leave the truncation window are dropped; the attached
-    interior mask marks the columns on which the compression is faithful.
+    Images that leave the truncation window are dropped, so the
+    compression is faithful on the columns of interior_mask(L, K, *window).
     """
     if which not in ("left", "right"):
         raise ValueError(f"unknown representation {which!r}")
@@ -228,37 +217,20 @@ def nct_represent(
                 mat[basis_index(l + j, k_out, L, K), basis_index(l, k, L, K)] += (
                     c * phase
                 )
-    return OperatorMatrix(
-        mat,
-        basis=f"z^l (x) eps_k, |l| <= {L}, |k| <= {K}",
-        grading="none",
-        interior=interior_mask(L, K, wn, wm),
-    )
+    return mat
 
 
-def nct_dolbeault(L: int, K: int) -> OperatorMatrix:
-    """Flat-torus Dirac operator on the doubled truncated basis.
+def nct_dolbeault(L: int, K: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat-torus Dirac operator on the doubled truncated basis, as its two
+    block diagonals (upper, lower).
 
-    Both blocks are diagonal, with 2 pi k the group-index frequency and
-    2 pi l the torus-mode frequency; the off-diagonal entries are their
-    sum and difference with a relative factor i, so the square is the
-    diagonal matrix (2 pi)^2 (l^2 + k^2) on each graded summand.
+    The operator is odd: it is [[0, diag(upper)], [diag(lower), 0]] on the
+    graded pair of copies of z^l (x) eps_k, indexed by basis_index. The
+    entries are upper = 2 pi (k - i l) and lower = 2 pi (k + i l), with
+    2 pi k the group-index frequency and 2 pi l the torus-mode frequency;
+    lower is the conjugate of upper, so the operator is self-adjoint and
+    its square is (2 pi)^2 (l^2 + k^2) on each graded summand.
     """
-    dim = basis_dim(L, K)
-    dz = np.zeros(dim)
-    dt = np.zeros(dim)
-    for l in range(-L, L + 1):
-        for k in range(-K, K + 1):
-            idx = basis_index(l, k, L, K)
-            dz[idx] = TWO_PI * k
-            dt[idx] = TWO_PI * l
-    upper = np.diag(dz - 1j * dt)
-    lower = np.diag(dz + 1j * dt)
-    zero = np.zeros((dim, dim), dtype=complex)
-    mat = np.block([[zero, upper], [lower, zero]])
-    return OperatorMatrix(
-        mat,
-        basis=f"(z^l (x) eps_k)^2 graded, |l| <= {L}, |k| <= {K}",
-        grading="odd",
-        interior=np.concatenate([interior_mask(L, K, 0, 0)] * 2),
-    )
+    dz = TWO_PI * np.arange(-K, K + 1)
+    dt = TWO_PI * np.arange(-L, L + 1)[:, None]
+    return (dz - 1j * dt).ravel(), (dz + 1j * dt).ravel()

@@ -14,6 +14,10 @@ that one codomain vector makes the compression faithful: the truncated
 spectrum is symmetric except for the genuine kernel mode and the index
 comes out +-1 as it should.
 
+Every operator here is a plain numpy array. The Hermite basis moves with
+the center t, so the ladder matrices do not depend on it and take no
+center argument; only the grid oracles and basis functions do.
+
 Uniform-grid discretizations of the same operator serve as independent
 oracles: they know nothing about the ladder algebra.
 """
@@ -25,7 +29,6 @@ import math
 import numpy as np
 
 from .errors import RankAmbiguous
-from .nctorus import OperatorMatrix
 
 SQRT_PI = math.sqrt(math.pi)
 
@@ -102,24 +105,13 @@ def ladder_blocks(lam: float, L: int):
     return a_plus, a_plus.T.copy(), dim_plus, dim_minus
 
 
-def dirac_matrix(lam: float, t: float, L: int) -> OperatorMatrix:
-    """Odd matrix of the operator in the Hermite basis centered at t.
-
-    The matrix does not depend on t because the basis moves with the
-    center; t is recorded in the basis descriptor for grid cross-checks.
-    """
+def dirac_matrix(lam: float, L: int) -> np.ndarray:
+    """Odd matrix of the operator in the Hermite basis, graded (plus, minus)."""
     a_plus, a_minus, dim_plus, dim_minus = ladder_blocks(lam, L)
     mat = np.zeros((dim_plus + dim_minus, dim_plus + dim_minus))
     mat[dim_plus:, :dim_plus] = a_plus
     mat[:dim_plus, dim_plus:] = a_minus
-    return OperatorMatrix(
-        mat,
-        basis=(
-            f"oscillator basis, L={L}, slope={lam}, center={t}; "
-            f"blocks (plus={dim_plus}, minus={dim_minus})"
-        ),
-        grading="odd",
-    )
+    return mat
 
 
 def dirac_squared_spectrum(lam: float, L: int):
@@ -134,7 +126,7 @@ def dirac_squared_spectrum(lam: float, L: int):
     return 2.0 * l * lam, (2.0 * l + 2.0) * lam
 
 
-def kernel_projector(lam: float, t: float, L: int) -> OperatorMatrix:
+def kernel_projector(lam: float, L: int) -> np.ndarray:
     """Rank-one projector onto the kernel mode inside the truncation."""
     _, _, dim_plus, dim_minus = ladder_blocks(lam, L)
     mat = np.zeros((dim_plus + dim_minus, dim_plus + dim_minus))
@@ -142,14 +134,7 @@ def kernel_projector(lam: float, t: float, L: int) -> OperatorMatrix:
         mat[0, 0] = 1.0
     else:
         mat[dim_plus, dim_plus] = 1.0
-    return OperatorMatrix(
-        mat,
-        basis=(
-            f"oscillator basis, L={L}, slope={lam}, center={t}; "
-            f"blocks (plus={dim_plus}, minus={dim_minus})"
-        ),
-        grading="even",
-    )
+    return mat
 
 
 def _kernel_dim(block: np.ndarray, rank_tol: float) -> int:
@@ -171,22 +156,21 @@ def fredholm_index(lam: float, L: int, rank_tol: float = 1e-8) -> int:
     return _kernel_dim(a_plus, rank_tol) - _kernel_dim(a_minus, rank_tol)
 
 
-def functional_calculus(f, lam: float, t: float, L: int) -> OperatorMatrix:
+def functional_calculus(f, lam: float, L: int) -> np.ndarray:
     """Apply a scalar function through the eigendecomposition of the matrix."""
-    d = dirac_matrix(lam, t, L)
-    vals, vecs = np.linalg.eigh(d.data)
-    transformed = (vecs * np.asarray(f(vals))) @ vecs.conj().T
-    return OperatorMatrix(transformed, basis=d.basis, grading="none")
+    vals, vecs = np.linalg.eigh(dirac_matrix(lam, L))
+    return (vecs * np.asarray(f(vals))) @ vecs.conj().T
 
 
-def equivariance_defect(lam: float, l: int, L: int = 64) -> OperatorMatrix:
+def equivariance_defect(lam: float, l: int, L: int = 64) -> np.ndarray:
     """Difference between the operator and its integer-translate conjugate.
 
     Built on a uniform grid with spacing 1/64 so that translation by the
     integer l is an exact node shift. On the L x L interior block the
     difference collapses to the constant lam*l times the identity in each
     off-diagonal corner, because the derivative stencil is translation
-    invariant and the position factor moves by exactly l.
+    invariant and the position factor moves by exactly l. The result is
+    the odd 2L x 2L matrix, graded (plus, minus).
     """
     shift = 64 * abs(l)
     n = L + 2 * shift
@@ -205,12 +189,7 @@ def equivariance_defect(lam: float, l: int, L: int = 64) -> OperatorMatrix:
     defect_plus = (d_plus - translated)[inner, inner]
     defect_minus = defect_plus.T
     zero = np.zeros((L, L))
-    mat = np.block([[zero, defect_minus], [defect_plus, zero]])
-    return OperatorMatrix(
-        mat,
-        basis=f"uniform grid interior, L={L}, spacing 1/64; graded (plus, minus)",
-        grading="odd",
-    )
+    return np.block([[zero, defect_minus], [defect_plus, zero]])
 
 
 # ---------------------------------------------------------------------------

@@ -222,18 +222,6 @@ ONE = ThetaScalar(1)
 THETA = ThetaScalar.theta()
 
 
-def scalar_arith(lhs, op: str, rhs) -> ThetaScalar:
-    """Dispatch +, -, * on ThetaScalar operands."""
-    a, b = ThetaScalar.of(lhs), ThetaScalar.of(rhs)
-    if op == "+":
-        return a + b
-    if op == "-":
-        return a - b
-    if op == "*":
-        return a * b
-    raise ValueError(f"unknown operation {op!r}")
-
-
 def scalar_eval(value, theta: float) -> float:
     """Numeric value of a ThetaScalar or TorusPoint at a concrete theta."""
     if isinstance(value, TorusPoint):
@@ -305,11 +293,6 @@ class IntMatrix2:
     @classmethod
     def identity(cls) -> "IntMatrix2":
         return cls(1, 0, 0, 1)
-
-    @classmethod
-    def from_rows(cls, rows) -> "IntMatrix2":
-        (a, b), (c, d) = rows
-        return cls(int(a), int(b), int(c), int(d))
 
     def det(self) -> int:
         return self.a * self.d - self.b * self.c

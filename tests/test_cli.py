@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 
 import pytest
 
@@ -184,6 +185,17 @@ class TestSpectrumCommand:
         expected = [0.0] + [TWO_PI] * 4 + [TWO_PI * math.sqrt(2.0)] * 4
         assert values == pytest.approx(expected, abs=1e-12)
         assert rows[0][0] == "l=0,k=0"
+
+    def test_flat_torus_rows_allocate_no_dense_operator(self):
+        # 625 basis vectors: a dense doubled operator would take 25 MB
+        tracemalloc.start()
+        try:
+            rows = spectrum_rows("d_dolbeault", RunConfig(mode_cut=12))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 25 * 25
+        assert peak < 2 * 1024 * 1024
 
     def test_ladder_singular_values(self):
         rows = spectrum_rows("d_lambda", RunConfig(level_cut=8, lam=2.0))

@@ -579,6 +579,12 @@ class TestNanResiduals:
         _, _, max_error, _ = check(RunConfig(), random.Random(0))
         assert math.isnan(max_error)
 
+    def test_resolvent_residual_keeps_nan(self):
+        for sign in (1, -1):
+            assert math.isnan(resolvent_residual(self.nan_in_layer_one(), standard_function(), sign))
+            assert math.isnan(resolvent_residual(standard_function(), self.nan_in_layer_one(), sign))
+            assert resolvent_residual(standard_function(), standard_function(), sign) < 1e-12
+
     def test_boundary_decay_ratio_keeps_nan(self):
         assert math.isnan(self.nan_in_layer_one().boundary_decay_ratio())
         assert standard_function().boundary_decay_ratio() < 1e-12

@@ -7,7 +7,6 @@ import pytest
 
 from rotalab.errors import TruncationTooSmall
 from rotalab.nctorus import (
-    OperatorMatrix,
     SmoothElement,
     basis_dim,
     basis_index,
@@ -93,8 +92,8 @@ class TestAdjoint:
         # doubly interior block where the compression is faithful
         a = nct_multiply(v(), u())
         L = K = 5
-        rep = nct_represent(a, "right", L, K).data
-        rep_star = nct_represent(nct_adjoint(a), "right", L, K).data
+        rep = nct_represent(a, "right", L, K)
+        rep_star = nct_represent(nct_adjoint(a), "right", L, K)
         mask = interior_mask(L, K, 1, 1)
         sub = rep[np.ix_(mask, mask)]
         sub_star = rep_star[np.ix_(mask, mask)]
@@ -126,7 +125,7 @@ class TestTraceAndSeminorm:
             # representation, so trace(a* a) is the squared length of the
             # image of the corner basis vector
             L = K = 5
-            rep = nct_represent(a, "right", L, K).data
+            rep = nct_represent(a, "right", L, K)
             e0 = np.zeros(basis_dim(L, K))
             e0[basis_index(0, 0, L, K)] = 1.0
             assert val.real == pytest.approx(np.sum(np.abs(rep @ e0) ** 2), abs=1e-10)
@@ -144,7 +143,7 @@ class TestTraceAndSeminorm:
 class TestRepresentations:
     def test_right_v_shifts_torus_mode(self):
         L = K = 3
-        rep = nct_represent(v(), "right", L, K).data
+        rep = nct_represent(v(), "right", L, K)
         src = basis_index(0, 1, L, K)
         dst = basis_index(1, 1, L, K)
         col = rep[:, src]
@@ -153,7 +152,7 @@ class TestRepresentations:
 
     def test_left_v_twists_by_group_index(self):
         L = K = 3
-        rep = nct_represent(v(), "left", L, K).data
+        rep = nct_represent(v(), "left", L, K)
         for k in range(-K, K + 1):
             src = basis_index(0, k, L, K)
             dst = basis_index(1, k, L, K)
@@ -164,7 +163,7 @@ class TestRepresentations:
 
     def test_unit_representation_is_identity(self):
         L, K = 2, 3
-        rep = nct_represent(SmoothElement.unit(THETA), "right", L, K).data
+        rep = nct_represent(SmoothElement.unit(THETA), "right", L, K)
         assert np.array_equal(rep, np.eye(basis_dim(L, K)))
 
     def test_truncation_guard(self):
@@ -176,9 +175,9 @@ class TestRepresentations:
         L = K = 6
         for which in ("left", "right"):
             a, b = random_element(rng), random_element(rng)
-            pa = nct_represent(a, which, L, K).data
-            pb = nct_represent(b, which, L, K).data
-            pab = nct_represent(nct_multiply(a, b), which, L, K).data
+            pa = nct_represent(a, which, L, K)
+            pb = nct_represent(b, which, L, K)
+            pab = nct_represent(nct_multiply(a, b), which, L, K)
             wa, wb = a.window(), b.window()
             mask = interior_mask(L, K, wa[0] + wb[0], wa[1] + wb[1])
             err = np.max(np.abs((pa @ pb - pab)[:, mask]))
@@ -189,24 +188,35 @@ class TestRepresentations:
         L = K = 6
         for _ in range(5):
             a, b = random_element(rng), random_element(rng)
-            pl = nct_represent(a, "left", L, K).data
-            pr = nct_represent(b, "right", L, K).data
+            pl = nct_represent(a, "left", L, K)
+            pr = nct_represent(b, "right", L, K)
             wa, wb = a.window(), b.window()
             mask = interior_mask(L, K, wa[0] + wb[0], wa[1] + wb[1])
             err = np.max(np.abs((pl @ pr - pr @ pl)[:, mask]))
             assert err < 1e-10
 
 
+def dolbeault_dense(L, K):
+    """The odd operator as a dense matrix, rebuilt from its two block diagonals."""
+    upper, lower = nct_dolbeault(L, K)
+    zero = np.zeros((basis_dim(L, K),) * 2, dtype=complex)
+    return np.block([[zero, np.diag(upper)], [np.diag(lower), zero]])
+
+
 class TestDolbeault:
+    def test_blocks_are_diagonals_of_length_basis_dim(self):
+        upper, lower = nct_dolbeault(2, 3)
+        assert upper.shape == lower.shape == (basis_dim(2, 3),)
+        assert upper[basis_index(1, 2, 2, 3)] == 2 * math.pi * (2 - 1j)
+        assert lower[basis_index(1, 2, 2, 3)] == 2 * math.pi * (2 + 1j)
+
     def test_square_is_exact_diagonal(self):
         # both blocks are diagonal, so the square is computed elementwise on
         # the diagonals; BLAS matrix products may reorder the cancellation
         # and are only checked to float tolerance below
         L = K = 4
-        n = basis_dim(L, K)
-        d = nct_dolbeault(L, K)
-        upper = np.diag(d.data[:n, n:])
-        lower = np.diag(d.data[n:, :n])
+        upper, lower = nct_dolbeault(L, K)
+        d = dolbeault_dense(L, K)
         # the blocks are exact conjugates, so both squares are |upper|^2,
         # computed in real arithmetic (complex products may contract to FMA)
         assert np.array_equal(lower, upper.conj())
@@ -216,33 +226,41 @@ class TestDolbeault:
                 idx = basis_index(l, k, L, K)
                 expected = (2 * math.pi * k) ** 2 + (2 * math.pi * l) ** 2
                 assert sq_diag[idx] == expected
-        sq = d.data @ d.data
+        sq = d @ d
         assert np.max(np.abs(sq - np.diag(np.concatenate([sq_diag, sq_diag])))) < 1e-11
 
     def test_example_mode_eigenvalue(self):
         L = K = 3
-        d = nct_dolbeault(L, K)
-        sq = d.data @ d.data
+        d = dolbeault_dense(L, K)
+        sq = d @ d
         idx = basis_index(1, 2, L, K)
         assert sq[idx, idx] == pytest.approx((2 * math.pi) ** 2 * 5.0, rel=1e-15)
 
     def test_zero_mode_spans_kernel_direction(self):
         L = K = 2
-        d = nct_dolbeault(L, K)
+        d = dolbeault_dense(L, K)
         vec = np.zeros(2 * basis_dim(L, K), dtype=complex)
         vec[basis_index(0, 0, L, K)] = 1.0
-        assert np.max(np.abs(d.data @ vec)) == 0.0
+        assert np.max(np.abs(d @ vec)) == 0.0
 
     def test_self_adjoint_and_odd(self):
-        d = nct_dolbeault(3, 3)
-        assert np.max(np.abs(d.data - d.data.conj().T)) == 0.0
-        n = d.data.shape[0] // 2
-        assert np.max(np.abs(d.data[:n, :n])) == 0.0
-        assert np.max(np.abs(d.data[n:, n:])) == 0.0
-        assert d.grading == "odd"
+        d = dolbeault_dense(3, 3)
+        assert np.max(np.abs(d - d.conj().T)) == 0.0
+        n = d.shape[0] // 2
+        assert np.max(np.abs(d[:n, :n])) == 0.0
+        assert np.max(np.abs(d[n:, n:])) == 0.0
 
 
-class TestOperatorMatrix:
-    def test_norm_is_spectral(self):
-        m = OperatorMatrix(np.diag([3.0, -7.0]), basis="test")
-        assert m.norm() == pytest.approx(7.0)
+class TestNanResiduals:
+    def test_max_abs_difference_keeps_nan(self):
+        # max() over the key set drops the NaN when (0, 0) comes last
+        broken = SmoothElement({(0, 0): math.nan, (1, 0): 1.0}, THETA)
+        zero = SmoothElement({}, THETA)
+        assert math.isnan(broken.max_abs_difference(zero))
+        assert math.isnan(zero.max_abs_difference(broken))
+        assert zero.max_abs_difference(zero) == 0.0
+
+    def test_seminorm_keeps_nan(self):
+        broken = SmoothElement({(0, 0): 1.0, (1, 0): math.nan}, THETA)
+        for k in (0, 1, 3):
+            assert math.isnan(nct_seminorm(broken, k))

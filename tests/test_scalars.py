@@ -17,7 +17,6 @@ from rotalab.scalars import (
     mobius_defect,
     mobius_transform,
     require_nonzero_defect,
-    scalar_arith,
     scalar_eval,
     torus_reduce,
 )
@@ -59,12 +58,6 @@ class TestRingArithmetic:
     def test_cubic_overflows(self):
         with pytest.raises(DegreeOverflow):
             ThetaScalar.theta() * ThetaScalar.theta_squared()
-
-    def test_dispatcher_matches_dunders(self):
-        a, b = ThetaScalar(2, 3), ThetaScalar(-1, 0, 4)
-        assert scalar_arith(a, "+", b) == a + b
-        assert scalar_arith(a, "-", b) == a - b
-        assert scalar_arith(a, "*", ThetaScalar(5)) == a * 5
 
     def test_eval_is_polynomial_evaluation(self):
         s = ThetaScalar(Fraction(1, 2), 3, Fraction(-1, 4))
