@@ -36,7 +36,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .closedform import GaussSum1
+from .closedform import GaussSum
 from .errors import GridMismatch, TruncationTooSmall
 from .nctorus import SmoothElement, _worst, lambda_power
 
@@ -89,7 +89,6 @@ class KeyedProfiles:
     """
 
     __slots__ = ("windows", "grids", "profiles")
-    PROFILE = GaussSum1
 
     def __init__(self, windows: tuple, grids: tuple, profiles: dict):
         self.windows = windows
@@ -110,7 +109,7 @@ class KeyedProfiles:
 
     def profile(self, *index):
         key = index if len(index) > 1 else index[0]
-        return self.profiles.get(key, self.PROFILE.zero())
+        return self.profiles.get(key, GaussSum())
 
     def like(self, profiles: dict):
         """The function with these profiles on the same windows and grids."""
@@ -140,7 +139,7 @@ class KeyedProfiles:
         """Largest |self - other| over the sample points; NaN if any is NaN."""
         _require_same_grid(self, other)
         points = self._mesh()
-        zero = self.PROFILE.zero()
+        zero = GaussSum()
         diffs = (
             self.profiles.get(key, zero) - other.profiles.get(key, zero)
             for key in set(self.profiles) | set(other.profiles)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import bimodules as bm
 from . import duality as du
-from .closedform import GaussSum1, GaussSum2
+from .closedform import GaussSum
 from .groupoids import (
     flow_compose,
     flow_transport,
@@ -109,7 +109,7 @@ def _rng_for(check_id: str, seed: int) -> random.Random:
 
 
 def _profile(rng, freqs=(0.0,)):
-    return GaussSum1.bump(
+    return GaussSum.bump(
         width=rng.uniform(1.0, 2.0),
         center=rng.uniform(-0.8, 0.8),
         freq=rng.choice(freqs),
@@ -132,7 +132,7 @@ def _random_element(rng, theta, window=2, terms=3):
 
 def _sb_pair(rng, grid):
     def outer():
-        return GaussSum2.outer(_profile(rng), _profile(rng))
+        return GaussSum.outer(_profile(rng), _profile(rng))
 
     f1 = du.SB2Function(
         1, 4, grid, grid, {(0, 0): outer(), (1, 1): outer()}

@@ -17,7 +17,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -94,8 +94,10 @@ def validate_config(config: RunConfig, suite: str = None, for_spectrum: bool = F
         raise ConfigInvalid("the grid radius must be finite")
     if config.radius <= 0:
         raise ConfigInvalid("the grid radius must be positive")
-    if config.tol_exact <= 0 or config.tol_quad <= 0:
-        raise ConfigInvalid("tolerances must be positive")
+    for name in ("tol_exact", "tol_quad"):
+        tol = getattr(config, name)
+        if not (math.isfinite(tol) and 0 < tol < 1):
+            raise ConfigInvalid(f"{name} must be finite and in (0, 1), got {tol}")
     if not math.isfinite(config.lam):
         raise ConfigInvalid("the oscillator slope must be finite")
     if config.lam == 0:
@@ -152,24 +154,8 @@ def build_config(args) -> RunConfig:
     config = RunConfig()
     if args.config:
         config = replace(config, **read_config_file(args.config))
-    flag_map = {
-        "theta": "theta",
-        "b": "b",
-        "lam": "lam",
-        "level_cut": "L",
-        "mode_cut": "K",
-        "grid_nodes": "grid",
-        "radius": "R",
-        "tol_exact": "tol_exact",
-        "tol_quad": "tol_quad",
-        "seed": "seed",
-    }
-    overrides = {}
-    for field, flag in flag_map.items():
-        value = getattr(args, flag.replace("-", "_"))
-        if value is not None:
-            overrides[field] = value
-    return replace(config, **overrides)
+    given = {field.name: getattr(args, field.name) for field in fields(RunConfig)}
+    return replace(config, **{name: value for name, value in given.items() if value is not None})
 
 
 def _add_common_flags(parser):
@@ -178,10 +164,16 @@ def _add_common_flags(parser):
     parser.add_argument(
         "--lambda", dest="lam", type=float, default=None, help="oscillator slope"
     )
-    parser.add_argument("--L", type=int, default=None, help="oscillator level cut")
-    parser.add_argument("--K", type=int, default=None, help="mode window half-width")
-    parser.add_argument("--grid", type=int, default=None, help="quadrature node count")
-    parser.add_argument("--R", type=float, default=None, help="quadrature radius")
+    parser.add_argument(
+        "--L", dest="level_cut", type=int, default=None, help="oscillator level cut"
+    )
+    parser.add_argument(
+        "--K", dest="mode_cut", type=int, default=None, help="mode window half-width"
+    )
+    parser.add_argument(
+        "--grid", dest="grid_nodes", type=int, default=None, help="quadrature node count"
+    )
+    parser.add_argument("--R", dest="radius", type=float, default=None, help="quadrature radius")
     parser.add_argument("--tol-exact", type=float, default=None)
     parser.add_argument("--tol-quad", type=float, default=None)
     parser.add_argument("--seed", type=int, default=None)

@@ -1,13 +1,21 @@
-"""Closed algebras of polynomial-times-Gaussian functions.
+"""Closed algebra of polynomial-times-Gaussian functions in any number of variables.
 
-A one-variable term is P(r) * exp(-a r^2 / 2 + b r) with complex a, b and
-Re a > 0; a two-variable term is P(r, s) * exp(-x'Ax/2 + B'x) with A
-complex symmetric and Re A positive definite. Finite sums of such terms
-are closed under products, derivatives, affine substitution, Fourier
-transforms, restriction to lines, and integration, with every operation
-given by an explicit formula. That lets the module and operator layers
-compute inner products and transforms to machine precision instead of
-through quadrature; quadrature appears only in cross-checking oracles.
+A term in d variables is P(x) * exp(-x'Ax/2 + B'x) with A complex
+symmetric d x d and Re A positive definite, B complex of length d, and P
+a dense complex coefficient array with one axis per variable, low degree
+first (P[i, j] multiplies r^i s^j). Finite sums of such terms are closed
+under products, derivatives, affine substitution, restriction to lines,
+outer products, slot integrals and slot Fourier transforms, with every
+operation given by an explicit formula. That lets the module and
+operator layers compute inner products and transforms to machine
+precision instead of through quadrature; quadrature appears only in
+cross-checking oracles.
+
+Every integral over one variable completes the square in that variable
+(Folland, Harmonic Analysis in Phase Space, 1989, App. A; see
+_integrate_slot). A Fourier kernel exp(+-2 pi i x_j y) is one more
+bilinear entry of A, so a slot Fourier transform is the slot integral of
+a term in one more variable.
 
 Centered parameters: a Gaussian bump exp(-a(r-mu)^2/2 + 2 pi i w r) is
 the term with b = a mu + 2 pi i w and prefactor exp(-a mu^2 / 2).
@@ -17,7 +25,6 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,591 +32,281 @@ TWO_PI = 2.0 * math.pi
 
 
 # ---------------------------------------------------------------------------
-# dense 1-variable polynomials as coefficient tuples, low degree first
+# dense polynomials: complex arrays with one axis per variable
 # ---------------------------------------------------------------------------
 
 
 def _poly_add(p, q):
-    n = max(len(p), len(q))
-    return tuple(
-        (p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)
-    )
+    if p.shape == q.shape:
+        return p + q
+    out = np.zeros(tuple(map(max, p.shape, q.shape)), dtype=complex)
+    out[tuple(map(slice, p.shape))] += p
+    out[tuple(map(slice, q.shape))] += q
+    return out
 
 
 def _poly_mul(p, q):
-    out = [0j] * (len(p) + len(q) - 1)
-    for i, ci in enumerate(p):
-        if ci == 0:
-            continue
-        for j, cj in enumerate(q):
-            out[i + j] += ci * cj
-    return tuple(out)
+    """The product as one flat convolution (Kronecker substitution).
+
+    Every axis but the first is zero-padded to its length in the product,
+    so the flattened indices of the two factors add without carrying.
+    """
+    shape = tuple(i + j - 1 for i, j in zip(p.shape, q.shape, strict=True))
+    if len(shape) < 2:
+        return np.convolve(p, q) if shape else p * q
+    flat = []
+    for x in (p, q):
+        padded = np.zeros((len(x), *shape[1:]), dtype=complex)
+        padded[tuple(map(slice, x.shape))] = x
+        flat.append(padded.ravel())
+    return np.convolve(*flat)[: math.prod(shape)].reshape(shape)
 
 
-def _poly_scale(p, c):
-    return tuple(ci * c for ci in p)
+def _linear(const, coeffs):
+    """const + sum_k coeffs[k] x_k, with a degree-one axis only where coeffs[k] != 0."""
+    p = np.zeros(tuple(1 + (c != 0) for c in coeffs), dtype=complex)
+    p[(0,) * len(coeffs)] = const
+    for k, c in enumerate(coeffs):
+        if c != 0:
+            p[(0,) * k + (1,) + (0,) * (len(coeffs) - k - 1)] = c
+    return p
 
 
-def _poly_deriv(p):
-    if len(p) <= 1:
-        return (0j,)
-    return tuple(i * p[i] for i in range(1, len(p)))
-
-
-def _poly_affine(p, alpha, beta):
-    """Coefficients of P(alpha*r + beta)."""
-    out = (0j,)
-    for c in reversed(p):
-        out = _poly_add(_poly_mul(out, (beta, alpha)), (c,))
+def _poly_compose(p, lins, ndim):
+    """P(L_0, ..., L_{d-1}) for polynomials L_j in ndim variables, by Horner per axis."""
+    if not lins:
+        return np.reshape(p, (1,) * ndim)
+    out = _poly_compose(p[-1], lins[1:], ndim)
+    for c in p[-2::-1]:
+        out = _poly_add(_poly_mul(out, lins[0]), _poly_compose(c, lins[1:], ndim))
     return out
 
 
-def _poly_eval(p, r):
-    out = np.zeros_like(np.asarray(r, dtype=complex))
-    for c in reversed(p):
-        out = out * r + c
+def _poly_eval(p, xs):
+    """P at the broadcast points xs, one array per axis, by Horner per axis."""
+    out = p.reshape(p.shape + (1,) * xs[0].ndim)
+    for x in xs:
+        acc = out[-1]
+        for c in out[-2::-1]:
+            acc = acc * x + c
+        out = acc
     return out
 
 
-def _poly_trim(p):
-    n = len(p)
-    while n > 1 and p[n - 1] == 0:
-        n -= 1
-    return tuple(p[:n])
+def _integrate_slot(a, b, p, j):
+    """Integrate the term (A, B, P) over x_j, by completing the square in x_j.
+
+    With x_j = u + m and m = (B_j - sum_{k != j} A_jk x_k) / A_jj the
+    exponent splits into -A_jj u^2 / 2 and a Gaussian in the other
+    variables, whose matrix is the Schur complement of A_jj. Each power
+    x_j^n integrates to sqrt(2 pi / A_jj) exp(B_j^2 / (2 A_jj)) times
+    M_n = E[(u + m)^n], the binomial sum of m^(n-k) against the centred
+    moments (k-1)!!/A_jj^(k/2), built here by the equivalent recurrence
+    M_n = m M_{n-1} + (n - 1) M_{n-2} / A_jj. Only Re A_jj > 0 is needed.
+    Returns (A', B', P') over the remaining variables, in order.
+    """
+    ajj, bj = a[j, j], b[j]
+    keep = [k for k in range(len(b)) if k != j]
+    cross = a[keep, j]
+    new_a = a[keep][:, keep] - cross[:, None] * cross[None, :] / ajj
+    new_b = b[keep] - cross * (bj / ajj)
+    mean = _linear(bj / ajj, -cross / ajj)
+    slices = p.transpose([j, *keep])
+    moments = [np.ones((1,) * len(keep), dtype=complex), mean]
+    out = slices[0, ...]
+    for n in range(1, len(slices)):
+        if n > 1:
+            moments.append(
+                _poly_add(_poly_mul(mean, moments[-1]), moments[-2] * ((n - 1) / ajj))
+            )
+        out = _poly_add(out, _poly_mul(slices[n, ...], moments[n]))
+    pref = math.sqrt(TWO_PI) / cmath.sqrt(ajj) * cmath.exp(bj * bj / (2 * ajj))
+    return new_a, new_b, out * pref
+
+
+def _merge(terms):
+    """Terms with equal (A, B) summed, terms with a zero polynomial dropped."""
+    merged = {}
+    for a, b, p in terms:
+        # keys of Python numbers, so that 0.0 and -0.0 entries merge
+        key = (*a.ravel().tolist(), *b.tolist())
+        merged[key] = (a, b, _poly_add(merged[key][2], p)) if key in merged else (a, b, p)
+    return tuple(t for t in merged.values() if t[2].any())
 
 
 # ---------------------------------------------------------------------------
-# one variable
+# sums of terms
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GaussTerm1:
-    a: complex
-    b: complex
-    coeffs: tuple
+class GaussSum:
+    """A finite sum of Gaussian terms (A, B, P) in a fixed number of variables.
 
-    def __post_init__(self):
-        if not self.a.real > 0:
-            raise ValueError("Gaussian exponent must have positive real part")
-        object.__setattr__(self, "coeffs", _poly_trim(tuple(map(complex, self.coeffs))))
-
-
-class GaussSum1:
-    """A finite sum of one-variable Gaussian terms."""
+    The empty sum is zero in any number of variables.
+    """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        merged = {}
-        for t in terms:
-            key = (t.a, t.b)
-            merged[key] = _poly_add(merged[key], t.coeffs) if key in merged else t.coeffs
-        self.terms = tuple(
-            GaussTerm1(a, b, coeffs)
-            for (a, b), coeffs in merged.items()
-            if any(c != 0 for c in coeffs)
-        )
+        terms = [tuple(np.asarray(x, dtype=complex) for x in term) for term in terms]
+        # Re A positive definite keeps every integral below convergent
+        for a, _, _ in terms:
+            if not np.all(np.linalg.eigvalsh(a.real) > 0):
+                raise ValueError("real part of the quadratic form must be positive definite")
+        self.terms = _merge(terms)
 
     @classmethod
-    def zero(cls) -> "GaussSum1":
+    def _of(cls, terms) -> "GaussSum":
+        """The sum of terms built by the operations below, which keep Re A positive."""
+        out = cls.__new__(cls)
+        out.terms = _merge(terms)
+        return out
+
+    @classmethod
+    def zero(cls) -> "GaussSum":
         return cls()
 
     @classmethod
-    def bump(cls, width=1.0, center=0.0, freq=0.0, poly=(1,)) -> "GaussSum1":
+    def bump(cls, width=1.0, center=0.0, freq=0.0, poly=(1,)) -> "GaussSum":
         """P(r) * exp(-width*(r-center)^2/2 + 2 pi i freq r)."""
         a = complex(width)
         b = a * center + TWO_PI * 1j * freq
         pref = cmath.exp(-a * center * center / 2)
-        return cls([GaussTerm1(a, b, _poly_scale(tuple(poly), pref))])
+        return cls([([[a]], [b], np.asarray(poly, dtype=complex) * pref)])
+
+    @classmethod
+    def outer(cls, f: "GaussSum", g: "GaussSum") -> "GaussSum":
+        """The product f(x) g(y), in the variables of f followed by those of g."""
+        out = []
+        for a, b, p in f.terms:
+            for a2, b2, p2 in g.terms:
+                n = len(b)
+                block = np.zeros((n + len(b2),) * 2, dtype=complex)
+                block[:n, :n] = a
+                block[n:, n:] = a2
+                out.append((block, np.concatenate([b, b2]), np.multiply.outer(p, p2)))
+        return cls._of(out)
 
     # ---- linear structure ------------------------------------------------
 
-    def __add__(self, other: "GaussSum1") -> "GaussSum1":
-        return GaussSum1(self.terms + other.terms)
+    def __add__(self, other: "GaussSum") -> "GaussSum":
+        return GaussSum._of(self.terms + other.terms)
 
-    def __sub__(self, other: "GaussSum1") -> "GaussSum1":
+    def __sub__(self, other: "GaussSum") -> "GaussSum":
         return self + other.scale(-1)
 
-    def scale(self, c) -> "GaussSum1":
+    def scale(self, c) -> "GaussSum":
         c = complex(c)
-        return GaussSum1(
-            [GaussTerm1(t.a, t.b, _poly_scale(t.coeffs, c)) for t in self.terms]
-        )
+        return GaussSum._of((a, b, p * c) for a, b, p in self.terms)
 
     def __mul__(self, other):
-        if isinstance(other, GaussSum1):
-            out = []
-            for t in self.terms:
-                for u in other.terms:
-                    out.append(
-                        GaussTerm1(t.a + u.a, t.b + u.b, _poly_mul(t.coeffs, u.coeffs))
-                    )
-            return GaussSum1(out)
+        if isinstance(other, GaussSum):
+            return GaussSum._of(
+                (a + a2, b + b2, _poly_mul(p, p2))
+                for a, b, p in self.terms
+                for a2, b2, p2 in other.terms
+            )
         return self.scale(other)
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> "GaussSum1":
-        return GaussSum1(
-            [
-                GaussTerm1(
-                    t.a.conjugate(),
-                    t.b.conjugate(),
-                    tuple(c.conjugate() for c in t.coeffs),
-                )
-                for t in self.terms
-            ]
-        )
+    def conjugate(self) -> "GaussSum":
+        return GaussSum._of((a.conj(), b.conj(), p.conj()) for a, b, p in self.terms)
 
     # ---- calculus --------------------------------------------------------
 
-    def derivative(self) -> "GaussSum1":
+    def derivative(self, slot: int = 0) -> "GaussSum":
         out = []
-        for t in self.terms:
-            # (P e)' = (P' + P*(-a r + b)) e
-            poly = _poly_add(_poly_deriv(t.coeffs), _poly_mul(t.coeffs, (t.b, -t.a)))
-            out.append(GaussTerm1(t.a, t.b, poly))
-        return GaussSum1(out)
+        for a, b, p in self.terms:
+            # d/dx_j (P e) = (dP/dx_j + P (B_j - sum_k A_jk x_k)) e
+            n = p.shape[slot]
+            steps = np.arange(1, n).reshape((-1,) + (1,) * (p.ndim - slot - 1))
+            dp = np.take(p, range(1, n), axis=slot) * steps if n > 1 else np.zeros((1,) * p.ndim)
+            out.append((a, b, _poly_add(dp, _poly_mul(p, _linear(b[slot], -a[slot])))))
+        return GaussSum._of(out)
 
-    def mul_poly(self, poly) -> "GaussSum1":
-        poly = tuple(map(complex, poly))
-        return GaussSum1(
-            [GaussTerm1(t.a, t.b, _poly_mul(t.coeffs, poly)) for t in self.terms]
-        )
+    def mul_poly(self, poly) -> "GaussSum":
+        """Multiply by the polynomial with dense coefficients poly, one axis per variable."""
+        q = np.asarray(poly, dtype=complex)
+        return GaussSum._of((a, b, _poly_mul(p, q)) for a, b, p in self.terms)
 
-    def modulate(self, freq) -> "GaussSum1":
-        """Multiply by the plane wave exp(2 pi i freq r)."""
-        shift = TWO_PI * 1j * freq
-        return GaussSum1(
-            [GaussTerm1(t.a, t.b + shift, t.coeffs) for t in self.terms]
-        )
+    def modulate(self, *freqs) -> "GaussSum":
+        """Multiply by the plane wave exp(2 pi i sum_j freqs[j] x_j)."""
+        shift = TWO_PI * 1j * np.asarray(freqs, dtype=float)
+        if any(len(b) != len(shift) for _, b, _ in self.terms):
+            raise ValueError("modulate needs one frequency per variable")
+        return GaussSum._of((a, b + shift, p) for a, b, p in self.terms)
 
-    def affine(self, alpha, beta) -> "GaussSum1":
-        """Substitute r -> alpha*r + beta with real alpha != 0 and real beta."""
-        alpha, beta = complex(alpha), complex(beta)
+    def affine(self, *entries) -> "GaussSum":
+        """Substitute x -> T x + c: entries are the real invertible T row by row, then c."""
+        d = math.isqrt(len(entries))
+        return self._substitute(np.reshape(entries[: d * d], (d, d)), entries[d * d :])
+
+    def restrict_line(self, u, v) -> "GaussSum":
+        """The one-variable sum t -> F(u t + v)."""
+        return self._substitute(np.reshape(u, (-1, 1)), v)
+
+    def _substitute(self, t, c) -> "GaussSum":
+        """x -> T x + c for a real T with full column rank."""
+        t = np.asarray(t, dtype=complex)
+        c = np.asarray(c, dtype=complex)
+        lins = [_linear(cj, row) for cj, row in zip(c, t)]
         out = []
-        for t in self.terms:
-            pref = cmath.exp(t.b * beta - t.a * beta * beta / 2)
-            poly = _poly_scale(_poly_affine(t.coeffs, alpha, beta), pref)
-            out.append(
-                GaussTerm1(t.a * alpha * alpha, (t.b - t.a * beta) * alpha, poly)
-            )
-        return GaussSum1(out)
+        for a, b, p in self.terms:
+            pref = cmath.exp(b @ c - (c @ a @ c) / 2)
+            poly = _poly_compose(p, lins, t.shape[1]) * pref
+            out.append((t.T @ a @ t, t.T @ (b - a @ c), poly))
+        return GaussSum._of(out)
 
-    def integral(self) -> complex:
-        """Integral over the whole line, exact per term."""
-        total = 0j
-        for t in self.terms:
-            moments = _gauss_moments(t.a, t.b, len(t.coeffs) - 1)
-            total += sum(c * moments[n] for n, c in enumerate(t.coeffs))
-        return total
-
-    def fourier(self, sign: int = -1) -> "GaussSum1":
-        """Integral transform with kernel exp(sign * 2 pi i r s).
-
-        The result is again a sum of Gaussian terms in the dual variable;
-        polynomial factors turn into derivative operators on it.
-        """
-        delta = sign * TWO_PI * 1j
-        out = GaussSum1.zero()
-        for t in self.terms:
-            pref = math.sqrt(TWO_PI) / cmath.sqrt(t.a) * cmath.exp(
-                t.b * t.b / (2 * t.a)
-            )
-            base = GaussSum1(
-                [GaussTerm1(TWO_PI**2 / t.a, delta * t.b / t.a, (pref,))]
-            )
-            for n, c in enumerate(t.coeffs):
-                if c == 0:
-                    continue
-                piece = base
-                for _ in range(n):
-                    piece = piece.derivative().scale(1 / delta)
-                out = out + piece.scale(c)
-        return out
-
-    # ---- evaluation ------------------------------------------------------
-
-    def __call__(self, r):
-        r = np.asarray(r, dtype=float)
-        out = np.zeros(r.shape, dtype=complex)
-        for t in self.terms:
-            out += _poly_eval(t.coeffs, r) * np.exp(-t.a * r * r / 2 + t.b * r)
-        return out if out.shape else complex(out)
-
-    def l2_inner(self, other: "GaussSum1") -> complex:
-        return (self.conjugate() * other).integral()
-
-    def __repr__(self) -> str:
-        return f"GaussSum1({len(self.terms)} terms)"
-
-
-def _gauss_moments(a, b, nmax):
-    """Integrals of r^n exp(-a r^2/2 + b r) for n = 0..nmax."""
-    base = math.sqrt(TWO_PI) / cmath.sqrt(a) * cmath.exp(b * b / (2 * a))
-    moments = [base]
-    if nmax >= 1:
-        moments.append(b / a * base)
-    for n in range(2, nmax + 1):
-        moments.append(((n - 1) * moments[n - 2] + b * moments[n - 1]) / a)
-    return moments
-
-
-# ---------------------------------------------------------------------------
-# dense 2-variable polynomials as {(i, j): coeff}
-# ---------------------------------------------------------------------------
-
-
-def _p2_add(p, q):
-    out = dict(p)
-    for key, c in q.items():
-        out[key] = out.get(key, 0j) + c
-    return out
-
-
-def _p2_mul(p, q):
-    out = {}
-    for (i1, j1), c1 in p.items():
-        if c1 == 0:
-            continue
-        for (i2, j2), c2 in q.items():
-            key = (i1 + i2, j1 + j2)
-            out[key] = out.get(key, 0j) + c1 * c2
-    return out
-
-
-def _p2_scale(p, c):
-    return {key: ci * c for key, ci in p.items()}
-
-
-def _p2_trim(p):
-    return {key: complex(c) for key, c in p.items() if c != 0} or {(0, 0): 0j}
-
-
-def _p2_affine(p, t00, t01, t10, t11, c0, c1):
-    """P(t00*r + t01*s + c0, t10*r + t11*s + c1) as a new coefficient dict."""
-    lin_r = {(0, 0): complex(c0), (1, 0): complex(t00), (0, 1): complex(t01)}
-    lin_s = {(0, 0): complex(c1), (1, 0): complex(t10), (0, 1): complex(t11)}
-    max_i = max(i for i, _ in p)
-    max_j = max(j for _, j in p)
-    pow_r = [{(0, 0): 1 + 0j}]
-    for _ in range(max_i):
-        pow_r.append(_p2_mul(pow_r[-1], lin_r))
-    pow_s = [{(0, 0): 1 + 0j}]
-    for _ in range(max_j):
-        pow_s.append(_p2_mul(pow_s[-1], lin_s))
-    out = {}
-    for (i, j), c in p.items():
-        if c == 0:
-            continue
-        out = _p2_add(out, _p2_scale(_p2_mul(pow_r[i], pow_s[j]), c))
-    return _p2_trim(out)
-
-
-def _p2_eval(p, r, s):
-    out = np.zeros(np.broadcast(r, s).shape, dtype=complex)
-    for (i, j), c in p.items():
-        out += c * np.asarray(r, dtype=float) ** i * np.asarray(s, dtype=float) ** j
-    return out
-
-
-# ---------------------------------------------------------------------------
-# two variables
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GaussTerm2:
-    """P(r, s) * exp(-(A11 r^2 + 2 A12 r s + A22 s^2)/2 + B1 r + B2 s)."""
-
-    a11: complex
-    a12: complex
-    a22: complex
-    b1: complex
-    b2: complex
-    poly: tuple
-
-    def __post_init__(self):
-        # Re A positive definite keeps every integral below convergent
-        re11, re12, re22 = self.a11.real, self.a12.real, self.a22.real
-        if not (re11 > 0 and re11 * re22 - re12 * re12 > 0):
-            raise ValueError("real part of the quadratic form must be positive")
-        object.__setattr__(self, "poly", tuple(sorted(_p2_trim(dict(self.poly)).items())))
-
-    def poly_dict(self):
-        return dict(self.poly)
-
-
-class GaussSum2:
-    """A finite sum of two-variable Gaussian terms."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms=()):
-        merged = {}
-        for t in terms:
-            key = (t.a11, t.a12, t.a22, t.b1, t.b2)
-            p = t.poly_dict()
-            merged[key] = _p2_add(merged[key], p) if key in merged else p
-        kept = []
-        for key, p in merged.items():
-            p = _p2_trim(p)
-            if any(c != 0 for c in p.values()):
-                kept.append(GaussTerm2(*key, tuple(sorted(p.items()))))
-        self.terms = tuple(kept)
-
-    @classmethod
-    def zero(cls) -> "GaussSum2":
-        return cls()
-
-    @classmethod
-    def outer(cls, f: GaussSum1, g: GaussSum1) -> "GaussSum2":
-        """The product f(r) g(s) as a two-variable sum."""
-        out = []
-        for t in f.terms:
-            for u in g.terms:
-                poly = {}
-                for i, ci in enumerate(t.coeffs):
-                    for j, cj in enumerate(u.coeffs):
-                        if ci * cj != 0:
-                            poly[(i, j)] = ci * cj
-                out.append(
-                    GaussTerm2(t.a, 0j, u.a, t.b, u.b, tuple(sorted(poly.items())))
-                )
-        return cls(out)
-
-    # ---- linear structure ------------------------------------------------
-
-    def __add__(self, other: "GaussSum2") -> "GaussSum2":
-        return GaussSum2(self.terms + other.terms)
-
-    def __sub__(self, other: "GaussSum2") -> "GaussSum2":
-        return self + other.scale(-1)
-
-    def scale(self, c) -> "GaussSum2":
-        c = complex(c)
-        return GaussSum2(
-            [
-                GaussTerm2(
-                    t.a11,
-                    t.a12,
-                    t.a22,
-                    t.b1,
-                    t.b2,
-                    tuple(sorted(_p2_scale(t.poly_dict(), c).items())),
-                )
-                for t in self.terms
-            ]
-        )
-
-    def __mul__(self, other):
-        if isinstance(other, GaussSum2):
-            out = []
-            for t in self.terms:
-                for u in other.terms:
-                    out.append(
-                        GaussTerm2(
-                            t.a11 + u.a11,
-                            t.a12 + u.a12,
-                            t.a22 + u.a22,
-                            t.b1 + u.b1,
-                            t.b2 + u.b2,
-                            tuple(
-                                sorted(_p2_mul(t.poly_dict(), u.poly_dict()).items())
-                            ),
-                        )
-                    )
-            return GaussSum2(out)
-        return self.scale(other)
-
-    __rmul__ = __mul__
-
-    def conjugate(self) -> "GaussSum2":
-        return GaussSum2(
-            [
-                GaussTerm2(
-                    t.a11.conjugate(),
-                    t.a12.conjugate(),
-                    t.a22.conjugate(),
-                    t.b1.conjugate(),
-                    t.b2.conjugate(),
-                    tuple(
-                        sorted(
-                            {
-                                k: c.conjugate() for k, c in t.poly_dict().items()
-                            }.items()
-                        )
-                    ),
-                )
-                for t in self.terms
-            ]
-        )
-
-    # ---- calculus --------------------------------------------------------
-
-    def derivative(self, slot: int) -> "GaussSum2":
-        out = []
-        for t in self.terms:
-            p = t.poly_dict()
-            dp = {}
-            for (i, j), c in p.items():
-                if slot == 0 and i > 0:
-                    dp[(i - 1, j)] = dp.get((i - 1, j), 0j) + i * c
-                if slot == 1 and j > 0:
-                    dp[(i, j - 1)] = dp.get((i, j - 1), 0j) + j * c
-            if slot == 0:
-                lin = {(0, 0): t.b1, (1, 0): -t.a11, (0, 1): -t.a12}
-            else:
-                lin = {(0, 0): t.b2, (1, 0): -t.a12, (0, 1): -t.a22}
-            poly = _p2_add(dp, _p2_mul(p, lin))
-            out.append(
-                GaussTerm2(t.a11, t.a12, t.a22, t.b1, t.b2, tuple(sorted(poly.items())))
-            )
-        return GaussSum2(out)
-
-    def mul_poly(self, poly: dict) -> "GaussSum2":
-        poly = {k: complex(c) for k, c in poly.items()}
-        return GaussSum2(
-            [
-                GaussTerm2(
-                    t.a11,
-                    t.a12,
-                    t.a22,
-                    t.b1,
-                    t.b2,
-                    tuple(sorted(_p2_mul(t.poly_dict(), poly).items())),
-                )
-                for t in self.terms
-            ]
-        )
-
-    def modulate(self, freq_r, freq_s) -> "GaussSum2":
-        """Multiply by exp(2 pi i (freq_r r + freq_s s))."""
-        dr = TWO_PI * 1j * freq_r
-        ds = TWO_PI * 1j * freq_s
-        return GaussSum2(
-            [
-                GaussTerm2(t.a11, t.a12, t.a22, t.b1 + dr, t.b2 + ds, t.poly)
-                for t in self.terms
-            ]
-        )
-
-    def affine(self, t00, t01, t10, t11, c0, c1) -> "GaussSum2":
-        """Substitute (r, s) -> (t00 r + t01 s + c0, t10 r + t11 s + c1)."""
-        out = []
-        for t in self.terms:
-            a = np.array([[t.a11, t.a12], [t.a12, t.a22]])
-            b = np.array([t.b1, t.b2])
-            tm = np.array([[t00, t01], [t10, t11]], dtype=complex)
-            cv = np.array([c0, c1], dtype=complex)
-            na = tm.T @ a @ tm
-            nb = tm.T @ (b - a @ cv)
-            pref = cmath.exp(b @ cv - (cv @ a @ cv) / 2)
-            poly = _p2_scale(
-                _p2_affine(t.poly_dict(), t00, t01, t10, t11, c0, c1), pref
-            )
-            out.append(
-                GaussTerm2(
-                    complex(na[0, 0]),
-                    complex(na[0, 1]),
-                    complex(na[1, 1]),
-                    complex(nb[0]),
-                    complex(nb[1]),
-                    tuple(sorted(poly.items())),
-                )
-            )
-        return GaussSum2(out)
-
-    def restrict_line(self, u, v) -> GaussSum1:
-        """The one-variable sum t -> F(u1 t + v1, u2 t + v2)."""
-        u = np.asarray(u, dtype=complex)
-        v = np.asarray(v, dtype=complex)
-        out = []
-        for t in self.terms:
-            a = np.array([[t.a11, t.a12], [t.a12, t.a22]])
-            b = np.array([t.b1, t.b2])
-            na = complex(u @ a @ u)
-            nb = complex(b @ u - u @ a @ v)
-            pref = cmath.exp(b @ v - (v @ a @ v) / 2)
-            poly2 = _p2_affine(t.poly_dict(), u[0], 0, u[1], 0, v[0], v[1])
-            coeffs = [0j] * (1 + max(i for i, _ in poly2))
-            for (i, j), c in poly2.items():
-                if c != 0 and j != 0:
-                    raise AssertionError("line restriction left an s power behind")
-                coeffs[i] += c
-            out.append(GaussTerm1(na, nb, _poly_scale(tuple(coeffs), pref)))
-        return GaussSum1(out)
-
-    def partial_fourier(self, slot: int, sign: int = -1) -> "GaussSum2":
+    def partial_fourier(self, slot: int, sign: int = -1) -> "GaussSum":
         """Transform one slot with kernel exp(sign * 2 pi i x_slot y).
 
-        The dual variable takes over the transformed slot; the other slot
-        is untouched. Polynomial powers of the transformed variable become
-        scaled derivatives in the dual variable.
+        The dual variable y takes over the transformed slot; the other
+        slots are untouched. The kernel enters A as the entry
+        -sign * 2 pi i between x_slot and y, inserted right after
+        x_slot, and x_slot is then integrated out.
         """
-        delta = sign * TWO_PI * 1j
-        out = GaussSum2.zero()
-        for t in self.terms:
-            if slot == 1:
-                ajj, akk, ajk, bj, bk = t.a22, t.a11, t.a12, t.b2, t.b1
-            else:
-                ajj, akk, ajk, bj, bk = t.a11, t.a22, t.a12, t.b1, t.b2
-            pref = math.sqrt(TWO_PI) / cmath.sqrt(ajj) * cmath.exp(bj * bj / (2 * ajj))
-            nakk = akk - ajk * ajk / ajj
-            nass = TWO_PI**2 / ajj
-            naks = delta * ajk / ajj
-            nbk = bk - bj * ajk / ajj
-            nbs = delta * bj / ajj
-            if slot == 1:
-                base_term = GaussTerm2(
-                    nakk, naks, nass, nbk, nbs, (((0, 0), pref),)
-                )
-            else:
-                base_term = GaussTerm2(
-                    nass, naks, nakk, nbs, nbk, (((0, 0), pref),)
-                )
-            base = GaussSum2([base_term])
-            for (i, j), c in t.poly_dict().items():
-                if c == 0:
-                    continue
-                trans_pow = j if slot == 1 else i
-                kept_pow = i if slot == 1 else j
-                piece = base
-                for _ in range(trans_pow):
-                    piece = piece.derivative(slot).scale(1 / delta)
-                kept_key = (kept_pow, 0) if slot == 1 else (0, kept_pow)
-                piece = piece.mul_poly({kept_key: 1})
-                out = out + piece.scale(c)
-        return out
+        dual = slot + 1
+        out = []
+        for a, b, p in self.terms:
+            wide = np.insert(np.insert(a, dual, 0, axis=0), dual, 0, axis=1)
+            wide[slot, dual] = wide[dual, slot] = -sign * TWO_PI * 1j
+            out.append(_integrate_slot(wide, np.insert(b, dual, 0), np.expand_dims(p, dual), slot))
+        return GaussSum._of(out)
 
-    def integral_slot(self, slot: int) -> GaussSum1:
+    def integral_slot(self, slot: int) -> "GaussSum":
         """Integrate one slot out over the whole line."""
-        transformed = self.partial_fourier(slot, sign=-1)
-        if slot == 1:
-            return transformed.restrict_line((1, 0), (0, 0))
-        return transformed.restrict_line((0, 1), (0, 0))
+        return GaussSum._of(_integrate_slot(a, b, p, slot) for a, b, p in self.terms)
 
     def integral(self) -> complex:
-        return self.integral_slot(1).integral()
+        """Integral over all variables, exact per term."""
+        total = 0j
+        for a, b, p in self.terms:
+            while len(b):
+                a, b, p = _integrate_slot(a, b, p, len(b) - 1)
+            total += complex(p)
+        return total
 
     # ---- evaluation ------------------------------------------------------
 
-    def __call__(self, r, s):
-        r = np.asarray(r, dtype=float)
-        s = np.asarray(s, dtype=float)
-        out = np.zeros(np.broadcast(r, s).shape, dtype=complex)
-        for t in self.terms:
-            expo = (
-                -(t.a11 * r * r + 2 * t.a12 * r * s + t.a22 * s * s) / 2
-                + t.b1 * r
-                + t.b2 * s
-            )
-            out += _p2_eval(t.poly_dict(), r, s) * np.exp(expo)
+    def __call__(self, *xs):
+        xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
+        out = np.zeros(xs[0].shape, dtype=complex)
+        for a, b, p in self.terms:
+            expo = 0
+            for j, x in enumerate(xs):
+                expo = expo - a[j, j] * x * x / 2 + b[j] * x
+                for k in range(j):
+                    expo = expo - a[j, k] * x * xs[k]
+            out += _poly_eval(p, xs) * np.exp(expo)
         return out if out.shape else complex(out)
 
-    def l2_inner(self, other: "GaussSum2") -> complex:
+    def l2_inner(self, other: "GaussSum") -> complex:
         return (self.conjugate() * other).integral()
 
     def __repr__(self) -> str:
-        return f"GaussSum2({len(self.terms)} terms)"
+        return f"GaussSum({len(self.terms)} terms)"
+
+
+# names kept for callers written against the separate one- and two-variable classes
+GaussSum1 = GaussSum2 = GaussSum

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, pair_module_right
-from .closedform import GaussSum1, GaussSum2
+from .closedform import GaussSum
 from .errors import AliasingDetected
 from .nctorus import SmoothElement, _worst, lambda_power
 
@@ -41,7 +41,6 @@ class SB2Function(KeyedProfiles):
 
     __slots__ = ()
     KEY_NAMES = ("layer", "mode")
-    PROFILE = GaussSum2
 
     def __init__(self, z_max, mode_max, rgrid: RGrid, sgrid: RGrid, profiles: dict):
         super().__init__((z_max, mode_max), (rgrid, sgrid), profiles)
@@ -149,7 +148,7 @@ def base_dirac(fn: SB2Function, sign: int) -> SB2Function:
         raise ValueError("sign must be +1 or -1")
     out = {}
     for key, g in fn.profiles.items():
-        out[key] = g.mul_poly({(1, 0): 1.0, (0, 1): -sign * 1j})
+        out[key] = g.mul_poly([[0.0, -sign * 1j], [1.0, 0.0]])
     return fn.like(out)
 
 
@@ -196,7 +195,7 @@ def _closed_coset_sum(fn1: SB2Function, fn2: SB2Function, line):
     return coset_sum
 
 
-def _base_line(g1: GaussSum2, g2: GaussSum2, l2: int) -> GaussSum1:
+def _base_line(g1: GaussSum, g2: GaussSum, l2: int) -> GaussSum:
     """rho -> integral over s of conj(g1)(rho, s) g2(rho, s) e^{2 pi i l2 s}."""
     return (g1.conjugate() * g2).modulate(0, l2).integral_slot(1)
 
@@ -328,9 +327,7 @@ def transformed_dirac(fn: SB2Function, sign: int, b: int) -> SB2Function:
         raise ValueError("sign must be +1 or -1")
     out = {}
     for (k, m), g in fn.profiles.items():
-        weighted = g.mul_poly(
-            {(1, 0): float(b), (0, 0): float(b * k), (0, 1): float(b)}
-        )
+        weighted = g.mul_poly([[float(b * k), float(b)], [float(b), 0.0]])
         radial = g.derivative(0).scale(-sign / TWO_PI)
         dual = g.derivative(1).scale(sign / TWO_PI)
         out[(k, m)] = weighted + radial + dual
@@ -350,14 +347,14 @@ def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
         return full_transform(inner, b, theta)
 
     def mul_r(f):
-        return f.like({key: g.mul_poly({(1, 0): 1.0}) for key, g in f.profiles.items()})
+        return f.like({key: g.mul_poly([[0.0], [1.0]]) for key, g in f.profiles.items()})
 
     def mul_s(f):
-        return f.like({key: g.mul_poly({(0, 1): 1.0}) for key, g in f.profiles.items()})
+        return f.like({key: g.mul_poly([[0.0, 1.0]]) for key, g in f.profiles.items()})
 
     expected_r = fn.like(
         {
-            (k, m): g.mul_poly({(1, 0): float(b), (0, 1): float(b), (0, 0): float(b * k)})
+            (k, m): g.mul_poly([[float(b * k), float(b)], [float(b), 0.0]])
             for (k, m), g in fn.profiles.items()
         }
     )
@@ -445,7 +442,7 @@ def transformed_right_act(fn: SB2Function, xi: dict, theta: float, b: int) -> SB
     return fn.gather(pieces)
 
 
-def _transformed_line(g1: GaussSum2, g2: GaussSum2, l1: int, l2: int) -> GaussSum1:
+def _transformed_line(g1: GaussSum, g2: GaussSum, l1: int, l2: int) -> GaussSum:
     """c -> integral over s of conj(g1)(c - s, s) g2(c - s + l1, s - l2)."""
     left = g1.conjugate().affine(1.0, -1.0, 0.0, 1.0, 0.0, 0.0)
     right = g2.affine(1.0, -1.0, 0.0, 1.0, float(l1), float(-l2))
@@ -545,7 +542,7 @@ def layered_line_dirac(phi: ZTRFunction, sign: int, b: int) -> ZTRFunction:
     return phi.like(out)
 
 
-def profile_dirac(p: GaussSum1, sign: int, b: int) -> GaussSum1:
+def profile_dirac(p: GaussSum, sign: int, b: int) -> GaussSum:
     """b M +- (1/2pi) d_r on a single line profile."""
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
@@ -573,10 +570,10 @@ def angular_weight_correction(a: SmoothElement, sign: int) -> SmoothElement:
     )
 
 
-def outer_with_profile(phi: ZTRFunction, p: GaussSum1, sgrid: RGrid) -> SB2Function:
+def outer_with_profile(phi: ZTRFunction, p: GaussSum, sgrid: RGrid) -> SB2Function:
     """Tensor a layered cylinder function with a second-slot profile."""
     profiles = {
-        key: GaussSum2.outer(f, p) for key, f in phi.profiles.items()
+        key: GaussSum.outer(f, p) for key, f in phi.profiles.items()
     }
     return SB2Function(
         phi.z_max, phi.mode_max, RGrid(phi.grid.radius, phi.grid.count), sgrid, profiles

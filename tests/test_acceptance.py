@@ -109,7 +109,7 @@ _PAIR_SAMPLES = [(0, 0, 0.15, 0.4), (1, 0, 0.7, 0.2), (0, 1, 0.3, 0.8), (-1, 1, 
 
 
 def _pair_diff(left, right):
-    return max(abs(left.value(*s) - right.value(*s)) for s in _PAIR_SAMPLES)
+    return _worst(abs(left.value(*s) - right.value(*s)) for s in _PAIR_SAMPLES)
 
 
 def _tensor_multiply(xi, eta, theta):
@@ -215,12 +215,13 @@ def test_criterion_04_commuting_representations():
         elements.append(SmoothElement(coeffs, THETA))
     lefts = [(a, nct_represent(a, "left", size, size)) for a in elements]
     rights = [(a, nct_represent(a, "right", size, size)) for a in elements]
-    worst = 0.0
+    residuals = []
     for a, la in lefts:
         for c, rc in rights:
             wa, wc = a.window(), c.window()
             mask = interior_mask(size, size, wa[0] + wc[0], wa[1] + wc[1])
-            worst = max(worst, float(np.max(np.abs((la @ rc - rc @ la)[:, mask]))))
+            residuals.append(float(np.max(np.abs((la @ rc - rc @ la)[:, mask]))))
+    worst = _worst(residuals)
     assert worst < 1e-10
     _stamp(4, f"left and right actions commute on interior blocks ({worst:.1e})")
 
@@ -279,7 +280,7 @@ def test_criterion_06_equivalence_roundtrips():
 
 def test_criterion_07_rescaling_unitary_and_conjugation():
     rng = random.Random(29)
-    worst = 0.0
+    unitarity = []
     for i in range(12):
         b = 1 + i % 2
         phi, psi = _tr(rng), _tr(rng)
@@ -287,9 +288,10 @@ def test_criterion_07_rescaling_unitary_and_conjugation():
             bm.shear_unitary(phi, b), bm.shear_unitary(psi, b), b, "closed"
         )
         fixed = bm.line_module_inner(phi, psi, "closed")
-        worst = max(worst, moved.max_abs_difference(fixed))
+        unitarity.append(moved.max_abs_difference(fixed))
+    worst = _worst(unitarity)
     assert worst < 1e-6
-    conj_worst = 0.0
+    conjugation = []
     for b in (1, 2):
         phi = _tr(rng)
         for sign in (1, -1):
@@ -303,7 +305,8 @@ def test_criterion_07_rescaling_unitary_and_conjugation():
                     for m, p in phi.profiles.items()
                 },
             )
-            conj_worst = max(conj_worst, conjugated.max_abs_difference(expected))
+            conjugation.append(conjugated.max_abs_difference(expected))
+    conj_worst = _worst(conjugation)
     assert conj_worst < 1e-6
     _stamp(7, f"12-pair unitarity {worst:.1e}, conjugation {conj_worst:.1e}")
 
@@ -311,19 +314,21 @@ def test_criterion_07_rescaling_unitary_and_conjugation():
 def test_criterion_08_composite_transform_suite():
     rng = random.Random(31)
     family = _twelve_set(rng)
-    round_worst = 0.0
-    for fn in family:
-        for b in (1, 2):
-            back = du.full_transform(du.full_transform(fn, b, THETA), b, THETA, inverse=True)
-            round_worst = max(round_worst, back.max_abs_difference(fn))
+    round_worst = _worst(
+        du.full_transform(du.full_transform(fn, b, THETA), b, THETA, inverse=True)
+        .max_abs_difference(fn)
+        for fn in family
+        for b in (1, 2)
+    )
     assert round_worst < 1e-6
-    conj_worst = 0.0
-    for b in (1, 2):
-        report = du.conjugation_report(family[0], b, THETA)
-        conj_worst = max(conj_worst, max(report.values()))
+    conj_worst = _worst(
+        residual
+        for b in (1, 2)
+        for residual in du.conjugation_report(family[0], b, THETA).values()
+    )
     assert conj_worst < 1e-6
     f1, f2 = _sb_pair(rng)
-    unit_worst = 0.0
+    unitarity = []
     for b in (1, 2):
         fixed = du.base_inner(f1, f2, THETA, "closed")
         moved = du.transformed_inner(
@@ -333,7 +338,8 @@ def test_criterion_08_composite_transform_suite():
             b,
             "closed",
         )
-        unit_worst = max(unit_worst, _pair_diff(fixed, moved))
+        unitarity.append(_pair_diff(fixed, moved))
+    unit_worst = _worst(unitarity)
     assert unit_worst < 1e-6
     _stamp(
         8,
@@ -344,11 +350,12 @@ def test_criterion_08_composite_transform_suite():
 
 def test_criterion_09_resolvent_pointwise():
     rng = random.Random(37)
-    worst = 0.0
+    residuals = []
     for _ in range(2):
         f1, f2 = _sb_pair(rng)
         for sign in (1, -1):
-            worst = max(worst, du.resolvent_residual(f1, f2, sign))
+            residuals.append(du.resolvent_residual(f1, f2, sign))
+    worst = _worst(residuals)
     assert worst < 1e-12
     _stamp(9, f"shifted operator inverts pointwise ({worst:.1e})")
 
@@ -373,7 +380,7 @@ def _line_structure(rng):
     grid = bm.line_module_inner(phi, bm.line_module_right(psi, fa), "grid").max_abs_difference(
         bm.line_module_inner(phi, psi, "grid").mul(fa)
     )
-    return max(assoc, linear, herm), grid
+    return _worst((assoc, linear, herm)), grid
 
 
 def _sheared_structure(rng):
@@ -393,7 +400,7 @@ def _sheared_structure(rng):
     grid = bm.sheared_module_inner(
         phi, bm.line_module_left(psi, fa, b), b, "grid"
     ).max_abs_difference(bm.sheared_module_inner(phi, psi, b, "grid").mul(fa))
-    return max(assoc, linear, herm), grid
+    return _worst((assoc, linear, herm)), grid
 
 
 def _descended_structure(rng):
@@ -414,7 +421,7 @@ def _descended_structure(rng):
     grid = bm.descended_inner(
         psi1, bm.descended_right(psi2, a), THETA, "grid"
     ).max_abs_difference(nct_multiply(bm.descended_inner(psi1, psi2, THETA, "grid"), a))
-    return max(assoc, linear, herm), grid
+    return _worst((assoc, linear, herm)), grid
 
 
 def _pair_structure(rng):
@@ -431,7 +438,7 @@ def _pair_structure(rng):
         phi, bm.pair_module_right(psi, xi, THETA, b), THETA, b
     ).max_abs_difference(inner.right_mult(xi))
     herm = inner.star().max_abs_difference(bm.pair_module_inner(psi, phi, THETA, b))
-    return max(assoc, linear, herm), None
+    return _worst((assoc, linear, herm)), None
 
 
 def _descent_structure(rng):
@@ -457,7 +464,7 @@ def _descent_structure(rng):
     ).max_abs_difference(
         nct_multiply(bm.descent_inner(f1, f2, THETA, b, "grid"), generator)
     )
-    return max(assoc, linear, herm), grid
+    return _worst((assoc, linear, herm)), grid
 
 
 def _base_structure(rng):
@@ -477,7 +484,7 @@ def _base_structure(rng):
     )
     herm = _pair_diff(closed.star(), du.base_inner(f2, f1, THETA, "closed"))
     grid = _pair_diff(du.base_inner(f1, f2, THETA, "grid"), closed)
-    return max(assoc, linear, herm), grid
+    return _worst((assoc, linear, herm)), grid
 
 
 def _transformed_structure(rng):
@@ -498,7 +505,7 @@ def _transformed_structure(rng):
     )
     herm = _pair_diff(closed.star(), du.transformed_inner(f2, f1, THETA, b, "closed"))
     grid = _pair_diff(du.transformed_inner(f1, f2, THETA, b, "grid"), closed)
-    return max(assoc, linear, herm), grid
+    return _worst((assoc, linear, herm)), grid
 
 
 def test_criterion_10_module_axiom_suite():
@@ -512,14 +519,15 @@ def test_criterion_10_module_axiom_suite():
         "base": _base_structure,
         "transformed": _transformed_structure,
     }
-    worst_exact, worst_quad = 0.0, 0.0
+    exacts, quads = [], []
     for name, runner in structures.items():
         exact, quad = runner(rng)
         assert exact < 1e-12, f"{name}: exact-case residual {exact:.3e}"
-        worst_exact = max(worst_exact, exact)
+        exacts.append(exact)
         if quad is not None:
             assert quad < 1e-8, f"{name}: quadrature residual {quad:.3e}"
-            worst_quad = max(worst_quad, quad)
+            quads.append(quad)
+    worst_exact, worst_quad = _worst(exacts), _worst(quads)
     _stamp(10, f"seven structures, exact {worst_exact:.1e}, quadrature {worst_quad:.1e}")
 
 
@@ -533,7 +541,7 @@ def test_criterion_11_product_rules_and_creation():
     b = 2
     phi = bm.ZTRFunction(4, 8, GRID, {(0, 0): _profile(rng), (1, 1): _profile(rng)})
     a = SmoothElement({(1, 1): 0.6 - 0.2j, (0, 1): 0.4}, THETA)
-    worst = 0.0
+    residuals = []
     for sign in (1, -1):
         xi_a = {(0, 0, p, q): c for (p, q), c in a.coeffs.items()}
         corr = du.angular_weight_correction(a, sign)
@@ -542,19 +550,20 @@ def test_criterion_11_product_rules_and_creation():
         rhs = bm.pair_module_right(
             du.layered_line_dirac(phi, sign, b), xi_a, THETA, b
         ) + bm.pair_module_right(phi, xi_corr, THETA, b).scale(b)
-        worst = max(worst, lhs.max_abs_difference(rhs))
+        residuals.append(lhs.max_abs_difference(rhs))
         lhs2 = du.descended_line_dirac(bm.descended_left(a, phi, b), sign, b)
         rhs2 = bm.descended_left(
             a, du.descended_line_dirac(phi, sign, b), b
         ) + bm.descended_left(corr, phi, b).scale(b)
-        worst = max(worst, lhs2.max_abs_difference(rhs2))
+        residuals.append(lhs2.max_abs_difference(rhs2))
         psi = _profile(rng)
         outer = du.outer_with_profile(phi, psi, GRID)
         lhs3 = du.transformed_dirac(outer, sign, b) - du.outer_with_profile(
             phi, du.profile_dirac(psi, sign, b), GRID
         )
         rhs3 = du.outer_with_profile(du.layered_line_dirac(phi, sign, b), psi, GRID)
-        worst = max(worst, lhs3.max_abs_difference(rhs3))
+        residuals.append(lhs3.max_abs_difference(rhs3))
+    worst = _worst(residuals)
     assert worst < 1e-6
     _stamp(11, f"both product rules and the creation identity ({worst:.1e})")
 

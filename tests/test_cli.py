@@ -57,6 +57,11 @@ class TestConfigValidation:
             validate_config(RunConfig(tol_exact=0.0))
         with pytest.raises(ConfigInvalid):
             validate_config(RunConfig(tol_quad=-1.0))
+        for bad in (1.0, 1e300, math.inf, math.nan):
+            with pytest.raises(ConfigInvalid):
+                validate_config(RunConfig(tol_exact=bad))
+            with pytest.raises(ConfigInvalid):
+                validate_config(RunConfig(tol_quad=bad))
 
 
 class TestConfigSources:
@@ -152,6 +157,9 @@ class TestVerifyCommand:
             (["verify", "oscillator", "--lambda", "inf"], "slope"),
             (["verify", "bimodules", "--R", "nan"], "radius"),
             (["verify", "bimodules", "--R", "inf"], "radius"),
+            (["verify", "algebra", "--tol-exact", "nan"], "tol_exact"),
+            (["verify", "algebra", "--tol-exact", "inf", "--tol-quad", "inf"], "tol_exact"),
+            (["verify", "algebra", "--tol-quad", "inf"], "tol_quad"),
         ],
     )
     def test_non_finite_value_exits_two(self, capsys, argv, field):

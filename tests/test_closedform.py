@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rotalab.closedform import GaussSum1, GaussSum2, GaussTerm1
+from rotalab.closedform import GaussSum1, GaussSum2
 
 RNG = np.random.default_rng(7)
 
@@ -37,7 +37,7 @@ class TestOneVariable:
 
     def test_positivity_guard(self):
         with pytest.raises(ValueError):
-            GaussTerm1(-1.0 + 0j, 0j, (1,))
+            GaussSum1([([[-1.0]], [0.0], [1.0])])
 
     def test_product_pointwise(self):
         f, g = random_sum(RNG), random_sum(RNG)
@@ -73,7 +73,7 @@ class TestOneVariable:
 
     def test_fourier_against_quadrature(self):
         f = random_sum(RNG)
-        fhat = f.fourier(-1)
+        fhat = f.partial_fourier(0, -1)
         x, w = leg_nodes(-15, 15, 800)
         for s in (-1.7, -0.3, 0.0, 0.9, 2.1):
             direct = np.sum(w * f(x) * np.exp(-2j * np.pi * s * x))
@@ -81,14 +81,14 @@ class TestOneVariable:
 
     def test_fourier_roundtrip(self):
         f = random_sum(RNG)
-        back = f.fourier(-1).fourier(+1)
+        back = f.partial_fourier(0, -1).partial_fourier(0, +1)
         r = np.linspace(-3, 3, 31)
         assert np.max(np.abs(back(r) - f(r))) < 1e-9
 
     def test_parseval(self):
         f, g = random_sum(RNG), random_sum(RNG)
         lhs = f.l2_inner(g)
-        rhs = f.fourier(-1).l2_inner(g.fourier(-1))
+        rhs = f.partial_fourier(0, -1).l2_inner(g.partial_fourier(0, -1))
         assert abs(lhs - rhs) < 1e-9 * max(1.0, abs(lhs))
 
     def test_inner_hermitian(self):
@@ -152,7 +152,7 @@ class TestTwoVariables:
     @pytest.mark.parametrize("slot", [0, 1])
     @pytest.mark.parametrize("sign", [-1, 1])
     def test_partial_fourier_against_quadrature(self, slot, sign):
-        f = random_sum2(RNG).mul_poly({(1, 0): 0.5, (0, 2): -1j, (0, 0): 1.0})
+        f = random_sum2(RNG).mul_poly([[1.0, 0.0, -1j], [0.5, 0.0, 0.0]])
         fhat = f.partial_fourier(slot, sign)
         x, w = leg_nodes(-12, 12, 600)
         for kept in (-0.8, 0.4):
@@ -185,3 +185,115 @@ class TestTwoVariables:
     def test_inner_hermitian(self):
         f, g = random_sum2(RNG), random_sum2(RNG)
         assert abs(f.l2_inner(g) - np.conj(g.l2_inner(f))) < 1e-9
+
+    def test_one_variable_arguments_rejected(self):
+        f = GaussSum2.outer(GaussSum1.bump(), GaussSum1.bump(width=2.0))
+        with pytest.raises(ValueError):
+            f.mul_poly((0.0, 1.0))
+        with pytest.raises(ValueError):
+            f.modulate(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the slot formula against the derivative-loop route it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_partial_fourier(f, slot, sign):
+    """Slot transform built term by term from scaled derivatives.
+
+    The transformed Gaussian is written down directly; each power n of
+    the transformed variable then becomes n derivatives in the dual
+    variable, each scaled by 1/(sign 2 pi i).
+    """
+    delta = sign * 2j * np.pi
+    kept = 1 - slot
+    out = GaussSum2.zero()
+    for a, b, p in f.terms:
+        ajj, akk, ajk, bj, bk = a[slot, slot], a[kept, kept], a[slot, kept], b[slot], b[kept]
+        pref = np.sqrt(2 * np.pi) / np.sqrt(ajj) * np.exp(bj * bj / (2 * ajj))
+        moved_a = np.empty((2, 2), dtype=complex)
+        moved_a[kept, kept] = akk - ajk * ajk / ajj
+        moved_a[slot, slot] = (2 * np.pi) ** 2 / ajj
+        moved_a[slot, kept] = moved_a[kept, slot] = delta * ajk / ajj
+        moved_b = np.empty(2, dtype=complex)
+        moved_b[kept] = bk - bj * ajk / ajj
+        moved_b[slot] = delta * bj / ajj
+        base = GaussSum2([(moved_a, moved_b, [[pref]])])
+        for index, c in np.ndenumerate(p):
+            if c == 0:
+                continue
+            piece = base
+            for _ in range(index[slot]):
+                piece = piece.derivative(slot).scale(1 / delta)
+            power = np.zeros([index[kept] + 1 if axis == kept else 1 for axis in (0, 1)])
+            power[-1, -1] = 1.0
+            out = out + piece.mul_poly(power).scale(c)
+    return out
+
+
+def reference_integral_slot(f, slot):
+    """The transform at dual value 0, restricted to the kept variable."""
+    kept_axis = (1.0, 0.0) if slot == 1 else (0.0, 1.0)
+    return reference_partial_fourier(f, slot, -1).restrict_line(kept_axis, (0.0, 0.0))
+
+
+def random_high_degree_sum2(rng, nterms=3, max_deg=6):
+    """Correlated two-variable terms, polynomial degree up to max_deg in each slot."""
+    terms = []
+    for n in range(nterms):
+        a11, a22 = rng.uniform(0.8, 2.5, size=2)
+        a12 = rng.uniform(-0.5, 0.5) * np.sqrt(a11 * a22)
+        im11, im12, im22 = rng.uniform(-0.5, 0.5, size=3)
+        a = np.array([[a11 + 1j * im11, a12 + 1j * im12], [a12 + 1j * im12, a22 + 1j * im22]])
+        b = rng.uniform(-1.0, 1.0, size=2) + 1j * rng.uniform(-3.0, 3.0, size=2)
+        shape = (max_deg + 1, max_deg + 1) if n == 0 else rng.integers(1, max_deg + 2, size=2)
+        p = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        terms.append((a, b, p))
+    return GaussSum2(terms)
+
+
+def slot_mesh(slot):
+    """A (kept, dual) mesh, kept along rows, in the transform's argument order."""
+    kept = np.linspace(-2.0, 2.0, 9)[:, None]
+    dual = np.linspace(-1.5, 1.5, 7)[None, :]
+    return (kept, dual) if slot == 1 else (dual, kept)
+
+
+def relative_gap(got, want):
+    return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+
+class TestSlotFormula:
+    @pytest.mark.parametrize("slot", [0, 1])
+    @pytest.mark.parametrize("sign", [-1, 1])
+    def test_partial_fourier_matches_derivative_reference(self, slot, sign):
+        rng = np.random.default_rng(11 + slot + 2 * sign)
+        for _ in range(3):
+            f = random_high_degree_sum2(rng)
+            points = slot_mesh(slot)
+            want = reference_partial_fourier(f, slot, sign)(*points)
+            assert relative_gap(f.partial_fourier(slot, sign)(*points), want) < 1e-10
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_integral_slot_matches_derivative_reference(self, slot):
+        rng = np.random.default_rng(23 + slot)
+        r = np.linspace(-2.0, 2.0, 17)
+        for _ in range(3):
+            f = random_high_degree_sum2(rng)
+            want = reference_integral_slot(f, slot)(r)
+            assert relative_gap(f.integral_slot(slot)(r), want) < 1e-10
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_both_routes_against_quadrature(self, slot):
+        rng = np.random.default_rng(31 + slot)
+        x, w = leg_nodes(-12, 12, 600)
+        f = random_high_degree_sum2(rng)
+        kept, dual = np.linspace(-2.0, 2.0, 9), np.linspace(-1.5, 1.5, 7)
+        direct = np.empty((9, 7), dtype=complex)
+        for i, k in enumerate(kept):
+            samples = f(k, x) if slot == 1 else f(x, k)
+            direct[i] = np.exp(-2j * np.pi * np.outer(dual, x)) @ (w * samples)
+        points = slot_mesh(slot)
+        for route in (f.partial_fourier(slot, -1), reference_partial_fourier(f, slot, -1)):
+            assert relative_gap(route(*points), direct) < 1e-10

@@ -304,7 +304,7 @@ class TestBaseDirac:
         expected = SB2Function(
             fn.z_max, fn.mode_max, fn.rgrid, fn.sgrid,
             {
-                key: g.mul_poly({(2, 0): 1.0, (0, 2): 1.0})
+                key: g.mul_poly([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
                 for key, g in fn.profiles.items()
             },
         )
@@ -383,7 +383,7 @@ class TestConjugation:
             moved = full_transform(fn, b, THETA, inverse=True)
             multiplied = SB2Function(
                 moved.z_max, moved.mode_max, moved.rgrid, moved.sgrid,
-                {key: g.mul_poly({(1, 0): 1.0}) for key, g in moved.profiles.items()},
+                {key: g.mul_poly([[0.0], [1.0]]) for key, g in moved.profiles.items()},
             )
             return full_transform(multiplied, b, THETA)
 
