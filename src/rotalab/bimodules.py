@@ -21,9 +21,9 @@ Structures implemented:
 * the descent bimodule whose inner product collapses the pair-valued
   one by integrating out the first circle slot.
 
-The pair-valued inner product is a sum over a coset of line offsets; it
-evaluates each layer's profiles once on the array of all truncated
-offsets instead of one offset at a time.
+The pair-valued inner products, here and in the duality layer, are sums
+over a coset of line offsets. One layer loop serves all three, and each
+layer pair is evaluated on the array of all truncated offsets at once.
 """
 
 from __future__ import annotations
@@ -41,6 +41,8 @@ from .errors import GridMismatch, TruncationTooSmall
 from .nctorus import SmoothElement, _worst, lambda_power
 
 TWO_PI = 2.0 * math.pi
+# first-circle-slot samples that descent_inner_oracle averages over
+ORACLE_Y_COUNT = 48
 
 
 @lru_cache(maxsize=32)
@@ -564,6 +566,26 @@ class APairValued:
         )
 
 
+def _layer_pair_sum(fn1, fn2, layer_pair, l_max: int, theta: float) -> APairValued:
+    """The pair-valued form that sums layer_pair over the layers of fn1.
+
+    layer_pair(k1, k2, l1, l2, v, w) is the contribution of layer k1 of
+    fn1 paired with layer k2 = k1 + l2 - l1 of fn2; a layer whose
+    partner falls outside fn2's window contributes nothing.
+    """
+    layers = sorted({k for k, _ in fn1.profiles})
+
+    def fn(l1, l2, v, w):
+        total = 0j
+        for k1 in layers:
+            k2 = k1 + l2 - l1
+            if abs(k2) <= fn2.z_max:
+                total += layer_pair(k1, k2, l1, l2, v, w)
+        return total
+
+    return APairValued(fn, l_max, theta)
+
+
 def pair_module_inner(
     phi: ZTRFunction, psi: ZTRFunction, theta: float, b: int
 ) -> APairValued:
@@ -580,26 +602,19 @@ def pair_module_inner(
     if b == 0:
         raise ValueError("the transversal structure needs a nonzero shear")
     cut = int(math.ceil(abs(b) * (phi.grid.radius + 2) + phi.z_max + 2))
-    l_max = 2 * phi.z_max
     offsets = np.arange(-cut, cut + 1, dtype=float)
-    layers = sorted({k for k, _ in phi.profiles})
 
-    def fn(l1, l2, v, w):
-        re = im = 0.0
-        for k2 in layers:
-            k_psi = k2 + l2 - l1
-            if abs(k_psi) > psi.z_max:
-                continue
-            r0 = (offsets + k2 * theta + w - v) / b
-            left = phi.eval_at(k2, v, r0)
-            keep = left != 0
-            left = left[keep]
-            right = psi.eval_at(k_psi, v - l1 * theta, r0[keep] + l1)
-            re += float(np.sum(left.real * right.real + left.imag * right.imag))
-            im += float(np.sum(left.real * right.imag - left.imag * right.real))
+    def layer_pair(k1, k2, l1, l2, v, w):
+        r0 = (offsets + k1 * theta + w - v) / b
+        left = phi.eval_at(k1, v, r0)
+        keep = left != 0
+        left = left[keep]
+        right = psi.eval_at(k2, v - l1 * theta, r0[keep] + l1)
+        re = float(np.sum(left.real * right.real + left.imag * right.imag))
+        im = float(np.sum(left.real * right.imag - left.imag * right.real))
         return complex(re, im)
 
-    return APairValued(fn, l_max, theta)
+    return _layer_pair_sum(phi, psi, layer_pair, 2 * phi.z_max, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -649,21 +664,19 @@ def descent_inner(
     return SmoothElement(coeffs, theta)
 
 
-def descent_inner_oracle(
-    phi: ZTRFunction, psi: ZTRFunction, theta: float, b: int, y_count: int = 32
-):
+def descent_inner_oracle(phi: ZTRFunction, psi: ZTRFunction, theta: float, b: int):
     """Collapse the pair-valued inner product by averaging the first slot.
 
     Returns a callable (x, l) -> complex for comparison with the primary
     descent_inner route.
     """
     pair = pair_module_inner(phi, psi, theta, b)
-    ys = (np.arange(y_count) + 0.5) / y_count
+    ys = (np.arange(ORACLE_Y_COUNT) + 0.5) / ORACLE_Y_COUNT
 
     def collapsed(x: float, l: int) -> complex:
         total = 0j
         for y in ys:
             total += pair.value(0, l, float(y), x)
-        return total / y_count
+        return total / ORACLE_Y_COUNT
 
     return collapsed

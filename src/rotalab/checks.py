@@ -5,7 +5,9 @@ and its own identifier, so a rerun with the same configuration yields
 the same numbers. Checks are independent and run one after another; the
 assembled report is sorted by identifier. Residuals reduce through
 `_worst` or `np.max`, which both keep a NaN, so a NaN anywhere in a check
-reaches the report and fails it.
+reaches the report and fails it. A check that raises fails too: its
+entry has a NaN max_error and tolerance and an `error` field naming the
+exception, and the other checks still run.
 """
 
 import cmath
@@ -79,9 +81,10 @@ class CheckResult:
     max_error: float
     tolerance: float
     passed: bool
+    error: str = None
 
     def as_dict(self) -> dict:
-        return {
+        out = {
             "check_id": self.check_id,
             "anchor": self.anchor,
             "params": self.params,
@@ -89,6 +92,9 @@ class CheckResult:
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
+        if self.error is not None:
+            out["error"] = self.error
+        return out
 
 
 def _register(suite: str, name: str):
@@ -551,7 +557,7 @@ def _descent_oracle(cfg, rng):
     f1 = bm.ZTRFunction(2, 8, grid, {(0, 0): _profile(rng), (1, 1): _profile(rng)})
     f2 = bm.ZTRFunction(2, 8, grid, {(0, 1): _profile(rng), (-1, 0): _profile(rng)})
     inner = bm.descent_inner(f1, f2, theta, 1, "closed")
-    oracle = bm.descent_inner_oracle(f1, f2, theta, 1, y_count=48)
+    oracle = bm.descent_inner_oracle(f1, f2, theta, 1)
     errs = []
     for l in (-1, 0, 1):
         for x in (0.15, 0.6):
@@ -734,7 +740,12 @@ def run_suite(name: str, config) -> dict:
 
     results = []
     for check_id, fn in items:
-        anchor, params, max_error, tolerance = fn(config, _rng_for(check_id, config.seed))
+        error = None
+        try:
+            anchor, params, max_error, tolerance = fn(config, _rng_for(check_id, config.seed))
+        except Exception as exc:
+            anchor, params, max_error, tolerance = "", {}, math.nan, math.nan
+            error = f"{type(exc).__name__}: {exc}"
         results.append(
             CheckResult(
                 check_id=check_id,
@@ -743,6 +754,7 @@ def run_suite(name: str, config) -> dict:
                 max_error=float(max_error),
                 tolerance=float(tolerance),
                 passed=bool(max_error <= tolerance),
+                error=error,
             )
         )
     results.sort(key=lambda r: r.check_id)

@@ -2,7 +2,8 @@
 
 Two subcommands. `verify <suite>` runs a named batch of checks and
 writes a JSON or CSV report; the process exits 0 when every check
-passes, 1 when any fails, 2 on a configuration problem. `spectrum
+passes, 1 when any fails, 2 on a configuration problem and 3 when a
+check raised (its entry carries an `error` field). `spectrum
 <target>` tabulates eigenvalues or singular values of one of the model
 operators with basis labels.
 
@@ -31,6 +32,14 @@ TARGET_CHOICES = ("d_lambda", "d_dolbeault", "d_squared")
 
 # suites whose data depends on a nonzero rescaling degree
 _NEEDS_TWIST = {"bimodules", "duality", "all"}
+
+# the largest single array, in bytes, that a configuration may make a run allocate
+MAX_ARRAY_BYTES = 32 * 2**20
+# the widest layer window of the functions the checks pair over a coset
+# (bimodules.descent_oracle's)
+_CHECK_LAYER_WINDOW = 2
+# peak memory per spectrum row with its JSON rendering, measured at about 0.9 kB
+_SPECTRUM_ROW_BYTES = 1024
 
 
 @dataclass(frozen=True)
@@ -102,6 +111,39 @@ def validate_config(config: RunConfig, suite: str = None, for_spectrum: bool = F
         raise ConfigInvalid("the oscillator slope must be finite")
     if config.lam == 0:
         raise ConfigInvalid("the oscillator slope must be nonzero")
+    for flags, array, size in _largest_arrays(config):
+        if size > MAX_ARRAY_BYTES:
+            raise ConfigInvalid(
+                f"{flags}: {array} would exceed the {MAX_ARRAY_BYTES >> 20} MiB cap on one array"
+            )
+
+
+def _largest_arrays(config: RunConfig):
+    """(flags with their values, array, bytes) for the largest array each cost flag drives.
+
+    Sizes use exact integers, so no flag value can overflow the estimate.
+    """
+    grid = config.grid_nodes
+    cut = max(1, abs(config.b)) * math.ceil(config.radius + 2) + _CHECK_LAYER_WINDOW + 2
+    return (
+        # resolvent values on the full node mesh (the Legendre rule's companion
+        # matrix is grid x grid reals, half of it)
+        (f"--grid {grid}", "the complex node mesh", grid * grid * 16),
+        # quadrature routes of the pair-valued inner products: offsets x nodes
+        (
+            f"--b {config.b}, --R {config.radius} and --grid {grid}",
+            "the complex coset mesh",
+            (2 * cut + 1) * grid * 16,
+        ),
+        # spectrum d_lambda's odd ladder matrix; its SVD works on a copy
+        (f"--L {config.level_cut}", "the dense ladder matrix", (2 * config.level_cut - 1) ** 2 * 8),
+        # spectrum d_dolbeault's rows
+        (
+            f"--K {config.mode_cut}",
+            "the spectrum rows",
+            (2 * config.mode_cut + 1) ** 2 * _SPECTRUM_ROW_BYTES,
+        ),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -204,9 +246,25 @@ def make_parser() -> argparse.ArgumentParser:
 # ---------------------------------------------------------------------------
 
 
+def _finite_or_null(value):
+    """The value with every non-finite float replaced by None, which JSON writes as null."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {key: _finite_or_null(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_finite_or_null(item) for item in value]
+    return value
+
+
+def _json_text(payload: dict) -> str:
+    """RFC 8259 JSON: a NaN or infinite number is written as null."""
+    return json.dumps(_finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def render_report(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        return _json_text(report)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["check_id", "anchor", "max_error", "tolerance", "pass"])
@@ -254,7 +312,7 @@ def render_spectrum(target: str, config: RunConfig, rows, fmt: str) -> str:
             "config": config.as_dict(),
             "values": [{"label": label, "value": value} for label, value in rows],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        return _json_text(payload)
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["label", "value"])
@@ -288,6 +346,11 @@ def main(argv=None) -> int:
             validate_config(config, suite=args.suite)
             report = run_suite(args.suite, config)
             _write_output(render_report(report, args.format), args.output)
+            raised = [check for check in report["checks"] if "error" in check]
+            for check in raised:
+                print(f"error: {check['check_id']} raised {check['error']}", file=sys.stderr)
+            if raised:
+                return 3
             return 0 if report["all_pass"] else 1
         validate_config(config, for_spectrum=True)
         rows = spectrum_rows(args.target, config)

@@ -10,10 +10,10 @@ operators, which is verified here by direct residual computation.
 
 Profiles are two-variable Gaussian closed forms per (layer, mode) key,
 so substitutions and derivatives are exact; quadrature enters only in
-integrals, always with an exact closed-form route alongside. The closed
-routes of the two pair-valued inner products integrate the second slot
-once per profile pair, as a closed form in the coset offset, and
-evaluate it on all truncated offsets at once.
+integrals, always with an exact closed-form route alongside. Both
+routes of the two pair-valued inner products run on all truncated coset
+offsets at once: the closed one integrates the second slot per profile
+pair, the quadrature one samples each layer pair on the offset x node mesh.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 
 import numpy as np
 
-from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, pair_module_right
+from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, _layer_pair_sum
 from .closedform import GaussSum
 from .errors import AliasingDetected
 from .nctorus import SmoothElement, _worst, lambda_power
@@ -152,17 +152,6 @@ def base_dirac(fn: SB2Function, sign: int) -> SB2Function:
     return fn.like(out)
 
 
-def _layer_eval(fn: SB2Function, k: int, x: float, r, s):
-    """Vectorized evaluation of one layer at fixed circle point."""
-    total = None
-    for (kk, m), g in fn.profiles.items():
-        if kk != k:
-            continue
-        piece = g(r, s) * cmath.exp(TWO_PI * 1j * m * x)
-        total = piece if total is None else total + piece
-    return total
-
-
 def _closed_coset_sum(fn1: SB2Function, fn2: SB2Function, line):
     """Closed-route coset sum shared by the two pair-valued inner products.
 
@@ -205,46 +194,30 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
 
     The first line slot is pinned to coset points k2 + k1 theta - v + w
     while the second is integrated out, by quadrature on the stored grid
-    (route "grid") or by exact closed forms (route "closed"). The closed
-    route integrates the second slot once per profile pair and jump l2,
-    leaving a closed form in the coset offset that is evaluated on all
-    truncated offsets at once and kept for later evaluations.
+    (route "grid", on the offset x node mesh) or by exact closed forms
+    (route "closed"), on all truncated offsets at once. The closed route
+    integrates the second slot once per profile pair and jump l2,
+    leaving a closed form in the coset offset that is kept for later use.
     """
     if route not in ("grid", "closed"):
         raise ValueError(f"unknown route {route!r}")
     cut = int(math.ceil(fn1.rgrid.radius + fn1.z_max + 2))
-    l_max = 2 * max(fn1.z_max, fn2.z_max)
+    offsets = np.arange(-cut, cut + 1, dtype=float)
     t = fn1.sgrid.nodes()
     wt = fn1.sgrid.weights()
-    offsets = np.arange(-cut, cut + 1, dtype=float)
     coset_sum = _closed_coset_sum(fn1, fn2, _base_line)
 
-    def fn(l1, l2, v, w):
-        total = 0j
-        for k1 in range(-fn1.z_max, fn1.z_max + 1):
-            k_other = k1 + l2 - l1
-            if abs(k_other) > fn2.z_max:
-                continue
-            x1 = v - k1 * theta
-            x2 = v - (k1 + l2) * theta
-            if route == "closed":
-                rho = offsets + k1 * theta - v + w
-                total += coset_sum(k1, k_other, (l2,), x1, x2, rho)
-                continue
-            for k2 in range(-cut, cut + 1):
-                rho = k2 + k1 * theta - v + w
-                left = _layer_eval(fn1, k1, x1, rho, t)
-                if left is None:
-                    continue
-                right = _layer_eval(fn2, k_other, x2, rho, t)
-                if right is None:
-                    continue
-                total += complex(
-                    np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right)
-                )
-        return total
+    def layer_pair(k1, k2, l1, l2, v, w):
+        x1 = v - k1 * theta
+        x2 = v - (k1 + l2) * theta
+        rho = offsets + k1 * theta - v + w
+        if route == "closed":
+            return coset_sum(k1, k2, (l2,), x1, x2, rho)
+        left = fn1.eval_at(k1, x1, rho[:, None], t)
+        right = fn2.eval_at(k2, x2, rho[:, None], t)
+        return complex(np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right))
 
-    return APairValued(fn, l_max, theta)
+    return _layer_pair_sum(fn1, fn2, layer_pair, 2 * max(fn1.z_max, fn2.z_max), theta)
 
 
 # ---------------------------------------------------------------------------
@@ -276,9 +249,7 @@ def fourier_slot_quadrature(fn: SB2Function, k: int, x: float, r: float, s_value
         )
     t = fn.sgrid.nodes()
     wt = fn.sgrid.weights()
-    samples = _layer_eval(fn, k, x, r, t)
-    if samples is None:
-        return np.zeros_like(s_values, dtype=complex)
+    samples = fn.eval_at(k, x, r, t)
     kernel = np.exp(-TWO_PI * 1j * np.outer(s_values, t))
     return kernel @ (wt * samples)
 
@@ -455,46 +426,32 @@ def transformed_inner(
     """Pair-valued inner product on the transform side.
 
     The first slot is pinned to the b-scaled coset points minus the
-    integration variable, which runs through the second slot; route
-    "grid" integrates on the stored rule, route "closed" integrates the
-    second slot once per profile pair and jump pair (l1, l2), leaving a
-    closed form in the coset offset that is evaluated on all truncated
-    offsets at once and kept for later evaluations.
+    integration variable, which runs through the second slot, on all
+    truncated offsets at once. Route "grid" integrates with the stored
+    rule on the offset x node mesh; route "closed" integrates the second
+    slot once per profile pair and jump pair (l1, l2), leaving a closed
+    form in the coset offset that is kept for later use.
     """
     if b == 0:
         raise ValueError("the structure needs a nonzero shear")
     if route not in ("grid", "closed"):
         raise ValueError(f"unknown route {route!r}")
     cut = int(math.ceil(abs(b) * (fn1.rgrid.radius + 2) + fn1.z_max + 2))
-    l_max = 2 * max(fn1.z_max, fn2.z_max)
+    offsets = np.arange(-cut, cut + 1, dtype=float)
     t = fn1.rgrid.nodes()
     wt = fn1.rgrid.weights()
-    offsets = np.arange(-cut, cut + 1, dtype=float)
     coset_sum = _closed_coset_sum(fn1, fn2, _transformed_line)
 
-    def fn(l1, l2, v, w):
-        total = 0j
-        for k1 in range(-fn1.z_max, fn1.z_max + 1):
-            k_other = k1 + l2 - l1
-            if abs(k_other) > fn2.z_max:
-                continue
-            x2 = v - l1 * theta
-            if route == "closed":
-                c0 = (offsets + k1 * theta - v + w) / b
-                total += coset_sum(k1, k_other, (l1, l2), v, x2, c0)
-                continue
-            for k2 in range(-cut, cut + 1):
-                c0 = (k2 + k1 * theta - v + w) / b
-                left = _layer_eval(fn1, k1, v, c0 - t, t)
-                if left is None:
-                    continue
-                right = _layer_eval(fn2, k_other, x2, c0 - t + l1, t - l2)
-                if right is None:
-                    continue
-                total += complex(np.sum(wt * np.conj(left) * right))
-        return total
+    def layer_pair(k1, k2, l1, l2, v, w):
+        x2 = v - l1 * theta
+        c0 = (offsets + k1 * theta - v + w) / b
+        if route == "closed":
+            return coset_sum(k1, k2, (l1, l2), v, x2, c0)
+        left = fn1.eval_at(k1, v, c0[:, None] - t, t)
+        right = fn2.eval_at(k2, x2, c0[:, None] - t + l1, t - l2)
+        return complex(np.sum(wt * np.conj(left) * right))
 
-    return APairValued(fn, l_max, theta)
+    return _layer_pair_sum(fn1, fn2, layer_pair, 2 * max(fn1.z_max, fn2.z_max), theta)
 
 
 def transformed_lower_bound_gap(fn: SB2Function, theta: float, b: int, samples) -> float:

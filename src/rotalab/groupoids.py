@@ -230,8 +230,8 @@ def lattice_compose(f: LatticeFlowArrow, h: LatticeFlowArrow) -> LatticeFlowArro
 def lattice_arrow_to_times(arrow: LatticeFlowArrow):
     """The two matched flow times of a doubled-label arrow.
 
-    Exact for upper-triangular matrices; floating point otherwise
-    (evaluate at a concrete theta before calling in that case).
+    Exact for upper-triangular matrices; any other matrix raises
+    UnsupportedMatrix, since its defect is quadratic in theta.
     """
     return arrow.first_time(), arrow.second_time()
 

@@ -328,9 +328,6 @@ class IntMatrix2:
     def is_upper_triangular(self) -> bool:
         return self.c == 0
 
-    def rows(self):
-        return ((self.a, self.b), (self.c, self.d))
-
     def __repr__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 

@@ -618,7 +618,7 @@ class TestDescentBimodule:
         rng = random.Random(76)
         f1, f2 = self.make_pair(rng)
         inner = descent_inner(f1, f2, THETA, 1, "closed")
-        oracle = descent_inner_oracle(f1, f2, THETA, 1, y_count=48)
+        oracle = descent_inner_oracle(f1, f2, THETA, 1)
         for l in (-1, 0, 1):
             for x in (0.15, 0.6):
                 primary = sum(

@@ -6,6 +6,7 @@ import tracemalloc
 
 import pytest
 
+from rotalab import checks
 from rotalab.cli import (
     RunConfig,
     build_config,
@@ -19,6 +20,10 @@ from rotalab.cli import (
 from rotalab.errors import ConfigInvalid
 
 TWO_PI = 2.0 * math.pi
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not valid JSON")
 
 
 class TestConfigValidation:
@@ -51,6 +56,39 @@ class TestConfigValidation:
             validate_config(RunConfig(level_cut=0))
         with pytest.raises(ConfigInvalid):
             validate_config(RunConfig(mode_cut=0))
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {},
+            {"mode_cut": 64},
+            {"b": 3, "seed": 5},
+            {"grid_nodes": 1448},
+            {"radius": 4091.0},
+            {"b": 682},
+            {"b": -682},
+            {"level_cut": 1024},
+            {"mode_cut": 90},
+        ],
+    )
+    def test_cost_caps_accept_values_in_use_and_at_the_cap(self, overrides):
+        validate_config(RunConfig(**overrides), suite="all")
+        validate_config(RunConfig(**overrides), for_spectrum=True)
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            {"grid_nodes": 1449},
+            {"radius": 4091.001},
+            {"b": 683},
+            {"b": -683},
+            {"level_cut": 1025},
+            {"mode_cut": 91},
+        ],
+    )
+    def test_cost_caps_reject_one_step_above(self, overrides):
+        with pytest.raises(ConfigInvalid, match="cap"):
+            validate_config(RunConfig(**overrides), suite="all")
 
     def test_bad_tolerances_rejected(self):
         with pytest.raises(ConfigInvalid):
@@ -168,6 +206,57 @@ class TestVerifyCommand:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert field in err and "finite" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (["verify", "bimodules", "--grid", "1449"], "--grid 1449"),
+            (["verify", "bimodules", "--grid", "100000000"], "--grid 100000000"),
+            (["verify", "duality", "--R", "4091.001"], "--R 4091.001"),
+            (["verify", "duality", "--R", "1e300"], "--R 1e+300"),
+            (["verify", "duality", "--b", "683"], "--b 683"),
+            (["verify", "all", "--L", "1025"], "--L 1025"),
+            (["spectrum", "d_lambda", "--L", "1025"], "--L 1025"),
+            (["spectrum", "d_dolbeault", "--K", "91"], "--K 91"),
+        ],
+    )
+    def test_value_above_a_cost_cap_exits_two(self, capsys, argv, flag):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert flag in err and "cap" in err
+        assert "Traceback" not in err
+
+    def test_nan_error_renders_null(self, tmp_path, monkeypatch):
+        planted = ("ktheory.planted_nan", lambda cfg, rng: ("planted", {}, math.nan, 1e-10))
+        monkeypatch.setitem(checks._REGISTRY, "ktheory", [planted])
+        out = tmp_path / "report.json"
+        assert main(["verify", "ktheory", "--output", str(out)]) == 1
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        (entry,) = report["checks"]
+        assert entry["max_error"] is None
+        assert entry["pass"] is False
+        assert "error" not in entry
+
+    def test_raising_check_exits_three_and_the_rest_still_run(self, tmp_path, monkeypatch, capsys):
+        def raising(cfg, rng):
+            raise ZeroDivisionError("planted")
+
+        kept = list(checks._REGISTRY["ktheory"])
+        monkeypatch.setitem(checks._REGISTRY, "ktheory", [("ktheory.planted_raise", raising)] + kept)
+        out = tmp_path / "report.json"
+        assert main(["verify", "ktheory", "--output", str(out)]) == 3
+        err = capsys.readouterr().err
+        assert "ktheory.planted_raise raised ZeroDivisionError: planted" in err
+        assert "Traceback" not in err
+        report = json.loads(out.read_text(), parse_constant=_reject_constant)
+        entries = {entry["check_id"]: entry for entry in report["checks"]}
+        assert set(entries) == {"ktheory.planted_raise"} | {cid for cid, _ in kept}
+        raised = entries.pop("ktheory.planted_raise")
+        assert raised["error"] == "ZeroDivisionError: planted"
+        assert raised["max_error"] is None and raised["pass"] is False
+        assert all(entry["pass"] and "error" not in entry for entry in entries.values())
+        assert report["all_pass"] is False
 
     def test_unwritable_output_exits_two(self, capsys):
         code = main(["verify", "ktheory", "--output", "/no/such/dir/report.json"])

@@ -220,6 +220,81 @@ class TestClosedCosetSums:
         assert [forward.value(*s) for s in reversed(COSET_SAMPLES)] == last
 
 
+def _layer_samples(fn, k, x, r, s):
+    """Layer k of fn at circle point x, or None when fn has no profile there."""
+    total = None
+    for (kk, m), g in fn.profiles.items():
+        if kk == k:
+            piece = g(r, s) * cmath.exp(TWO_PI * 1j * m * x)
+            total = piece if total is None else total + piece
+    return total
+
+
+def base_inner_per_offset(fn1, fn2, theta, l1, l2, v, w):
+    """The quadrature route of base_inner, one coset offset at a time."""
+    cut = int(math.ceil(fn1.rgrid.radius + fn1.z_max + 2))
+    t, wt = fn1.sgrid.nodes(), fn1.sgrid.weights()
+    total = 0j
+    for k1 in range(-fn1.z_max, fn1.z_max + 1):
+        k_other = k1 + l2 - l1
+        if abs(k_other) > fn2.z_max:
+            continue
+        for k2 in range(-cut, cut + 1):
+            rho = k2 + k1 * theta - v + w
+            left = _layer_samples(fn1, k1, v - k1 * theta, rho, t)
+            right = _layer_samples(fn2, k_other, v - (k1 + l2) * theta, rho, t)
+            if left is None or right is None:
+                continue
+            total += complex(np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right))
+    return total
+
+
+def transformed_inner_per_offset(fn1, fn2, theta, b, l1, l2, v, w):
+    """The quadrature route of transformed_inner, one coset offset at a time."""
+    cut = int(math.ceil(abs(b) * (fn1.rgrid.radius + 2) + fn1.z_max + 2))
+    t, wt = fn1.rgrid.nodes(), fn1.rgrid.weights()
+    total = 0j
+    for k1 in range(-fn1.z_max, fn1.z_max + 1):
+        k_other = k1 + l2 - l1
+        if abs(k_other) > fn2.z_max:
+            continue
+        for k2 in range(-cut, cut + 1):
+            c0 = (k2 + k1 * theta - v + w) / b
+            left = _layer_samples(fn1, k1, v, c0 - t, t)
+            right = _layer_samples(fn2, k_other, v - l1 * theta, c0 - t + l1, t - l2)
+            if left is None or right is None:
+                continue
+            total += complex(np.sum(wt * np.conj(left) * right))
+    return total
+
+
+class TestQuadratureCosetSums:
+    """The quadrature routes over all offsets at once against the per-offset loops.
+
+    coset_pair has layer 1 only in f1 and layer -1 only in f2, and
+    COSET_SAMPLES has jumps with l1 != 0 and with l2 != 0.
+    """
+
+    def test_base_inner_matches_per_offset_sums(self):
+        f1, f2 = coset_pair()
+        gram = base_inner(f1, f2, THETA, "grid")
+        for l1, l2, v, w in COSET_SAMPLES:
+            expected = base_inner_per_offset(f1, f2, THETA, l1, l2, v, w)
+            assert abs(gram.value(l1, l2, v, w) - expected) < 1e-13
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_transformed_inner_matches_per_offset_sums(self, b):
+        f1, f2 = coset_pair()
+        gram = transformed_inner(f1, f2, THETA, b, "grid")
+        for l1, l2, v, w in COSET_SAMPLES:
+            expected = transformed_inner_per_offset(f1, f2, THETA, b, l1, l2, v, w)
+            assert abs(gram.value(l1, l2, v, w) - expected) < 1e-13
+
+    def test_slot_quadrature_of_a_missing_layer_is_zero(self):
+        got = fourier_slot_quadrature(standard_function(), 2, 0.2, 0.1, [0.5, -1.0])
+        assert got.dtype == complex and np.array_equal(got, np.zeros(2))
+
+
 class TestSeminorms:
     def test_weight_zero_is_plain_sup(self):
         fn = sb({(0, 0): GaussSum2.outer(bump(1.0, 0.0), bump(1.0, 0.0))})
