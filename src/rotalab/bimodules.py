@@ -149,6 +149,35 @@ class KeyedProfiles:
         return _worst(float(np.max(np.abs(d(*points)))) for d in diffs if d.terms)
 
 
+class LayeredProfiles(KeyedProfiles):
+    """Keyed profiles whose keys are (layer, mode), with layer in a finite window.
+
+    Represents F(k, [x], *line) = sum over (k, m) of p_{k,m}(*line)
+    e^{2 pi i m x}; the profiles take one argument per line slot.
+    """
+
+    __slots__ = ()
+    KEY_NAMES = ("layer", "mode")
+
+    @property
+    def z_max(self) -> int:
+        return self.windows[0]
+
+    def layers(self) -> list:
+        """The layers that hold a profile, in increasing order."""
+        return sorted({k for k, _ in self.profiles})
+
+    def layer_profiles(self, k: int) -> dict:
+        """The profiles of layer k keyed by mode, in insertion order."""
+        return {m: p for (kk, m), p in self.profiles.items() if kk == k}
+
+    def eval_at(self, k: int, x: float, *line) -> complex:
+        total = 0j
+        for m, p in self.layer_profiles(k).items():
+            total += p(*line) * cmath.exp(TWO_PI * 1j * m * x)
+        return total
+
+
 class TRFunction(KeyedProfiles):
     """Finite Fourier sum over the circle with closed-form line profiles.
 
@@ -373,7 +402,7 @@ def scalar_inner(phi: TRFunction, psi: TRFunction, route: str = "grid") -> compl
 # ---------------------------------------------------------------------------
 
 
-class ZTRFunction(KeyedProfiles):
+class ZTRFunction(LayeredProfiles):
     """Finitely supported integer layers of cylinder functions.
 
     Represents Psi(k, [x], r) = sum over (k, m) of p_{k,m}(r)
@@ -381,32 +410,16 @@ class ZTRFunction(KeyedProfiles):
     """
 
     __slots__ = ()
-    KEY_NAMES = ("layer", "mode")
 
     def __init__(self, z_max: int, mode_max: int, grid: RGrid, profiles: dict):
         super().__init__((z_max, mode_max), (grid,), profiles)
-
-    @property
-    def z_max(self) -> int:
-        return self.windows[0]
 
     @property
     def grid(self) -> RGrid:
         return self.grids[0]
 
     def layer(self, k: int) -> TRFunction:
-        return TRFunction(
-            self.mode_max,
-            self.grid,
-            {m: p for (kk, m), p in self.profiles.items() if kk == k},
-        )
-
-    def eval_at(self, k: int, x: float, r) -> complex:
-        total = 0j
-        for (kk, m), p in self.profiles.items():
-            if kk == k:
-                total += p(r) * cmath.exp(TWO_PI * 1j * m * x)
-        return total
+        return TRFunction(self.mode_max, self.grid, self.layer_profiles(k))
 
 
 def descended_left(a: SmoothElement, psi: ZTRFunction, b: int) -> ZTRFunction:
@@ -573,7 +586,7 @@ def _layer_pair_sum(fn1, fn2, layer_pair, l_max: int, theta: float) -> APairValu
     fn1 paired with layer k2 = k1 + l2 - l1 of fn2; a layer whose
     partner falls outside fn2's window contributes nothing.
     """
-    layers = sorted({k for k, _ in fn1.profiles})
+    layers = fn1.layers()
 
     def fn(l1, l2, v, w):
         total = 0j
@@ -653,12 +666,11 @@ def descent_inner(
     """
     _require_same_grid(phi, psi)
     coeffs = {}
-    for k in range(-phi.z_max, phi.z_max + 1):
+    for k in phi.layers():
         layer1 = phi.layer(k)
-        for l in range(-2 * psi.z_max, 2 * psi.z_max + 1):
-            if abs(k + l) > psi.z_max:
-                continue
-            ct = sheared_module_inner(layer1, psi.layer(k + l), b, route)
+        for k2 in psi.layers():
+            l = k2 - k
+            ct = sheared_module_inner(layer1, psi.layer(k2), b, route)
             for m, c in ct.rotate(-k, theta).coeffs.items():
                 coeffs[(m, l)] = coeffs.get((m, l), 0j) + c
     return SmoothElement(coeffs, theta)

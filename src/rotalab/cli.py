@@ -18,7 +18,7 @@ import io
 import json
 import math
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -58,18 +58,23 @@ class RunConfig:
     seed: int = 0
 
     def as_dict(self) -> dict:
-        return {
-            "theta": self.theta,
-            "b": self.b,
-            "lambda": self.lam,
-            "L": self.level_cut,
-            "K": self.mode_cut,
-            "grid_nodes": self.grid_nodes,
-            "R": self.radius,
-            "tol_exact": self.tol_exact,
-            "tol_quad": self.tol_quad,
-            "seed": self.seed,
-        }
+        """The report's config block, keyed as in SETTINGS."""
+        return {key: getattr(self, field) for _, field, _, key, _ in SETTINGS}
+
+
+# one row per run setting: (flag, RunConfig field, type, report key, help)
+SETTINGS = (
+    ("--theta", "theta", float, "theta", "rotation angle"),
+    ("--b", "b", int, "b", "twist degree"),
+    ("--lambda", "lam", float, "lambda", "oscillator slope"),
+    ("--L", "level_cut", int, "L", "oscillator level cut"),
+    ("--K", "mode_cut", int, "K", "mode window half-width"),
+    ("--grid", "grid_nodes", int, "grid_nodes", "quadrature node count"),
+    ("--R", "radius", float, "R", "quadrature radius"),
+    ("--tol-exact", "tol_exact", float, "tol_exact", None),
+    ("--tol-quad", "tol_quad", float, "tol_quad", None),
+    ("--seed", "seed", int, "seed", None),
+)
 
 
 def nearest_rational_denominator(theta: float, max_den: int = 64, gap: float = 1e-9):
@@ -81,8 +86,10 @@ def nearest_rational_denominator(theta: float, max_den: int = 64, gap: float = 1
     return None
 
 
-def validate_config(config: RunConfig, suite: str = None, for_spectrum: bool = False):
-    """Raise ConfigInvalid on values the checks cannot run with."""
+def validate_config(
+    config: RunConfig, suite: str = None, for_spectrum: bool = False, target: str = None
+):
+    """Raise ConfigInvalid on values the checks or the spectrum target cannot run with."""
     if not math.isfinite(config.theta):
         raise ConfigInvalid("theta must be finite")
     q = nearest_rational_denominator(config.theta)
@@ -111,6 +118,8 @@ def validate_config(config: RunConfig, suite: str = None, for_spectrum: bool = F
         raise ConfigInvalid("the oscillator slope must be finite")
     if config.lam == 0:
         raise ConfigInvalid("the oscillator slope must be nonzero")
+    if target == "d_squared" and config.lam < 0:
+        raise ConfigInvalid(f"spectrum d_squared needs a positive slope, got {config.lam}")
     for flags, array, size in _largest_arrays(config):
         if size > MAX_ARRAY_BYTES:
             raise ConfigInvalid(
@@ -150,19 +159,12 @@ def _largest_arrays(config: RunConfig):
 # configuration sources
 # ---------------------------------------------------------------------------
 
+# a config file names a setting by its flag without the leading dashes, or
+# with underscores for the dashes inside it
 _FIELD_BY_KEY = {
-    "theta": ("theta", float),
-    "b": ("b", int),
-    "lambda": ("lam", float),
-    "L": ("level_cut", int),
-    "K": ("mode_cut", int),
-    "grid": ("grid_nodes", int),
-    "R": ("radius", float),
-    "tol-exact": ("tol_exact", float),
-    "tol_exact": ("tol_exact", float),
-    "tol-quad": ("tol_quad", float),
-    "tol_quad": ("tol_quad", float),
-    "seed": ("seed", int),
+    name: (field, cast)
+    for flag, field, cast, _, _ in SETTINGS
+    for name in (flag[2:], flag[2:].replace("-", "_"))
 }
 
 
@@ -196,29 +198,13 @@ def build_config(args) -> RunConfig:
     config = RunConfig()
     if args.config:
         config = replace(config, **read_config_file(args.config))
-    given = {field.name: getattr(args, field.name) for field in fields(RunConfig)}
+    given = {field: getattr(args, field) for _, field, _, _, _ in SETTINGS}
     return replace(config, **{name: value for name, value in given.items() if value is not None})
 
 
 def _add_common_flags(parser):
-    parser.add_argument("--theta", type=float, default=None, help="rotation angle")
-    parser.add_argument("--b", type=int, default=None, help="twist degree")
-    parser.add_argument(
-        "--lambda", dest="lam", type=float, default=None, help="oscillator slope"
-    )
-    parser.add_argument(
-        "--L", dest="level_cut", type=int, default=None, help="oscillator level cut"
-    )
-    parser.add_argument(
-        "--K", dest="mode_cut", type=int, default=None, help="mode window half-width"
-    )
-    parser.add_argument(
-        "--grid", dest="grid_nodes", type=int, default=None, help="quadrature node count"
-    )
-    parser.add_argument("--R", dest="radius", type=float, default=None, help="quadrature radius")
-    parser.add_argument("--tol-exact", type=float, default=None)
-    parser.add_argument("--tol-quad", type=float, default=None)
-    parser.add_argument("--seed", type=int, default=None)
+    for flag, field, cast, _, help_text in SETTINGS:
+        parser.add_argument(flag, dest=field, type=cast, default=None, help=help_text)
     parser.add_argument("--config", default=None, help="key = value config file")
     parser.add_argument("--output", default=None, help="write to this path, not stdout")
     parser.add_argument(
@@ -352,7 +338,7 @@ def main(argv=None) -> int:
             if raised:
                 return 3
             return 0 if report["all_pass"] else 1
-        validate_config(config, for_spectrum=True)
+        validate_config(config, for_spectrum=True, target=args.target)
         rows = spectrum_rows(args.target, config)
         _write_output(render_spectrum(args.target, config, rows, args.format), args.output)
         return 0

@@ -23,15 +23,17 @@ import math
 
 import numpy as np
 
-from .bimodules import APairValued, KeyedProfiles, RGrid, ZTRFunction, _layer_pair_sum
+from .bimodules import APairValued, LayeredProfiles, RGrid, ZTRFunction, _layer_pair_sum
 from .closedform import GaussSum
 from .errors import AliasingDetected
 from .nctorus import SmoothElement, _worst, lambda_power
 
 TWO_PI = 2.0 * math.pi
+# grid nodes per slot that SB2Function residuals and norms sample
+MESH_PER_SLOT = 24
 
 
-class SB2Function(KeyedProfiles):
+class SB2Function(LayeredProfiles):
     """Layered two-variable functions with finite circle mode content.
 
     Represents F(k, [x], r, s) = sum over (k, m) of G_{k,m}(r, s)
@@ -40,14 +42,9 @@ class SB2Function(KeyedProfiles):
     """
 
     __slots__ = ()
-    KEY_NAMES = ("layer", "mode")
 
     def __init__(self, z_max, mode_max, rgrid: RGrid, sgrid: RGrid, profiles: dict):
         super().__init__((z_max, mode_max), (rgrid, sgrid), profiles)
-
-    @property
-    def z_max(self) -> int:
-        return self.windows[0]
 
     @property
     def rgrid(self) -> RGrid:
@@ -57,24 +54,14 @@ class SB2Function(KeyedProfiles):
     def sgrid(self) -> RGrid:
         return self.grids[1]
 
-    def eval_at(self, k: int, x: float, r, s) -> complex:
-        total = 0j
-        for (kk, m), g in self.profiles.items():
-            if kk == k:
-                total += g(r, s) * cmath.exp(TWO_PI * 1j * m * x)
-        return total
+    def _mesh(self):
+        """Every (count // MESH_PER_SLOT)-th node of each grid, as an (r, s) mesh."""
+        r, s = (grid.nodes()[:: max(1, grid.count // MESH_PER_SLOT)] for grid in self.grids)
+        return np.meshgrid(r, s, indexing="ij")
 
-    def _mesh(self, per_slot=24):
-        r = self.rgrid.nodes()
-        s = self.sgrid.nodes()
-        rstep = max(1, len(r) // per_slot)
-        sstep = max(1, len(s) // per_slot)
-        return np.meshgrid(r[::rstep], s[::sstep], indexing="ij")
-
-    def sup_norm(self, per_slot=24) -> float:
+    def sup_norm(self) -> float:
         """Largest |profile| on the sample mesh; NaN if any sample is NaN."""
-        rr, ss = self._mesh(per_slot)
-        return _worst(float(np.max(np.abs(g(rr, ss)))) for g in self.profiles.values())
+        return sb_seminorm(self, 0)
 
     def boundary_decay_ratio(self) -> float:
         """Largest boundary-ring magnitude over the global maximum.
@@ -82,10 +69,9 @@ class SB2Function(KeyedProfiles):
         NaN when any sampled magnitude is NaN.
         """
         rr, ss = self._mesh()
-        edge_r = np.array([self.rgrid.nodes()[0], self.rgrid.nodes()[-1]])
-        edge_s = np.array([self.sgrid.nodes()[0], self.sgrid.nodes()[-1]])
+        edge_r, edge_s = (grid.nodes()[[0, -1]] for grid in self.grids)
         rings = ((edge_r[:, None], ss[0][None, :]), (rr[:, 0][:, None], edge_s[None, :]))
-        top = _worst(float(np.max(np.abs(g(rr, ss)))) for g in self.profiles.values())
+        top = self.sup_norm()
         edge = _worst(
             float(np.max(np.abs(g(*ring)))) for g in self.profiles.values() for ring in rings
         )
@@ -169,10 +155,8 @@ def _closed_coset_sum(fn1: SB2Function, fn2: SB2Function, line):
         if key not in lines:
             lines[key] = [
                 (m1, m2, line(g1, g2, *jumps))
-                for (kk1, m1), g1 in fn1.profiles.items()
-                if kk1 == k1
-                for (kk2, m2), g2 in fn2.profiles.items()
-                if kk2 == k2
+                for m1, g1 in fn1.layer_profiles(k1).items()
+                for m2, g2 in fn2.layer_profiles(k2).items()
             ]
         total = 0j
         for m1, m2, h in lines[key]:
@@ -313,9 +297,10 @@ def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
     and that the assembled first-order operators match the conjugated
     base operators, all as max-norm residuals on the sample mesh.
     """
+    back = full_transform(fn, b, theta, inverse=True)
+
     def conjugate(op):
-        inner = op(full_transform(fn, b, theta, inverse=True))
-        return full_transform(inner, b, theta)
+        return full_transform(op(back), b, theta)
 
     def mul_r(f):
         return f.like({key: g.mul_poly([[0.0], [1.0]]) for key, g in f.profiles.items()})
@@ -352,41 +337,41 @@ def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def resolvent_solve(psi1: SB2Function, psi2: SB2Function, sign: int):
-    """Solve (D + sign i) phi = psi for the odd multiplication operator.
+def _resolvent_by_key(psi1: SB2Function, psi2: SB2Function, sign: int, use) -> dict:
+    """Solve (D + sign i) phi = psi for the odd multiplication operator, key by key.
 
-    D swaps the two components, acting by r + is on the second and
-    r - is on the first. The solution divides by 1 + r^2 + s^2, which
-    leaves the closed-form class, so components are returned as value
-    arrays over the full grid mesh, keyed by (layer, mode).
+    D acts by r + is on the second component and r - is on the first, so
+    phi = (D - sign i) psi / (1 + r^2 + s^2), not a closed form: psi and phi are
+    value pairs on the grid mesh. Returns {key: use(shift, psi, phi)}, shift(f, c) = (D - c i) f.
     """
     if sign not in (1, -1):
         raise ValueError("sign must be +1 or -1")
     rr, ss = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij")
     quad = 1.0 + rr * rr + ss * ss
-    keys = set(psi1.profiles) | set(psi2.profiles)
-    phi1, phi2 = {}, {}
-    for key in keys:
-        v1 = psi1.profile(*key)(rr, ss)
-        v2 = psi2.profile(*key)(rr, ss)
-        phi1[key] = ((rr + 1j * ss) * v2 - sign * 1j * v1) / quad
-        phi2[key] = ((rr - 1j * ss) * v1 - sign * 1j * v2) / quad
-    return phi1, phi2
+
+    def shift(f, c):
+        return (rr + 1j * ss) * f[1] - c * 1j * f[0], (rr - 1j * ss) * f[0] - c * 1j * f[1]
+
+    def solve(key):
+        psi = (psi1.profile(*key)(rr, ss), psi2.profile(*key)(rr, ss))
+        return use(shift, psi, tuple(part / quad for part in shift(psi, sign)))
+
+    return {key: solve(key) for key in set(psi1.profiles) | set(psi2.profiles)}
+
+
+def resolvent_solve(psi1: SB2Function, psi2: SB2Function, sign: int):
+    """The two solution components of the resolvent equation, keyed by (layer, mode)."""
+    solved = _resolvent_by_key(psi1, psi2, sign, lambda shift, psi, phi: phi)
+    return tuple({key: phi[i] for key, phi in solved.items()} for i in (0, 1))
 
 
 def resolvent_residual(psi1: SB2Function, psi2: SB2Function, sign: int) -> float:
     """Max pointwise defect of the resolvent equation over the grid mesh."""
-    rr, ss = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij")
-    phi1, phi2 = resolvent_solve(psi1, psi2, sign)
-    errs = []
-    for key in phi1:
-        target1 = psi1.profile(*key)(rr, ss)
-        target2 = psi2.profile(*key)(rr, ss)
-        got1 = (rr + 1j * ss) * phi2[key] + sign * 1j * phi1[key]
-        got2 = (rr - 1j * ss) * phi1[key] + sign * 1j * phi2[key]
-        errs.append(float(np.max(np.abs(got1 - target1))))
-        errs.append(float(np.max(np.abs(got2 - target2))))
-    return _worst(errs)
+
+    def defects(shift, psi, phi):
+        return [float(np.max(np.abs(got - want))) for got, want in zip(shift(phi, -sign), psi)]
+
+    return _worst(sum(_resolvent_by_key(psi1, psi2, sign, defects).values(), []))
 
 
 # ---------------------------------------------------------------------------
@@ -468,13 +453,10 @@ def transformed_lower_bound_gap(fn: SB2Function, theta: float, b: int, samples) 
         w = v + b * s - k * theta
         diag = gram.value(0, 0, v, w).real
         single = 0j
-        for (kk, m1), g1 in fn.profiles.items():
-            if kk != k:
-                continue
+        layer = fn.layer_profiles(k)
+        for m1, g1 in layer.items():
             line1 = g1.conjugate().restrict_line((-1.0, 1.0), (float(s), 0.0))
-            for (kk2, m2), g2 in fn.profiles.items():
-                if kk2 != k:
-                    continue
+            for m2, g2 in layer.items():
                 line2 = g2.restrict_line((-1.0, 1.0), (float(s), 0.0))
                 phase = cmath.exp(TWO_PI * 1j * (m2 - m1) * v)
                 single += phase * (line1 * line2).integral()

@@ -212,10 +212,6 @@ class LatticeFlowArrow:
         sx, sy = self.source
         return LatticeFlowArrow(sx, sy, -self.k, -self.l, self.g)
 
-    @classmethod
-    def unit(cls, x: TorusPoint, y: TorusPoint, g: IntMatrix2) -> "LatticeFlowArrow":
-        return cls(x, y, 0, 0, g)
-
     @property
     def is_unit(self) -> bool:
         return self.k == 0 and self.l == 0

@@ -218,7 +218,6 @@ def _make(a: int, b: int, c: int, d: int) -> ThetaScalar:
 
 
 ZERO = ThetaScalar()
-ONE = ThetaScalar(1)
 THETA = ThetaScalar.theta()
 
 
