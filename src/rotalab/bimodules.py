@@ -196,12 +196,6 @@ class TRFunction(KeyedProfiles):
     def grid(self) -> RGrid:
         return self.grids[0]
 
-    def eval_at(self, x: float, r) -> complex:
-        total = 0j
-        for m, p in self.profiles.items():
-            total += p(r) * cmath.exp(TWO_PI * 1j * m * x)
-        return total
-
 
 class CTValued:
     """A circle function by its Fourier coefficients."""
@@ -310,12 +304,8 @@ def line_module_left(phi: TRFunction, f, b: int) -> TRFunction:
 
 
 def line_module_right(phi: TRFunction, f) -> TRFunction:
-    """Right circle-function action through the plain argument x."""
-    return phi.gather(
-        (m + n, p.scale(c))
-        for n, c in _trig_poly(f).items()
-        for m, p in phi.profiles.items()
-    )
+    """Right circle-function action through the plain argument x: the left one at b = 0."""
+    return line_module_left(phi, f, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -443,45 +433,29 @@ def descended_left(a: SmoothElement, psi: ZTRFunction, b: int) -> ZTRFunction:
 
 
 def descended_right(psi: ZTRFunction, a: SmoothElement) -> ZTRFunction:
-    """Right action of the rotation algebra: phases and index shifts only."""
-    theta = a.theta
-    return psi.gather(
-        ((k + j, mu + nu), p.scale(c * lambda_power(theta, -nu * k)))
-        for (nu, j), c in a.coeffs.items()
-        for (k, mu), p in psi.profiles.items()
-    )
+    """Right action of the rotation algebra: the second factor of the pair action at b = 0."""
+    xi = {(0, 0, nu, j): c for (nu, j), c in a.coeffs.items()}
+    return pair_module_right(psi, xi, a.theta, 0)
+
+
+def _layer_inner_sum(phi: ZTRFunction, psi: ZTRFunction, theta: float, layer_inner) -> SmoothElement:
+    """Sum layer_inner(layer k of phi, layer k2 of psi), rotated by -k, at keys (m, k2 - k)."""
+    _require_same_grid(phi, psi)
+    coeffs = {}
+    for k in phi.layers():
+        layer1 = phi.layer(k)
+        for k2 in psi.layers():
+            ct = layer_inner(layer1, psi.layer(k2)).rotate(-k, theta)
+            for m, c in ct.coeffs.items():
+                coeffs[(m, k2 - k)] = coeffs.get((m, k2 - k), 0j) + c
+    return SmoothElement(coeffs, theta)
 
 
 def descended_inner(
     psi1: ZTRFunction, psi2: ZTRFunction, theta: float, route: str = "grid"
 ) -> SmoothElement:
-    """Rotation-algebra-valued inner product of the descended module.
-
-    Sums conj(psi1) psi2 over the layer index with the circle argument
-    twisted by that index, integrating profiles along the line.
-    """
-    _require_same_grid(psi1, psi2)
-    if route == "grid":
-        r, w = psi1.grid.nodes(), psi1.grid.weights()
-
-        def pairing(p, q):
-            return complex(np.sum(w * p.conjugate()(r) * q(r)))
-
-    elif route == "closed":
-
-        def pairing(p, q):
-            return p.l2_inner(q)
-
-    else:
-        raise ValueError(f"unknown route {route!r}")
-    coeffs = {}
-    for (k1, mu), p in psi1.profiles.items():
-        for (k2, nu), q in psi2.profiles.items():
-            n, l = nu - mu, k2 - k1
-            val = pairing(p, q) * lambda_power(theta, n * k1)
-            if val != 0:
-                coeffs[(n, l)] = coeffs.get((n, l), 0j) + val
-    return SmoothElement(coeffs, theta)
+    """Rotation-algebra-valued inner product of the descended module: layer sums of line_module_inner."""
+    return _layer_inner_sum(psi1, psi2, theta, lambda f, g: line_module_inner(f, g, route))
 
 
 # ---------------------------------------------------------------------------
@@ -636,22 +610,17 @@ def pair_module_inner(
 
 
 def descent_left(phi: ZTRFunction, p1: int, q1: int, theta: float) -> ZTRFunction:
-    """Left action of an elementary algebra generator on descent functions."""
-    pieces = []
-    for (k, mu), p in phi.profiles.items():
-        piece = p.affine(1.0, float(q1)).scale(lambda_power(theta, -mu * q1))
-        pieces.append(((k + q1, mu + p1), piece))
-    return phi.gather(pieces)
+    """Left action of an elementary generator: the first factor of the pair action.
+
+    That factor at powers (p1, -q1), with the reordering phase lambda^(p1 q1).
+    """
+    xi = {(p1, -q1, 0, 0): lambda_power(theta, p1 * q1)}
+    return pair_module_right(phi, xi, theta, 0)
 
 
 def descent_right(phi: ZTRFunction, p2: int, q2: int, theta: float, b: int) -> ZTRFunction:
-    """Right action of an elementary generator on descent functions."""
-    pieces = []
-    for (k, mu), p in phi.profiles.items():
-        k_out = k + q2
-        phase = lambda_power(theta, p2 * (q2 - k_out))
-        pieces.append(((k_out, mu + p2), p.modulate(p2 * b).scale(phase)))
-    return phi.gather(pieces)
+    """Right action of an elementary generator: the second factor of the pair action."""
+    return pair_module_right(phi, {(0, 0, p2, q2): 1.0}, theta, b)
 
 
 def descent_inner(
@@ -664,16 +633,7 @@ def descent_inner(
     twisted by the layer. A quadrature collapse of the pair-valued inner
     product is kept separately as an oracle (see descent_inner_oracle).
     """
-    _require_same_grid(phi, psi)
-    coeffs = {}
-    for k in phi.layers():
-        layer1 = phi.layer(k)
-        for k2 in psi.layers():
-            l = k2 - k
-            ct = sheared_module_inner(layer1, psi.layer(k2), b, route)
-            for m, c in ct.rotate(-k, theta).coeffs.items():
-                coeffs[(m, l)] = coeffs.get((m, l), 0j) + c
-    return SmoothElement(coeffs, theta)
+    return _layer_inner_sum(phi, psi, theta, lambda f, g: sheared_module_inner(f, g, b, route))
 
 
 def descent_inner_oracle(phi: ZTRFunction, psi: ZTRFunction, theta: float, b: int):

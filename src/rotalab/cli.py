@@ -125,6 +125,12 @@ def validate_config(
             raise ConfigInvalid(
                 f"{flags}: {array} would exceed the {MAX_ARRAY_BYTES >> 20} MiB cap on one array"
             )
+    # the square of the largest ladder entry (grid_oracle compares ten levels);
+    # tested after the array caps, which bound --L
+    if not math.isfinite(2.0 * abs(config.lam) * max(config.level_cut, 10)):
+        raise ConfigInvalid(
+            f"the oscillator slope {config.lam} makes the ladder entries non-finite at --L {config.level_cut}"
+        )
 
 
 def _largest_arrays(config: RunConfig):

@@ -198,8 +198,8 @@ def equivariance_defect(lam: float, l: int, L: int = 64) -> np.ndarray:
 
 
 def oracle_radius(lam: float, t: float) -> float:
-    """Grid half-width wide enough for the low basis functions."""
-    return max(8.0, 6.0 / math.sqrt(abs(lam)) + abs(t))
+    """Grid half-width wide enough for the low basis functions, which narrow like 1/sqrt|lam|."""
+    return 8.0 / math.sqrt(abs(lam)) + abs(t)
 
 
 def uniform_nodes(radius: float, n: int = 1024) -> np.ndarray:

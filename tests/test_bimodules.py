@@ -579,6 +579,18 @@ class TestDescentBimodule:
                 )
                 assert abs(acted.eval_at(0, v, r) - direct) < 1e-14
 
+    @pytest.mark.parametrize("p1, q1", [(2, -1), (-1, 1)])
+    def test_left_generator_matches_displayed_formula(self, p1, q1):
+        phi, _ = self.make_pair(random.Random(77))
+        acted = descent_left(phi, p1, q1, THETA)
+        for k in (-1, 0, 1, 2):
+            for x in (0.2, 0.65):
+                for r in (-0.8, 0.9):
+                    direct = cmath.exp(TWO_PI * 1j * p1 * x) * phi.eval_at(
+                        k - q1, x - q1 * THETA, r + q1
+                    )
+                    assert abs(acted.eval_at(k, x, r) - direct) < 1e-14
+
     def test_left_and_right_actions_commute(self):
         rng = random.Random(72)
         phi, _ = self.make_pair(rng)
@@ -627,6 +639,20 @@ class TestDescentBimodule:
                     if ll == l
                 )
                 assert abs(primary - oracle(x, l)) < 1e-9
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [lambda f, g: descended_inner(f, g, THETA), lambda f, g: descent_inner(f, g, THETA, 2)],
+    ids=["descended", "descent"],
+)
+@pytest.mark.parametrize("profiles", [{(0, 0): bump(1.0, 0.0)}, {}], ids=["full", "empty"])
+def test_layer_inner_products_reject_mixed_grids(inner, profiles):
+    f = ZTRFunction(2, 2, GRID, profiles)
+    g = ZTRFunction(2, 2, RGrid(10.0, 64), {(1, 0): bump(1.0, 0.0)})
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(GridMismatch):
+            inner(*pair)
 
 
 def single_profile(cls, key, grid=GRID, poly=(1.0,)):

@@ -198,6 +198,9 @@ class TestVerifyCommand:
             (["verify", "algebra", "--tol-exact", "nan"], "tol_exact"),
             (["verify", "algebra", "--tol-exact", "inf", "--tol-quad", "inf"], "tol_exact"),
             (["verify", "algebra", "--tol-quad", "inf"], "tol_quad"),
+            (["verify", "oscillator", "--lambda=1e308"], "slope"),
+            (["verify", "oscillator", "--lambda=-1e308"], "slope"),
+            (["verify", "oscillator", "--lambda=1e307", "--L=2"], "slope"),
         ],
     )
     def test_non_finite_value_exits_two(self, capsys, argv, field):

@@ -126,6 +126,13 @@ def test_negative_slope_passes_the_oscillator_suite(lam):
     assert entries["oscillator.grid_oracle"]["tolerance"] == 1e-3 * math.sqrt(abs(lam))
 
 
+@pytest.mark.parametrize("lam", [0.3, 1.5, 2.0, 16.0, 1e6, 1e-300, 1e300, -0.5, -2.0])
+def test_grid_oracle_passes_at_every_slope(lam):
+    # the oracle grid scales with 1/sqrt|lambda|, so the error keeps the tolerance's scale
+    _, _, max_error, tolerance = checks._grid_oracle(RunConfig(lam=lam), None)
+    assert max_error < tolerance
+
+
 def test_squared_spectrum_at_a_negative_slope_exits_two_with_one_line():
     code, out, err, _ = run_main(["spectrum", "d_squared", "--lambda", "-1"])
     assert code == 2 and out == ""
