@@ -71,6 +71,16 @@ def _require_same_grid(f, g):
         raise GridMismatch(f"grids differ: {f.grids} vs {g.grids}")
 
 
+def _require_sign(sign):
+    if sign not in (1, -1):
+        raise ValueError("sign must be +1 or -1")
+
+
+def _require_shear(b):
+    if b == 0:
+        raise ValueError("the structure needs a nonzero shear")
+
+
 def _sum_by_key(pieces) -> dict:
     """Sum (key, profile) pairs sharing a key, in the order they arrive."""
     out = {}
@@ -117,6 +127,10 @@ class KeyedProfiles:
         """The function with these profiles on the same windows and grids."""
         return type(self)(*self.windows, *self.grids, profiles)
 
+    def map(self, op):
+        """like() on op(key, profile) for every stored key, in storage order."""
+        return self.like({key: op(key, p) for key, p in self.profiles.items()})
+
     def gather(self, pieces):
         """like() on the (key, profile) pairs summed by key in arrival order."""
         return self.like(_sum_by_key(pieces))
@@ -131,7 +145,7 @@ class KeyedProfiles:
         return self + other.scale(-1.0)
 
     def scale(self, c):
-        return self.like({key: p.scale(c) for key, p in self.profiles.items()})
+        return self.map(lambda key, p: p.scale(c))
 
     def _mesh(self):
         """Points where residuals are sampled: every node of the grid."""
@@ -282,10 +296,7 @@ def line_module_inner(phi: TRFunction, psi: TRFunction, route: str = "grid") -> 
 
 def line_module_translate(phi: TRFunction, l: int, theta: float) -> TRFunction:
     """Integer translation action: new phi([x], r) = phi([x - l theta], r - l)."""
-    out = {}
-    for m, p in phi.profiles.items():
-        out[m] = p.affine(1.0, -float(l)).scale(lambda_power(theta, -m * l))
-    return phi.like(out)
+    return phi.map(lambda m, p: p.affine(1.0, -float(l)).scale(lambda_power(theta, -m * l)))
 
 
 def _trig_poly(f) -> dict:
@@ -323,28 +334,20 @@ def sheared_module_inner(
     route "closed" substitutes u = r/b and integrates exactly.
     """
     _require_same_grid(phi, psi)
-    if b == 0:
-        raise ValueError("the sheared structure needs a nonzero shear")
+    _require_shear(b)
     products = _mode_products(phi, psi)
-    out = {}
     if route == "closed":
-        for m, p in products.items():
-            out[m] = abs(b) * p.modulate(-m * b).integral()
-        return CTValued(out)
+        return CTValued({m: abs(b) * p.modulate(-m * b).integral() for m, p in products.items()})
     if route != "grid":
         raise ValueError(f"unknown route {route!r}")
     r, w = phi.grid.nodes(), phi.grid.weights()
-    for m, p in products.items():
-        out[m] = complex(np.sum(w * p(r / b) * np.exp(-TWO_PI * 1j * m * r)))
-    return CTValued(out)
+    sums = {m: np.sum(w * p(r / b) * np.exp(-TWO_PI * 1j * m * r)) for m, p in products.items()}
+    return CTValued(sums)
 
 
 def sheared_module_translate(phi: TRFunction, l: int, theta: float) -> TRFunction:
     """Integer action of the sheared structure: phi([x - l theta], r + l)."""
-    out = {}
-    for m, p in phi.profiles.items():
-        out[m] = p.affine(1.0, float(l)).scale(lambda_power(theta, -m * l))
-    return phi.like(out)
+    return phi.map(lambda m, p: p.affine(1.0, float(l)).scale(lambda_power(theta, -m * l)))
 
 
 def shear_unitary(phi: TRFunction, b: int, inverse: bool = False) -> TRFunction:
@@ -354,13 +357,9 @@ def shear_unitary(phi: TRFunction, b: int, inverse: bool = False) -> TRFunction:
     an involution up to the normalization, so the inverse only differs
     by the Jacobian factor.
     """
-    if b == 0:
-        raise ValueError("the change of variables needs a nonzero shear")
+    _require_shear(b)
     factor = math.sqrt(abs(b)) if inverse else 1.0 / math.sqrt(abs(b))
-    out = {}
-    for m, p in phi.profiles.items():
-        out[m] = p.affine(-1.0, 0.0).modulate(m * b).scale(factor)
-    return phi.like(out)
+    return phi.map(lambda m, p: p.affine(-1.0, 0.0).modulate(m * b).scale(factor))
 
 
 def sheared_dirac(phi: TRFunction, sign: int, b: int) -> TRFunction:
@@ -369,17 +368,15 @@ def sheared_dirac(phi: TRFunction, sign: int, b: int) -> TRFunction:
     Plus sign: -(1/b) d/dr + d/dTheta - 2 pi r. Minus sign is the formal
     adjoint under the scalar pairing. Profiles differentiate exactly.
     """
-    if b == 0:
-        raise ValueError("the operator needs a nonzero shear")
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = {}
-    for m, p in phi.profiles.items():
+    _require_shear(b)
+    _require_sign(sign)
+
+    def op(m, p):
         radial = p.derivative().scale(-sign / b)
         angular = p.scale(sign * TWO_PI * 1j * m)
-        position = p.mul_poly((0.0, -TWO_PI))
-        out[m] = radial + angular + position
-    return phi.like(out)
+        return radial + angular + p.mul_poly((0.0, -TWO_PI))
+
+    return phi.map(op)
 
 
 def scalar_inner(phi: TRFunction, psi: TRFunction, route: str = "grid") -> complex:
@@ -463,26 +460,36 @@ def descended_inner(
 # ---------------------------------------------------------------------------
 
 
-def pair_module_right(
-    phi: ZTRFunction, xi: dict, theta: float, b: int
-) -> ZTRFunction:
-    """Right action of the doubled rotation algebra on transversal functions.
+def doubled_right_act(fn: LayeredProfiles, xi: dict, theta: float, move) -> LayeredProfiles:
+    """Right action of the doubled rotation algebra on layered functions.
 
     xi maps (p1, q1, p2, q2) to a coefficient, standing for the sum of
-    elementary tensors (first factor powers p1, q1; second p2, q2). The
-    first factor acts through the circle slot and a line translation,
-    the second through the sheared position and the layer index.
+    elementary tensors (first factor powers p1, q1; second p2, q2). Each
+    term sends layer k and mode mu to layer k_out = k + q2 - q1 and mode
+    mu + p1 + p2, with the phase lambda^((mu + p1) q1 + p2 (q2 - k_out)),
+    and changes the line variables of a profile by move(profile, q1, p2, q2).
     """
     pieces = []
     for (p1, q1, p2, q2), c in xi.items():
         if c == 0:
             continue
-        for (k, mu), p in phi.profiles.items():
+        for (k, mu), p in fn.profiles.items():
             k_out = k + q2 - q1
             phase = lambda_power(theta, (mu + p1) * q1 + p2 * (q2 - k_out))
-            piece = p.affine(1.0, -float(q1)).modulate(p2 * b).scale(c * phase)
-            pieces.append(((k_out, mu + p1 + p2), piece))
-    return phi.gather(pieces)
+            pieces.append(((k_out, mu + p1 + p2), move(p, q1, p2, q2).scale(c * phase)))
+    return fn.gather(pieces)
+
+
+def pair_module_right(phi: ZTRFunction, xi: dict, theta: float, b: int) -> ZTRFunction:
+    """Right action of the doubled rotation algebra on transversal functions.
+
+    The doubled action with the first factor acting through the circle
+    slot and a line translation by q1, the second through the sheared
+    position (modulation by p2 b) and the layer index.
+    """
+    return doubled_right_act(
+        phi, xi, theta, lambda p, q1, p2, q2: p.affine(1.0, -float(q1)).modulate(p2 * b)
+    )
 
 
 class APairValued:
@@ -553,6 +560,12 @@ class APairValued:
         )
 
 
+def _coset_offsets(scale: float, reach: float, z_max: int) -> np.ndarray:
+    """The coset window of the pair-valued inner products: |n| <= ceil(scale reach + z_max + 2)."""
+    cut = int(math.ceil(scale * reach + z_max + 2))
+    return np.arange(-cut, cut + 1, dtype=float)
+
+
 def _layer_pair_sum(fn1, fn2, layer_pair, l_max: int, theta: float) -> APairValued:
     """The pair-valued form that sums layer_pair over the layers of fn1.
 
@@ -586,10 +599,8 @@ def pair_module_inner(
     summed in real arithmetic so that a self-pairing's diagonal comes
     out exactly real.
     """
-    if b == 0:
-        raise ValueError("the transversal structure needs a nonzero shear")
-    cut = int(math.ceil(abs(b) * (phi.grid.radius + 2) + phi.z_max + 2))
-    offsets = np.arange(-cut, cut + 1, dtype=float)
+    _require_shear(b)
+    offsets = _coset_offsets(abs(b), phi.grid.radius + 2, phi.z_max)
 
     def layer_pair(k1, k2, l1, l2, v, w):
         r0 = (offsets + k1 * theta + w - v) / b

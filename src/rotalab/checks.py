@@ -457,11 +457,8 @@ def _dirac_conjugation(cfg, rng):
         for sign in (1, -1):
             inner_op = bm.sheared_dirac(bm.shear_unitary(phi, b), sign, b)
             conjugated = bm.shear_unitary(inner_op, b, inverse=True).scale(b)
-            expected = phi.like(
-                {
-                    m: p.mul_poly((0.0, TWO_PI * b)) + p.derivative().scale(sign)
-                    for m, p in phi.profiles.items()
-                }
+            expected = phi.map(
+                lambda m, p: p.mul_poly((0.0, TWO_PI * b)) + p.derivative().scale(sign)
             )
             errs.append(conjugated.max_abs_difference(expected))
     return (

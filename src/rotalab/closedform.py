@@ -308,5 +308,6 @@ class GaussSum:
         return f"GaussSum({len(self.terms)} terms)"
 
 
-# names kept for callers written against the separate one- and two-variable classes
+# names kept for callers written against the separate one- and two-variable classes:
+# perfbench/workloads.py builds its inputs through cf.GaussSum1.bump and cf.GaussSum2.outer
 GaussSum1 = GaussSum2 = GaussSum

@@ -23,7 +23,8 @@ import math
 
 import numpy as np
 
-from .bimodules import APairValued, LayeredProfiles, RGrid, ZTRFunction, _layer_pair_sum
+from .bimodules import APairValued, LayeredProfiles, RGrid, ZTRFunction, doubled_right_act
+from .bimodules import _coset_offsets, _layer_pair_sum, _require_shear, _require_sign
 from .closedform import GaussSum
 from .errors import AliasingDetected
 from .nctorus import SmoothElement, _worst, lambda_power
@@ -130,12 +131,8 @@ def base_right_act(fn: SB2Function, xi: dict, theta: float) -> SB2Function:
 
 def base_dirac(fn: SB2Function, sign: int) -> SB2Function:
     """Multiplication by r - sign * i s, the base first-order operator."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = {}
-    for key, g in fn.profiles.items():
-        out[key] = g.mul_poly([[0.0, -sign * 1j], [1.0, 0.0]])
-    return fn.like(out)
+    _require_sign(sign)
+    return fn.map(lambda key, g: g.mul_poly([[0.0, -sign * 1j], [1.0, 0.0]]))
 
 
 def _closed_coset_sum(fn1: SB2Function, fn2: SB2Function, line):
@@ -185,8 +182,7 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
     """
     if route not in ("grid", "closed"):
         raise ValueError(f"unknown route {route!r}")
-    cut = int(math.ceil(fn1.rgrid.radius + fn1.z_max + 2))
-    offsets = np.arange(-cut, cut + 1, dtype=float)
+    offsets = _coset_offsets(1, fn1.rgrid.radius, fn1.z_max)
     t = fn1.sgrid.nodes()
     wt = fn1.sgrid.weights()
     coset_sum = _closed_coset_sum(fn1, fn2, _base_line)
@@ -212,10 +208,7 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
 def fourier_slot_transform(fn: SB2Function, inverse: bool = False) -> SB2Function:
     """Partial Fourier transform in the second slot, kernel e^{-2 pi i t s}."""
     sign = 1 if inverse else -1
-    out = {
-        key: g.partial_fourier(1, sign) for key, g in fn.profiles.items()
-    }
-    return fn.like(out)
+    return fn.map(lambda key, g: g.partial_fourier(1, sign))
 
 
 def fourier_slot_quadrature(fn: SB2Function, k: int, x: float, r: float, s_values):
@@ -244,18 +237,17 @@ def shear_substitution(fn: SB2Function, b: int, theta: float, inverse: bool = Fa
     The inverse substitutes ([x + k theta], r/b - s - k, s) instead, so
     the two compose to the identity exactly on closed forms.
     """
-    if b == 0:
-        raise ValueError("the substitution needs a nonzero shear")
-    out = {}
-    for (k, m), g in fn.profiles.items():
+    _require_shear(b)
+
+    def op(key, g):
+        k, m = key
         if inverse:
             moved = g.affine(1.0 / b, -1.0, 0.0, 1.0, -float(k), 0.0)
-            phase = lambda_power(theta, m * k)
-        else:
-            moved = g.affine(float(b), float(b), 0.0, 1.0, float(b * k), 0.0)
-            phase = lambda_power(theta, -m * k)
-        out[(k, m)] = moved.scale(phase)
-    return fn.like(out)
+            return moved.scale(lambda_power(theta, m * k))
+        moved = g.affine(float(b), float(b), 0.0, 1.0, float(b * k), 0.0)
+        return moved.scale(lambda_power(theta, -m * k))
+
+    return fn.map(op)
 
 
 def full_transform(fn: SB2Function, b: int, theta: float, inverse: bool = False) -> SB2Function:
@@ -272,21 +264,25 @@ def full_transform(fn: SB2Function, b: int, theta: float, inverse: bool = False)
 # ---------------------------------------------------------------------------
 
 
+def _sheared_weight(b: int, key, g: GaussSum) -> GaussSum:
+    """b (M_r + M_layer + M_s) on the profile g stored at key (layer, mode)."""
+    return g.mul_poly([[float(b * key[0]), float(b)], [float(b), 0.0]])
+
+
 def transformed_dirac(fn: SB2Function, sign: int, b: int) -> SB2Function:
     """First-order operator on the transform side.
 
     [b(M_r + M_layer) -+ (1/2pi) d_r] + [b M_s +- (1/2pi) d_s]; equals
     the conjugate of the base operator under the composite transform.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = {}
-    for (k, m), g in fn.profiles.items():
-        weighted = g.mul_poly([[float(b * k), float(b)], [float(b), 0.0]])
+    _require_sign(sign)
+
+    def op(key, g):
         radial = g.derivative(0).scale(-sign / TWO_PI)
         dual = g.derivative(1).scale(sign / TWO_PI)
-        out[(k, m)] = weighted + radial + dual
-    return fn.like(out)
+        return _sheared_weight(b, key, g) + radial + dual
+
+    return fn.map(op)
 
 
 def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
@@ -303,23 +299,13 @@ def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
         return full_transform(op(back), b, theta)
 
     def mul_r(f):
-        return f.like({key: g.mul_poly([[0.0], [1.0]]) for key, g in f.profiles.items()})
+        return f.map(lambda key, g: g.mul_poly([[0.0], [1.0]]))
 
     def mul_s(f):
-        return f.like({key: g.mul_poly([[0.0, 1.0]]) for key, g in f.profiles.items()})
+        return f.map(lambda key, g: g.mul_poly([[0.0, 1.0]]))
 
-    expected_r = fn.like(
-        {
-            (k, m): g.mul_poly([[float(b * k), float(b)], [float(b), 0.0]])
-            for (k, m), g in fn.profiles.items()
-        }
-    )
-    expected_s = fn.like(
-        {
-            key: (g.derivative(1) - g.derivative(0)).scale(1j / TWO_PI)
-            for key, g in fn.profiles.items()
-        }
-    )
+    expected_r = fn.map(lambda key, g: _sheared_weight(b, key, g))
+    expected_s = fn.map(lambda key, g: (g.derivative(1) - g.derivative(0)).scale(1j / TWO_PI))
     report = {
         "first_slot": conjugate(mul_r).max_abs_difference(expected_r),
         "second_slot": conjugate(mul_s).max_abs_difference(expected_s),
@@ -344,8 +330,7 @@ def _resolvent_by_key(psi1: SB2Function, psi2: SB2Function, sign: int, use) -> d
     phi = (D - sign i) psi / (1 + r^2 + s^2), not a closed form: psi and phi are
     value pairs on the grid mesh. Returns {key: use(shift, psi, phi)}, shift(f, c) = (D - c i) f.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    _require_sign(sign)
     rr, ss = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij")
     quad = 1.0 + rr * rr + ss * ss
 
@@ -380,22 +365,17 @@ def resolvent_residual(psi1: SB2Function, psi2: SB2Function, sign: int) -> float
 
 
 def transformed_right_act(fn: SB2Function, xi: dict, theta: float, b: int) -> SB2Function:
-    """Right action of the doubled algebra on the transform side."""
-    if b == 0:
-        raise ValueError("the structure needs a nonzero shear")
-    pieces = []
-    for (l1, kap1, l2, kap2), c in xi.items():
-        if c == 0:
-            continue
-        for (k, mu), g in fn.profiles.items():
-            k_out = k + kap2 - kap1
-            moved = g.affine(1.0, 0.0, 0.0, 1.0, -float(kap1), float(kap2))
-            moved = moved.modulate(l2 * b, l2 * b)
-            phase = lambda_power(
-                theta, mu * kap1 + l1 * kap1 + l2 * (kap2 - k_out)
-            )
-            pieces.append(((k_out, mu + l1 + l2), moved.scale(c * phase)))
-    return fn.gather(pieces)
+    """Right action of the doubled algebra on the transform side.
+
+    The doubled action of bimodules.doubled_right_act, with the first
+    slot translated by -q1, the second by q2, and both modulated by p2 b.
+    """
+    _require_shear(b)
+
+    def move(g, q1, p2, q2):
+        return g.affine(1.0, 0.0, 0.0, 1.0, -float(q1), float(q2)).modulate(p2 * b, p2 * b)
+
+    return doubled_right_act(fn, xi, theta, move)
 
 
 def _transformed_line(g1: GaussSum, g2: GaussSum, l1: int, l2: int) -> GaussSum:
@@ -417,12 +397,10 @@ def transformed_inner(
     slot once per profile pair and jump pair (l1, l2), leaving a closed
     form in the coset offset that is kept for later use.
     """
-    if b == 0:
-        raise ValueError("the structure needs a nonzero shear")
+    _require_shear(b)
     if route not in ("grid", "closed"):
         raise ValueError(f"unknown route {route!r}")
-    cut = int(math.ceil(abs(b) * (fn1.rgrid.radius + 2) + fn1.z_max + 2))
-    offsets = np.arange(-cut, cut + 1, dtype=float)
+    offsets = _coset_offsets(abs(b), fn1.rgrid.radius + 2, fn1.z_max)
     t = fn1.rgrid.nodes()
     wt = fn1.rgrid.weights()
     coset_sum = _closed_coset_sum(fn1, fn2, _transformed_line)
@@ -471,27 +449,22 @@ def transformed_lower_bound_gap(fn: SB2Function, theta: float, b: int, samples) 
 
 def layered_line_dirac(phi: ZTRFunction, sign: int, b: int) -> ZTRFunction:
     """b (M_r + M_layer) -+ (1/2pi) d_r on layered cylinder functions."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    out = {}
-    for (k, mu), p in phi.profiles.items():
-        out[(k, mu)] = p.mul_poly((float(b * k), float(b))) + p.derivative().scale(
-            -sign / TWO_PI
-        )
-    return phi.like(out)
+    _require_sign(sign)
+    return phi.map(
+        lambda key, p: p.mul_poly((float(b * key[0]), float(b)))
+        + p.derivative().scale(-sign / TWO_PI)
+    )
 
 
 def profile_dirac(p: GaussSum, sign: int, b: int) -> GaussSum:
     """b M +- (1/2pi) d_r on a single line profile."""
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    _require_sign(sign)
     return p.mul_poly((0.0, float(b))) + p.derivative().scale(sign / TWO_PI)
 
 
 def descended_line_dirac(psi: ZTRFunction, sign: int, b: int) -> ZTRFunction:
     """profile_dirac applied per profile of a layered function."""
-    out = {key: profile_dirac(p, sign, b) for key, p in psi.profiles.items()}
-    return psi.like(out)
+    return psi.map(lambda key, p: profile_dirac(p, sign, b))
 
 
 def angular_weight_correction(a: SmoothElement, sign: int) -> SmoothElement:
@@ -501,8 +474,7 @@ def angular_weight_correction(a: SmoothElement, sign: int) -> SmoothElement:
     this is the commutator defect of the split operators against the
     algebra actions.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
+    _require_sign(sign)
     return SmoothElement(
         {(p, q): c * (q - sign * 1j * p) for (p, q), c in a.coeffs.items()},
         a.theta,
@@ -511,12 +483,8 @@ def angular_weight_correction(a: SmoothElement, sign: int) -> SmoothElement:
 
 def outer_with_profile(phi: ZTRFunction, p: GaussSum, sgrid: RGrid) -> SB2Function:
     """Tensor a layered cylinder function with a second-slot profile."""
-    profiles = {
-        key: GaussSum.outer(f, p) for key, f in phi.profiles.items()
-    }
-    return SB2Function(
-        phi.z_max, phi.mode_max, RGrid(phi.grid.radius, phi.grid.count), sgrid, profiles
-    )
+    profiles = {key: GaussSum.outer(f, p) for key, f in phi.profiles.items()}
+    return SB2Function(phi.z_max, phi.mode_max, phi.grid, sgrid, profiles)
 
 
 # ---------------------------------------------------------------------------

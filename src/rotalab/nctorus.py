@@ -41,6 +41,8 @@ def _worst(values, floor: float = 0.0) -> float:
 
 def lambda_power(theta: float, exponent: float) -> complex:
     """e^{2 pi i theta * exponent}; the only site that exponentiates lambda."""
+    # only theta mod 1 matters; reducing first keeps the argument small at large |theta|
+    theta = theta - math.floor(theta)
     return complex(math.cos(TWO_PI * theta * exponent), math.sin(TWO_PI * theta * exponent))
 
 

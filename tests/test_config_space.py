@@ -133,6 +133,14 @@ def test_grid_oracle_passes_at_every_slope(lam):
     assert max_error < tolerance
 
 
+@pytest.mark.parametrize("theta", ["123456.789", "-98765.4321"])
+def test_algebra_suite_passes_at_a_large_rotation_angle(theta):
+    # lambda powers depend only on theta mod 1, so a large |theta| costs no phase accuracy
+    code, out, err, caught = run_main(["verify", "algebra", f"--theta={theta}"])
+    assert code == 0, out
+    assert err == "" and not caught
+
+
 def test_squared_spectrum_at_a_negative_slope_exits_two_with_one_line():
     code, out, err, _ = run_main(["spectrum", "d_squared", "--lambda", "-1"])
     assert code == 2 and out == ""

@@ -19,6 +19,7 @@ from rotalab.bimodules import (
     descended_left,
     pair_module_right,
 )
+from rotalab import bimodules as bm
 from rotalab import checks
 from rotalab import duality as du
 from rotalab.checks import _pair_difference
@@ -669,3 +670,76 @@ class TestNanResiduals:
         broken = APairValued(lambda l1, l2, v, w: math.nan if l2 == 1 else 1.0, 1, THETA)
         assert math.isnan(_pair_difference(finite, broken))
         assert _pair_difference(finite, finite) == 0.0
+
+
+def _line_function():
+    return bm.TRFunction(4, GRID, {0: bump(1.2, 0.1), 1: bump(1.4, -0.2, 0.5)})
+
+
+def _layered_function():
+    return ZTRFunction(3, 8, GRID, {(0, 0): bump(1.2, 0.1), (1, 1): bump(1.4, -0.2, 0.5)})
+
+
+SIGN_GUARDED = {
+    "sheared_dirac": lambda s: bm.sheared_dirac(_line_function(), s, 1),
+    "base_dirac": lambda s: base_dirac(standard_function(), s),
+    "transformed_dirac": lambda s: transformed_dirac(standard_function(), s, 1),
+    "layered_line_dirac": lambda s: layered_line_dirac(_layered_function(), s, 1),
+    "profile_dirac": lambda s: profile_dirac(bump(1.2, 0.1), s, 1),
+    "angular_weight_correction": lambda s: angular_weight_correction(
+        SmoothElement({(1, 1): 1.0}, THETA), s
+    ),
+    "resolvent_solve": lambda s: resolvent_solve(standard_function(), standard_function(), s),
+    "resolvent_residual": lambda s: resolvent_residual(standard_function(), standard_function(), s),
+    "descended_line_dirac": lambda s: descended_line_dirac(_layered_function(), s, 1),
+}
+SHEAR_GUARDED = {
+    "sheared_module_inner": lambda: bm.sheared_module_inner(_line_function(), _line_function(), 0),
+    "shear_unitary": lambda: bm.shear_unitary(_line_function(), 0),
+    "sheared_dirac": lambda: bm.sheared_dirac(_line_function(), 1, 0),
+    "pair_module_inner": lambda: bm.pair_module_inner(
+        _layered_function(), _layered_function(), THETA, 0
+    ),
+    "shear_substitution": lambda: shear_substitution(standard_function(), 0, THETA),
+    "transformed_right_act": lambda: transformed_right_act(
+        standard_function(), {(0, 0, 0, 0): 1.0}, THETA, 0
+    ),
+    "transformed_inner": lambda: transformed_inner(
+        standard_function(), standard_function(), THETA, 0
+    ),
+}
+GUARDED_CALLS = [
+    pytest.param(lambda call=call, s=s: call(s), "sign", id=f"{name}-sign={s}")
+    for name, call in SIGN_GUARDED.items()
+    for s in (0, 2)
+] + [pytest.param(call, "shear", id=f"{name}-b=0") for name, call in SHEAR_GUARDED.items()]
+
+
+@pytest.mark.parametrize("call, precondition", GUARDED_CALLS)
+def test_a_sign_outside_plus_minus_one_or_a_zero_shear_raises(call, precondition):
+    with pytest.raises(ValueError, match=precondition):
+        call()
+
+
+# single-term elements of the doubled algebra, as (p1, q1, p2, q2)
+DOUBLED_TERMS = [
+    (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
+    (0, 0, 0, 1), (1, -1, 2, 1), (-2, 1, -1, -1),
+]
+
+
+@pytest.mark.parametrize("b", [1, 2, -3])
+def test_transform_side_action_is_the_transversal_action_tensored(b):
+    # on phi (x) p the transform-side action moves phi as the transversal action
+    # does and p by s -> s + q2 with the plane wave e^{2 pi i p2 b s}
+    phi = ZTRFunction(
+        3, 8, GRID,
+        {(0, 0): bump(1.2, 0.1), (1, 1): bump(1.4, -0.2, 0.5), (-1, -2): bump(1.1, 0.3)},
+    )
+    p = bump(1.3, -0.1, 0.2)
+    for p1, q1, p2, q2 in DOUBLED_TERMS:
+        xi = {(p1, q1, p2, q2): 0.7 - 0.4j}
+        lhs = transformed_right_act(outer_with_profile(phi, p, GRID), xi, THETA, b)
+        moved = pair_module_right(phi, xi, THETA, b)
+        rhs = outer_with_profile(moved, p.affine(1.0, float(q2)).modulate(p2 * b), GRID)
+        assert lhs.max_abs_difference(rhs) < 1e-14
