@@ -597,7 +597,7 @@ def pair_module_inner(
     pair is evaluated once on the array of all truncated coset offsets,
     skipping offsets where the phi layer vanishes, and the products are
     summed in real arithmetic so that a self-pairing's diagonal comes
-    out exactly real.
+    out exactly real. The coset window is centred for theta in [0, 1).
     """
     _require_shear(b)
     offsets = _coset_offsets(abs(b), phi.grid.radius + 2, phi.z_max)

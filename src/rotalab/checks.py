@@ -14,6 +14,7 @@ import cmath
 import math
 import random
 import zlib
+from dataclasses import replace
 
 import numpy as np
 
@@ -706,13 +707,18 @@ def _fixed_parts(cfg, rng):
 
 
 def run_suite(name: str, config) -> dict:
-    """Run every check in the named suite and assemble a sorted report."""
+    """Run every check in the named suite and assemble a sorted report.
+
+    Only theta mod 1 matters to A_theta, so the checks see theta reduced
+    into [0, 1) once, here; the config block keeps the angle as given.
+    """
     suites = SUITE_NAMES if name == "all" else (name,)
+    reduced = replace(config, theta=config.theta - math.floor(config.theta))
     entries = []
     for check_id, fn in [item for suite in suites for item in _REGISTRY[suite]]:
         raised = {}
         try:
-            anchor, params, max_error, tolerance = fn(config, _rng_for(check_id, config.seed))
+            anchor, params, max_error, tolerance = fn(reduced, _rng_for(check_id, config.seed))
         except Exception as exc:
             anchor, params, max_error, tolerance = "", {}, math.nan, math.nan
             raised = {"error": f"{type(exc).__name__}: {exc}"}

@@ -179,6 +179,7 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
     (route "closed"), on all truncated offsets at once. The closed route
     integrates the second slot once per profile pair and jump l2,
     leaving a closed form in the coset offset that is kept for later use.
+    The coset window is centred for theta in [0, 1).
     """
     if route not in ("grid", "closed"):
         raise ValueError(f"unknown route {route!r}")
@@ -395,7 +396,8 @@ def transformed_inner(
     truncated offsets at once. Route "grid" integrates with the stored
     rule on the offset x node mesh; route "closed" integrates the second
     slot once per profile pair and jump pair (l1, l2), leaving a closed
-    form in the coset offset that is kept for later use.
+    form in the coset offset that is kept for later use. The coset window
+    is centred for theta in [0, 1).
     """
     _require_shear(b)
     if route not in ("grid", "closed"):

@@ -164,13 +164,10 @@ def reduction_iso(arrow: FlowArrow) -> RotationArrow:
 
 
 def _exact_defect(g: IntMatrix2) -> ThetaScalar:
+    """The defect b + (a - d) theta - c theta^2; exact division needs it rational."""
     mu = require_nonzero_defect(g)
-    if not g.is_upper_triangular():
-        raise UnsupportedMatrix(
-            "exact arithmetic needs an upper-triangular angle matrix"
-        )
-    # upper-triangular with det +-1 forces a = d = +-1, so the defect is
-    # the rational number b and exact division is available
+    if not mu.is_rational:
+        raise UnsupportedMatrix("exact arithmetic needs a rational defect (c = 0 and a = d)")
     return mu
 
 
@@ -226,8 +223,8 @@ def lattice_compose(f: LatticeFlowArrow, h: LatticeFlowArrow) -> LatticeFlowArro
 def lattice_arrow_to_times(arrow: LatticeFlowArrow):
     """The two matched flow times of a doubled-label arrow.
 
-    Exact for upper-triangular matrices; any other matrix raises
-    UnsupportedMatrix, since its defect is quadratic in theta.
+    Exact when the defect is rational (c = 0 and a = d); any other matrix
+    raises UnsupportedMatrix, since its defect involves theta.
     """
     return arrow.first_time(), arrow.second_time()
 
@@ -325,10 +322,15 @@ class TransversalPoint:
     def __post_init__(self):
         require_nonzero_defect(self.g)
 
+    def anchor(self) -> tuple:
+        """Left anchor (v + r theta, [r]): the first side is the line-orbit transversal."""
+        return LineOrbitPoint(self.v, self.r).position()
+
     def paired_circle_point(self) -> TorusPoint:
-        """The circle coordinate [a v + r b + k theta] the right side acts at."""
+        """Right anchor [a v + b r - k theta], the second tail of the balanced pair;
+        the left action fixes it, a right action moves it to its k2 arrow's source."""
         a, b = self.g.a, self.g.b
-        return torus_reduce(self.v.x * a + self.r * b + THETA * self.k)
+        return torus_reduce(self.v.x * a + self.r * b - THETA * self.k)
 
 
 def _require_unit_shear(g: IntMatrix2):
@@ -343,26 +345,19 @@ def lattice_act_on_transversal(
 ) -> TransversalPoint:
     """Left action of a doubled-label arrow on a transversal point.
 
-    The labels (l1, l2) add (l1 + l2*theta)/b to the line coordinate and
-    l2 to the integer coordinate; the arrow must be anchored at the plane
-    position the moved point sits over.
+    The labels (l1, l2) add the arrow's first flow time (l1 + l2*theta)/b
+    to the line coordinate and l2 to the integer coordinate; the arrow
+    must be anchored at the plane position the moved point sits over.
     """
     _require_unit_shear(z.g)
     _require(arrow.g == z.g, NotComposable, "arrow and point use different matrices")
-    l1, l2 = arrow.k, arrow.l
-    b = z.g.b
-    offset = ThetaScalar(l1, l2) / b
-    new_r = offset + z.r
-    expected_anchor = (
-        z.v + new_r * THETA,
-        torus_reduce(new_r),
-    )
+    moved = TransversalPoint(z.v, arrow.first_time() + z.r, z.k + arrow.l, z.g)
     _require(
-        arrow.range == expected_anchor,
+        arrow.range == moved.anchor(),
         NotComposable,
         "arrow anchor does not match the transported point",
     )
-    return TransversalPoint(z.v, new_r, z.k + l2, z.g)
+    return moved
 
 
 def rotation_pair_act_on_transversal(
@@ -433,14 +428,9 @@ class BalancedPair:
 
 def transversal_to_balanced(z: TransversalPoint) -> BalancedPair:
     """Canonical balanced representative of a transversal point."""
-    require_nonzero_defect(z.g)
-    a, b = z.g.a, z.g.b
-    r = z.r
-    r2 = ThetaScalar.of(a) * r + z.k
-    x = z.v + r * THETA
-    y = torus_reduce(r)
-    w = torus_reduce(z.v.x * a + r * b - THETA * z.k)
-    return BalancedPair(x, y, r, r2, z.v, ZERO, w, ZERO, z.g)
+    x, y = z.anchor()
+    r2 = ThetaScalar.of(z.g.a) * z.r + z.k
+    return BalancedPair(x, y, z.r, r2, z.v, ZERO, z.paired_circle_point(), ZERO, z.g)
 
 
 def balanced_to_transversal(p: BalancedPair) -> TransversalPoint:
@@ -451,22 +441,20 @@ def balanced_to_transversal(p: BalancedPair) -> TransversalPoint:
     times differ by an integer after the slope-a correction.
     """
     require_nonzero_defect(p.g)
-    a, b, c, d = p.g.a, p.g.b, p.g.c, p.g.d
     r = p.t1 + p.s1
     r2 = p.t2 + p.s2
     _require(
-        p.x == p.v + r * THETA and p.y == torus_reduce(r),
+        (p.x, p.y) == LineOrbitPoint(p.v, r).position(),
         NotComposable,
         "anchor does not sit over the first tail",
     )
-    gx = torus_reduce(p.x.x * a + p.y.x * b)
-    gy = torus_reduce(p.x.x * c + p.y.x * d)
+    # the gy half is a real constraint when c != 0
     _require(
-        gx == p.w + r2 * THETA and gy == torus_reduce(r2),
+        p.g.apply_pair(p.x, p.y) == LineOrbitPoint(p.w, r2).position(),
         NotComposable,
         "matrix image does not sit over the second tail",
     )
-    kk = r2 - ThetaScalar.of(a) * r
+    kk = r2 - ThetaScalar.of(p.g.a) * r
     _require(kk.is_integer, NotComposable, "total times violate integrality")
     return TransversalPoint(p.v, r, kk.as_integer(), p.g)
 

@@ -16,7 +16,7 @@ from .groupoids import (
     RotationArrow,
     TransversalPoint,
 )
-from .scalars import THETA, IntMatrix2, ThetaScalar, TorusPoint, torus_reduce
+from .scalars import IntMatrix2, ThetaScalar, TorusPoint, torus_reduce
 
 
 def rational(rng: random.Random, lo: int = -5, hi: int = 5, max_den: int = 12) -> Fraction:
@@ -46,37 +46,34 @@ def shear(b: int) -> IntMatrix2:
     return IntMatrix2(1, b, 0, 1)
 
 
-def rotation_chain(rng: random.Random, length: int = 3):
-    """Composable rotation arrows f1, ..., fn with source(fi) = range(fi+1)."""
-    anchor = torus_point(rng)
+def _chain(anchor, arrow_at, length: int):
+    """Arrows f1, ..., fn with f1 at the anchor and source(fi) = range(fi+1)."""
     arrows = []
     for _ in range(length):
-        n = rng.randint(-5, 5)
-        arrows.append(RotationArrow(anchor, n))
+        arrows.append(arrow_at(anchor))
         anchor = arrows[-1].source
     return arrows
 
 
+def rotation_chain(rng: random.Random, length: int = 3):
+    """Composable rotation arrows with jumps in [-5, 5]."""
+    return _chain(torus_point(rng), lambda x: RotationArrow(x, rng.randint(-5, 5)), length)
+
+
 def flow_chain(rng: random.Random, length: int = 3):
     """Composable flow arrows with exact degree-one flow times."""
-    x, y = torus_point(rng), torus_point(rng)
-    arrows = []
-    for _ in range(length):
-        t = ThetaScalar(rational(rng), rational(rng))
-        arrows.append(FlowArrow.from_time(x, y, t))
-        x, y = arrows[-1].source
-    return arrows
+    def arrow_at(xy):
+        return FlowArrow.from_time(*xy, ThetaScalar(rational(rng), rational(rng)))
+
+    return _chain((torus_point(rng), torus_point(rng)), arrow_at, length)
 
 
 def lattice_chain(rng: random.Random, g: IntMatrix2, length: int = 3):
-    """Composable doubled-label arrows over a fixed upper-triangular matrix."""
-    x, y = torus_point(rng), torus_point(rng)
-    arrows = []
-    for _ in range(length):
-        k, l = rng.randint(-5, 5), rng.randint(-5, 5)
-        arrows.append(LatticeFlowArrow(x, y, k, l, g))
-        x, y = arrows[-1].source
-    return arrows
+    """Composable doubled-label arrows over a fixed matrix with rational defect."""
+    def arrow_at(xy):
+        return LatticeFlowArrow(*xy, rng.randint(-5, 5), rng.randint(-5, 5), g)
+
+    return _chain((torus_point(rng), torus_point(rng)), arrow_at, length)
 
 
 def transversal_point(rng: random.Random, b: int) -> TransversalPoint:

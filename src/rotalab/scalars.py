@@ -324,9 +324,6 @@ class IntMatrix2:
             return (xs * self.a + ys * self.b, xs * self.c + ys * self.d)
         return (self.a * x + self.b * y, self.c * x + self.d * y)
 
-    def is_upper_triangular(self) -> bool:
-        return self.c == 0
-
     def __repr__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"
 

@@ -141,6 +141,16 @@ def test_algebra_suite_passes_at_a_large_rotation_angle(theta):
     assert err == "" and not caught
 
 
+@pytest.mark.parametrize(
+    "theta, suite", [(123456.789, "bimodules"), (12.7071, "duality"), (10000000.123, "algebra")]
+)
+def test_suite_passes_at_a_large_angle_and_reports_it_as_given(theta, suite):
+    # the checks see theta mod 1; the config block keeps the angle as given
+    report = checks.run_suite(suite, RunConfig(theta=theta))
+    assert report["all_pass"], [e["check_id"] for e in report["checks"] if not e["pass"]]
+    assert report["config"]["theta"] == theta
+
+
 def test_squared_spectrum_at_a_negative_slope_exits_two_with_one_line():
     code, out, err, _ = run_main(["spectrum", "d_squared", "--lambda", "-1"])
     assert code == 2 and out == ""

@@ -269,6 +269,13 @@ class TestLatticeFlow:
         with pytest.raises(UnsupportedMatrix):
             a.first_time()
 
+    def test_exact_times_need_a_rational_defect_at_det_minus_one(self):
+        # c = 0 but a != d: the defect 2 + 2 theta is not rational
+        g = IntMatrix2(1, 2, 0, -1)
+        a = LatticeFlowArrow(torus_reduce(0), torus_reduce(0), 1, 0, g)
+        with pytest.raises(UnsupportedMatrix, match="rational defect"):
+            a.first_time()
+
     def test_batch_axioms(self):
         rng = random.Random(108)
         for b in (1, 2, 3):
@@ -498,3 +505,44 @@ class TestBalancedRoundtrip:
         )
         with pytest.raises(NotComposable):
             balanced_to_transversal(broken)
+
+
+class TestTransversalAnchors:
+    """The left anchor (v + r theta, [r]) and the right anchor [a v + b r - k theta]."""
+
+    def test_right_anchor_is_the_second_tail(self):
+        rng = random.Random(120)
+        for i in range(200):
+            z = transversal_point(rng, 1 + i % 3)
+            assert z.paired_circle_point() == transversal_to_balanced(z).w
+
+    def test_each_anchor_is_fixed_by_the_other_action(self):
+        rng = random.Random(122)
+        for i in range(300):
+            z = transversal_point(rng, 1 + i % 3)
+            l1, l2 = rng.randint(-4, 4), rng.randint(-4, 4)
+            k1, k2 = rng.randint(-4, 4), rng.randint(-4, 4)
+            left = lattice_act_on_transversal(_left_arrow(z, l1, l2), z)
+            assert left.paired_circle_point() == z.paired_circle_point()
+            right = rotation_pair_act_on_transversal(
+                z,
+                RotationArrow(z.v, k1),
+                RotationArrow(z.paired_circle_point(), k2),
+            )
+            assert right.anchor() == z.anchor()
+
+    def test_consecutive_right_actions_compose(self):
+        rng = random.Random(123)
+        for i in range(200):
+            z = transversal_point(rng, 1 + i % 3)
+            k1, k2, j1, j2 = (rng.randint(-4, 4) for _ in range(4))
+            f1, f2 = RotationArrow(z.v, k1), RotationArrow(z.paired_circle_point(), k2)
+            z1 = rotation_pair_act_on_transversal(z, f1, f2)
+            h1, h2 = RotationArrow(z1.v, j1), RotationArrow(z1.paired_circle_point(), j2)
+            z2 = rotation_pair_act_on_transversal(z1, h1, h2)
+            # source of each first arrow is the range of the next
+            assert f2.source == h2.range and f1.source == h1.range
+            once = rotation_pair_act_on_transversal(
+                z, rotation_compose(f1, h1), rotation_compose(f2, h2)
+            )
+            assert once == z2

@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from rotalab import checks, closedform, ktheory, nctorus, oscillator
+from rotalab import checks, closedform, groupoids, ktheory, nctorus, oscillator
 from rotalab.cli import RunConfig
 from rotalab.scalars import IntMatrix2
 
@@ -51,6 +51,17 @@ def plant_ladder_scale(monkeypatch):
     replace_everywhere(monkeypatch, original, scaled)
 
 
+def plant_right_anchor_sign(monkeypatch):
+    """[a v + b r + k theta] in place of - k theta for the right anchor."""
+    method = groupoids.TransversalPoint.paired_circle_point
+    source = textwrap.dedent(inspect.getsource(method))
+    mutated = source.replace("- THETA * self.k", "+ THETA * self.k")
+    assert mutated != source
+    namespace = dict(vars(groupoids))
+    exec(compile(mutated, groupoids.__file__, "exec"), namespace)
+    monkeypatch.setattr(groupoids.TransversalPoint, "paired_circle_point", namespace[method.__name__])
+
+
 def plant_twist_direction(monkeypatch):
     replace_everywhere(monkeypatch, ktheory.twist_matrix, lambda b: IntMatrix2(1, -int(b), 0, 1))
 
@@ -71,6 +82,12 @@ MUTANTS = [
     ),
     ("ladder_scale", plant_ladder_scale, ("oscillator",), {"oscillator.singular_value_law"}),
     ("twist_direction", plant_twist_direction, ("ktheory",), {"ktheory.fixed_parts"}),
+    (
+        "right_anchor_sign",
+        plant_right_anchor_sign,
+        ("groupoids",),
+        {"groupoids.transversal_roundtrip"},
+    ),
 ]
 
 
