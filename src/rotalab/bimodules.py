@@ -119,6 +119,10 @@ class KeyedProfiles:
     def mode_max(self) -> int:
         return self.windows[-1]
 
+    @property
+    def grid(self) -> RGrid:
+        return self.grids[0]
+
     def profile(self, *index):
         key = index if len(index) > 1 else index[0]
         return self.profiles.get(key, GaussSum())
@@ -151,16 +155,14 @@ class KeyedProfiles:
         """Points where residuals are sampled: every node of the grid."""
         return (self.grids[0].nodes(),)
 
+    def sup_norm(self) -> float:
+        """Largest |profile| over the sample points; NaN if any is NaN."""
+        points = self._mesh()
+        return _worst(float(np.max(np.abs(p(*points)))) for p in self.profiles.values())
+
     def max_abs_difference(self, other) -> float:
         """Largest |self - other| over the sample points; NaN if any is NaN."""
-        _require_same_grid(self, other)
-        points = self._mesh()
-        zero = GaussSum()
-        diffs = (
-            self.profiles.get(key, zero) - other.profiles.get(key, zero)
-            for key in set(self.profiles) | set(other.profiles)
-        )
-        return _worst(float(np.max(np.abs(d(*points)))) for d in diffs if d.terms)
+        return (self - other).sup_norm()
 
 
 class LayeredProfiles(KeyedProfiles):
@@ -205,10 +207,6 @@ class TRFunction(KeyedProfiles):
 
     def __init__(self, mode_max: int, grid: RGrid, profiles: dict):
         super().__init__((mode_max,), (grid,), profiles)
-
-    @property
-    def grid(self) -> RGrid:
-        return self.grids[0]
 
 
 class CTValued:
@@ -379,11 +377,6 @@ def sheared_dirac(phi: TRFunction, sign: int, b: int) -> TRFunction:
     return phi.map(op)
 
 
-def scalar_inner(phi: TRFunction, psi: TRFunction, route: str = "grid") -> complex:
-    """Full scalar product over cylinder: the mode-zero inner coefficient."""
-    return line_module_inner(phi, psi, route).coefficient(0)
-
-
 # ---------------------------------------------------------------------------
 # the descended module over the rotation algebra
 # ---------------------------------------------------------------------------
@@ -400,10 +393,6 @@ class ZTRFunction(LayeredProfiles):
 
     def __init__(self, z_max: int, mode_max: int, grid: RGrid, profiles: dict):
         super().__init__((z_max, mode_max), (grid,), profiles)
-
-    @property
-    def grid(self) -> RGrid:
-        return self.grids[0]
 
     def layer(self, k: int) -> TRFunction:
         return TRFunction(self.mode_max, self.grid, self.layer_profiles(k))

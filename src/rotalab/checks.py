@@ -34,12 +34,14 @@ from .ktheory import KClass, twist_apply, twist_compose, twist_matrix
 from .nctorus import (
     SmoothElement,
     _worst,
+    basis_labels,
     interior_mask,
     nct_adjoint,
     nct_dolbeault,
     nct_multiply,
     nct_represent,
     nct_trace,
+    pair_multiply,
 )
 from .oscillator import (
     fredholm_index,
@@ -269,13 +271,8 @@ def _index_signs(cfg, rng):
 def _dolbeault_square(cfg, rng):
     size = min(cfg.mode_cut, 8)
     upper, lower = nct_dolbeault(size, size)
-    expected = np.array(
-        [
-            (TWO_PI * k) ** 2 + (TWO_PI * l) ** 2
-            for l in range(-size, size + 1)
-            for k in range(-size, size + 1)
-        ]
-    )
+    labels = basis_labels(size, size)
+    expected = np.array([(TWO_PI * k) ** 2 + (TWO_PI * l) ** 2 for l, k in labels])
     diag_err = float(np.max(np.abs(upper * lower - expected)))
     # self-adjoint: the lower block diagonal is the conjugate of the upper
     sym_err = float(np.max(np.abs(lower - upper.conj())))
@@ -503,22 +500,7 @@ def _pair_associativity(cfg, rng):
     xi = {(0, 0, 0, 0): 0.5, (1, 0, 0, 1): 0.7 - 0.2j}
     eta = {(0, 1, 1, 0): 0.4 + 0.3j}
     stacked = bm.pair_module_right(bm.pair_module_right(phi, xi, theta, b), eta, theta, b)
-    merged = {}
-    for (p1, q1, p2, q2), c in xi.items():
-        for (s1, t1, s2, t2), d in eta.items():
-            first = nct_multiply(
-                SmoothElement({(p1, q1): 1.0}, theta),
-                SmoothElement({(s1, t1): 1.0}, theta),
-            )
-            second = nct_multiply(
-                SmoothElement({(p2, q2): 1.0}, theta),
-                SmoothElement({(s2, t2): 1.0}, theta),
-            )
-            ((n1, m1), z1) = next(iter(first.coeffs.items()))
-            ((n2, m2), z2) = next(iter(second.coeffs.items()))
-            key = (n1, m1, n2, m2)
-            merged[key] = merged.get(key, 0j) + c * d * z1 * z2
-    direct = bm.pair_module_right(phi, merged, theta, b)
+    direct = bm.pair_module_right(phi, pair_multiply(xi, eta, theta), theta, b)
     worst = stacked.max_abs_difference(direct)
     return "doubled action is associative", {"theta": theta, "b": b}, worst, 1e-10
 

@@ -60,10 +60,6 @@ class SB2Function(LayeredProfiles):
         r, s = (grid.nodes()[:: max(1, grid.count // MESH_PER_SLOT)] for grid in self.grids)
         return np.meshgrid(r, s, indexing="ij")
 
-    def sup_norm(self) -> float:
-        """Largest |profile| on the sample mesh; NaN if any sample is NaN."""
-        return sb_seminorm(self, 0)
-
     def boundary_decay_ratio(self) -> float:
         """Largest boundary-ring magnitude over the global maximum.
 

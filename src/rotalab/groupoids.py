@@ -320,7 +320,8 @@ class TransversalPoint:
     g: IntMatrix2
 
     def __post_init__(self):
-        require_nonzero_defect(self.g)
+        # the balanced representative roundtrips only for a rational defect
+        _exact_defect(self.g)
 
     def anchor(self) -> tuple:
         """Left anchor (v + r theta, [r]): the first side is the line-orbit transversal."""

@@ -20,6 +20,7 @@ hand anywhere else in the package.
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -135,6 +136,28 @@ def nct_multiply(a: SmoothElement, b: SmoothElement) -> SmoothElement:
     return SmoothElement(out, a.theta)
 
 
+def pair_multiply(xi: dict, eta: dict, theta: float) -> dict:
+    """Product in A_theta (x) A_theta of dicts (p1, q1, p2, q2) -> coefficient.
+
+    A key stands for the elementary tensor V^p1 U^q1 (x) V^p2 U^q2. Each
+    pair of terms multiplies factor by factor through nct_multiply, and
+    the terms landing on one key are summed in the order xi, then eta.
+    """
+
+    def factor(left, right):
+        unit = nct_multiply(SmoothElement({left: 1.0}, theta), SmoothElement({right: 1.0}, theta))
+        return next(iter(unit.coeffs.items()))
+
+    out = {}
+    for (p1, q1, p2, q2), c in xi.items():
+        for (s1, t1, s2, t2), d in eta.items():
+            (n1, m1), z1 = factor((p1, q1), (s1, t1))
+            (n2, m2), z2 = factor((p2, q2), (s2, t2))
+            key = (n1, m1, n2, m2)
+            out[key] = out.get(key, 0j) + c * d * z1 * z2
+    return out
+
+
 def nct_adjoint(a: SmoothElement) -> SmoothElement:
     """Involution: (V^n U^m)* = e^{-2 pi i theta n m} V^{-n} U^{-m}."""
     out = {}
@@ -169,6 +192,11 @@ def basis_dim(L: int, K: int) -> int:
     return (2 * L + 1) * (2 * K + 1)
 
 
+def basis_labels(L: int, K: int) -> list:
+    """The (l, k) of each basis vector, in basis_index order."""
+    return list(itertools.product(range(-L, L + 1), range(-K, K + 1)))
+
+
 def interior_mask(L: int, K: int, margin_l: int, margin_k: int) -> np.ndarray:
     """Boolean mask of basis vectors at distance > margin from the window edge.
 
@@ -176,11 +204,8 @@ def interior_mask(L: int, K: int, margin_l: int, margin_k: int) -> np.ndarray:
     support shifts torus modes by at most margin_l and group indices by at
     most margin_k.
     """
-    mask = np.zeros(basis_dim(L, K), dtype=bool)
-    for l in range(-L + margin_l, L - margin_l + 1):
-        for k in range(-K + margin_k, K - margin_k + 1):
-            mask[basis_index(l, k, L, K)] = True
-    return mask
+    inside = [abs(l) <= L - margin_l and abs(k) <= K - margin_k for l, k in basis_labels(L, K)]
+    return np.array(inside, dtype=bool)
 
 
 def nct_represent(a: SmoothElement, which: str, L: int, K: int) -> np.ndarray:

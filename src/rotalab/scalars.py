@@ -221,13 +221,6 @@ ZERO = ThetaScalar()
 THETA = ThetaScalar.theta()
 
 
-def scalar_eval(value, theta: float) -> float:
-    """Numeric value of a ThetaScalar or TorusPoint at a concrete theta."""
-    if isinstance(value, TorusPoint):
-        return value.evalf(theta)
-    return ThetaScalar.of(value).evalf(theta)
-
-
 @dataclass(frozen=True)
 class TorusPoint:
     """A point of R/Z written as [x] for x in Q + Q*theta + Q*theta^2.
@@ -247,14 +240,12 @@ class TorusPoint:
         object.__setattr__(self, "x", s)
 
     def __add__(self, other) -> "TorusPoint":
-        o = other.x if isinstance(other, TorusPoint) else ThetaScalar.of(other)
-        return TorusPoint(self.x + o)
+        return TorusPoint(self.x + (other.x if isinstance(other, TorusPoint) else other))
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "TorusPoint":
-        o = other.x if isinstance(other, TorusPoint) else ThetaScalar.of(other)
-        return TorusPoint(self.x - o)
+        return TorusPoint(self.x - (other.x if isinstance(other, TorusPoint) else other))
 
     def __neg__(self) -> "TorusPoint":
         return TorusPoint(-self.x)
@@ -275,9 +266,7 @@ class TorusPoint:
 
 def torus_reduce(value) -> TorusPoint:
     """Reduce a scalar modulo 1 to its canonical circle representative."""
-    if isinstance(value, TorusPoint):
-        return value
-    return TorusPoint(ThetaScalar.of(value))
+    return value if isinstance(value, TorusPoint) else TorusPoint(value)
 
 
 @dataclass(frozen=True)
@@ -311,18 +300,13 @@ class IntMatrix2:
         return IntMatrix2(self.d * det, -self.b * det, -self.c * det, self.a * det)
 
     def apply_pair(self, x, y):
-        """Image of a column vector, entries ThetaScalar, TorusPoint or numeric."""
+        """Image of a column vector; a TorusPoint entry makes it a TorusPoint pair."""
+        xs = x.x if isinstance(x, TorusPoint) else x
+        ys = y.x if isinstance(y, TorusPoint) else y
+        image = (xs * self.a + ys * self.b, xs * self.c + ys * self.d)
         if isinstance(x, TorusPoint) or isinstance(y, TorusPoint):
-            xs = x.x if isinstance(x, TorusPoint) else ThetaScalar.of(x)
-            ys = y.x if isinstance(y, TorusPoint) else ThetaScalar.of(y)
-            return (
-                TorusPoint(xs * self.a + ys * self.b),
-                TorusPoint(xs * self.c + ys * self.d),
-            )
-        if isinstance(x, ThetaScalar) or isinstance(y, ThetaScalar):
-            xs, ys = ThetaScalar.of(x), ThetaScalar.of(y)
-            return (xs * self.a + ys * self.b, xs * self.c + ys * self.d)
-        return (self.a * x + self.b * y, self.c * x + self.d * y)
+            return tuple(map(TorusPoint, image))
+        return image
 
     def __repr__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"

@@ -36,6 +36,7 @@ from rotalab.nctorus import (
     nct_dolbeault,
     nct_multiply,
     nct_represent,
+    pair_multiply,
 )
 from rotalab.oscillator import (
     fredholm_index,
@@ -110,25 +111,6 @@ _PAIR_SAMPLES = [(0, 0, 0.15, 0.4), (1, 0, 0.7, 0.2), (0, 1, 0.3, 0.8), (-1, 1, 
 
 def _pair_diff(left, right):
     return _worst(abs(left.value(*s) - right.value(*s)) for s in _PAIR_SAMPLES)
-
-
-def _tensor_multiply(xi, eta, theta):
-    out = {}
-    for (p1, q1, p2, q2), c in xi.items():
-        for (s1, t1, s2, t2), d in eta.items():
-            first = nct_multiply(
-                SmoothElement({(p1, q1): 1.0}, theta),
-                SmoothElement({(s1, t1): 1.0}, theta),
-            )
-            second = nct_multiply(
-                SmoothElement({(p2, q2): 1.0}, theta),
-                SmoothElement({(s2, t2): 1.0}, theta),
-            )
-            ((n1, m1), z1) = next(iter(first.coeffs.items()))
-            ((n2, m2), z2) = next(iter(second.coeffs.items()))
-            key = (n1, m1, n2, m2)
-            out[key] = out.get(key, 0j) + c * d * z1 * z2
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -432,7 +414,7 @@ def _pair_structure(rng):
     eta = {(0, 1, 1, 0): 0.4 + 0.3j}
     assoc = bm.pair_module_right(
         bm.pair_module_right(phi, xi, THETA, b), eta, THETA, b
-    ).max_abs_difference(bm.pair_module_right(phi, _tensor_multiply(xi, eta, THETA), THETA, b))
+    ).max_abs_difference(bm.pair_module_right(phi, pair_multiply(xi, eta, THETA), THETA, b))
     inner = bm.pair_module_inner(phi, psi, THETA, b)
     linear = bm.pair_module_inner(
         phi, bm.pair_module_right(psi, xi, THETA, b), THETA, b
@@ -476,7 +458,7 @@ def _base_structure(rng):
     eta = {(0, 1, 1, 0): 0.5 + 0.2j}
     assoc = du.base_right_act(
         du.base_right_act(big, xi, THETA), eta, THETA
-    ).max_abs_difference(du.base_right_act(big, _tensor_multiply(xi, eta, THETA), THETA))
+    ).max_abs_difference(du.base_right_act(big, pair_multiply(xi, eta, THETA), THETA))
     closed = du.base_inner(f1, f2, THETA, "closed")
     linear = _pair_diff(
         du.base_inner(f1, du.base_right_act(f2, xi, THETA), THETA, "closed"),
@@ -496,7 +478,7 @@ def _transformed_structure(rng):
     assoc = du.transformed_right_act(
         du.transformed_right_act(big, xi, THETA, b), eta, THETA, b
     ).max_abs_difference(
-        du.transformed_right_act(big, _tensor_multiply(xi, eta, THETA), THETA, b)
+        du.transformed_right_act(big, pair_multiply(xi, eta, THETA), THETA, b)
     )
     closed = du.transformed_inner(f1, f2, THETA, b, "closed")
     linear = _pair_diff(

@@ -33,7 +33,6 @@ from rotalab.bimodules import (
     line_module_translate,
     pair_module_inner,
     pair_module_right,
-    scalar_inner,
     shear_unitary,
     sheared_dirac,
     sheared_module_inner,
@@ -42,7 +41,14 @@ from rotalab.bimodules import (
 from rotalab.closedform import GaussSum1, GaussSum2
 from rotalab.duality import SB2Function
 from rotalab.errors import GridMismatch, TruncationTooSmall
-from rotalab.nctorus import SmoothElement, lambda_power, nct_adjoint, nct_multiply, nct_trace
+from rotalab.nctorus import (
+    SmoothElement,
+    lambda_power,
+    nct_adjoint,
+    nct_multiply,
+    nct_trace,
+    pair_multiply,
+)
 
 THETA = 0.7071067811865476
 GRID = RGrid(10.0, 128)
@@ -93,7 +99,7 @@ class TestLineModule:
 
     def test_self_inner_mode_zero_positive(self):
         phi = TRFunction(8, GRID, {0: bump(1.5, 0.3), 1: bump(1.2, -0.2, 1.0)})
-        value = scalar_inner(phi, phi)
+        value = line_module_inner(phi, phi).coefficient(0)
         assert abs(value.imag) < 1e-12
         assert value.real > 0.1
 
@@ -400,26 +406,6 @@ class TestDescendedModule:
             descended_right(psi, SmoothElement.u_power(1, THETA))
 
 
-def tensor_multiply(xi, eta, theta):
-    """Product of doubled-algebra elements, delegated to the base product."""
-    out = {}
-    for (p1, q1, p2, q2), c in xi.items():
-        for (s1, t1, s2, t2), d in eta.items():
-            first = nct_multiply(
-                SmoothElement({(p1, q1): 1.0}, theta),
-                SmoothElement({(s1, t1): 1.0}, theta),
-            )
-            second = nct_multiply(
-                SmoothElement({(p2, q2): 1.0}, theta),
-                SmoothElement({(s2, t2): 1.0}, theta),
-            )
-            ((n1, m1), z1) = next(iter(first.coeffs.items()))
-            ((n2, m2), z2) = next(iter(second.coeffs.items()))
-            key = (n1, m1, n2, m2)
-            out[key] = out.get(key, 0j) + c * d * z1 * z2
-    return out
-
-
 # (l1, l2, v, w) sample points with both jumps nonzero among them
 COSET_SAMPLES = [
     (0, 0, 0.15, 0.4),
@@ -499,7 +485,7 @@ class TestPairModule:
         stepwise = pair_module_right(
             pair_module_right(phi, xi, THETA, 2), eta, THETA, 2
         )
-        together = pair_module_right(phi, tensor_multiply(xi, eta, THETA), THETA, 2)
+        together = pair_module_right(phi, pair_multiply(xi, eta, THETA), THETA, 2)
         assert stepwise.max_abs_difference(together) < 1e-10
 
     def test_inner_right_compatibility(self):
@@ -678,6 +664,19 @@ class TestKeyedProfiles:
         g = single_profile(cls, (0, 1), grid=RGrid(10.0, 64))
         with pytest.raises(GridMismatch):
             f + g
+
+    def test_difference_norm_is_the_sup_norm_of_the_difference(self, cls):
+        f = single_profile(cls, (0, 0)) + single_profile(cls, (1, 1)).scale(0.5j)
+        g = single_profile(cls, (0, 0)).scale(0.25) + single_profile(cls, (-1, 0))
+        points, zero = f._mesh(), GaussSum1()
+        # each key's profile difference, sampled on the mesh
+        per_key = max(
+            float(np.max(np.abs((f.profiles.get(key, zero) - g.profiles.get(key, zero))(*points))))
+            for key in set(f.profiles) | set(g.profiles)
+        )
+        assert f.max_abs_difference(g) == (f - g).sup_norm() == per_key > 0
+        with pytest.raises(GridMismatch):
+            f.max_abs_difference(single_profile(cls, (0, 0), grid=RGrid(10.0, 64)))
 
     def test_nan_residual_is_not_hidden(self, cls):
         finite = single_profile(cls, (0, 0))

@@ -16,6 +16,7 @@ from rotalab.cli import (
     read_config_file,
     spectrum_rows,
     validate_config,
+    validate_resolution,
 )
 from rotalab.errors import ConfigInvalid
 
@@ -100,6 +101,37 @@ class TestConfigValidation:
                 validate_config(RunConfig(tol_exact=bad))
             with pytest.raises(ConfigInvalid):
                 validate_config(RunConfig(tol_quad=bad))
+
+
+class TestResolutionRule:
+    """R >= 5, grid >= 96 and 2R/grid <= 5/32 for the suites that read R and the grid."""
+
+    @pytest.mark.parametrize("suite", ["bimodules", "duality"])
+    @pytest.mark.parametrize(
+        "flags", [["--R", "12"], ["--grid", "64"], ["--grid", "256", "--R", "30"], ["--R", "4"]]
+    )
+    def test_unresolved_pair_exits_two_with_one_line(self, capsys, suite, flags):
+        assert main(["verify", suite, *flags]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "--R" in err and "--grid" in err
+
+    @pytest.mark.parametrize("suite", ["bimodules", "duality"])
+    @pytest.mark.parametrize(
+        "flags", [["--R", "5"], ["--grid", "96", "--R", "7.5"], ["--grid", "256", "--R", "20"]]
+    )
+    def test_resolved_pair_passes(self, capsys, suite, flags):
+        assert main(["verify", suite, *flags]) == 0
+
+    def test_only_the_suites_that_read_the_grid_are_held_to_it(self, capsys):
+        coarse = RunConfig(radius=4.0, grid_nodes=64)
+        for suite in ("algebra", "oscillator", "groupoids", "ktheory"):
+            validate_resolution(coarse, suite)
+        for suite in ("bimodules", "duality", "all"):
+            with pytest.raises(ConfigInvalid):
+                validate_resolution(coarse, suite)
+        assert main(["spectrum", "d_dolbeault", "--R", "4", "--grid", "64"]) == 0
 
 
 class TestConfigSources:

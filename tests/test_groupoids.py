@@ -357,6 +357,14 @@ class TestTransversal:
                 torus_reduce(0), ThetaScalar.of(0), 0, IntMatrix2.identity()
             )
 
+    @pytest.mark.parametrize(
+        "g", [IntMatrix2(1, 2, 0, -1), IntMatrix2(2, 1, 1, 1), IntMatrix2(0, -1, 1, 0)]
+    )
+    def test_defect_that_is_not_rational_is_unsupported_at_construction(self, g):
+        # the balanced representative of such a point fails its roundtrip
+        with pytest.raises(UnsupportedMatrix, match="rational defect"):
+            TransversalPoint(torus_reduce(0), ThetaScalar.of(0), 0, g)
+
     def test_left_action_unit_label(self):
         rng = random.Random(110)
         for b in (1, 2, 3):
@@ -459,6 +467,16 @@ class TestBalancedRoundtrip:
                 s1 = ThetaScalar(rational(rng), rational(rng))
                 s2 = ThetaScalar(rational(rng), rational(rng))
                 assert transversal_roundtrip(z, s1, s2) == z
+
+    @pytest.mark.parametrize("g", [IntMatrix2(-1, 2, 0, -1), IntMatrix2(-1, -3, 0, -1)])
+    def test_roundtrip_at_a_and_d_minus_one(self, g):
+        rng = random.Random(119)
+        for _ in range(150):
+            r = ThetaScalar(rational(rng), rational(rng))
+            z = TransversalPoint(torus_point(rng), r, rng.randint(-5, 5), g)
+            s1 = ThetaScalar(rational(rng), rational(rng))
+            s2 = ThetaScalar(rational(rng), rational(rng))
+            assert transversal_roundtrip(z, s1, s2) == z
 
     def test_rebalancing_preserves_invariants(self):
         rng = random.Random(118)

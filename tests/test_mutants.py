@@ -62,6 +62,12 @@ def plant_right_anchor_sign(monkeypatch):
     monkeypatch.setattr(groupoids.TransversalPoint, "paired_circle_point", namespace[method.__name__])
 
 
+def plant_pair_multiply_phase(monkeypatch):
+    """The doubled-algebra product taken at -theta."""
+    original = nctorus.pair_multiply
+    replace_everywhere(monkeypatch, original, lambda xi, eta, theta: original(xi, eta, -theta))
+
+
 def plant_twist_direction(monkeypatch):
     replace_everywhere(monkeypatch, ktheory.twist_matrix, lambda b: IntMatrix2(1, -int(b), 0, 1))
 
@@ -87,6 +93,12 @@ MUTANTS = [
         plant_right_anchor_sign,
         ("groupoids",),
         {"groupoids.transversal_roundtrip"},
+    ),
+    (
+        "pair_multiply_phase",
+        plant_pair_multiply_phase,
+        ("bimodules",),
+        {"bimodules.pair_associativity"},
     ),
 ]
 

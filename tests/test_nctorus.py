@@ -10,6 +10,7 @@ from rotalab.nctorus import (
     SmoothElement,
     basis_dim,
     basis_index,
+    basis_labels,
     interior_mask,
     nct_adjoint,
     nct_dolbeault,
@@ -17,6 +18,7 @@ from rotalab.nctorus import (
     nct_represent,
     nct_seminorm,
     nct_trace,
+    pair_multiply,
 )
 
 THETA = 1.0 / math.sqrt(2.0)
@@ -69,6 +71,43 @@ class TestProduct:
         left = nct_multiply(nct_multiply(a, b), c)
         right = nct_multiply(a, nct_multiply(b, c))
         assert left.max_abs_difference(right) < 1e-13
+
+
+class TestPairProduct:
+    def test_each_factor_multiplies_in_its_own_algebra(self):
+        # (V (x) U)(U (x) 1) = VU (x) U and (U (x) U)(V (x) V) = conj(lambda) VU (x) UV
+        assert pair_multiply({(1, 0, 0, 1): 2.0}, {(0, 1, 0, 0): 3.0}, THETA) == {(1, 1, 0, 1): 6.0}
+        product = pair_multiply({(0, 1, 0, 1): 1.0}, {(1, 0, 1, 0): 1.0}, THETA)
+        assert set(product) == {(1, 1, 1, 1)}
+        assert product[(1, 1, 1, 1)] == pytest.approx(LAMBDA.conjugate() ** 2, abs=1e-15)
+
+    def test_terms_on_one_key_are_summed(self):
+        xi = {(1, 0, 0, 0): 1.0, (0, 1, 0, 0): 1.0}
+        eta = {(0, 1, 0, 0): 1.0, (1, 0, 0, 0): 1.0}
+        product = pair_multiply(xi, eta, THETA)
+        assert product[(1, 1, 0, 0)] == pytest.approx(1.0 + LAMBDA.conjugate(), abs=1e-15)
+        assert product[(2, 0, 0, 0)] == 1.0 and product[(0, 2, 0, 0)] == 1.0
+
+
+class TestBasisLabels:
+    @pytest.mark.parametrize("L, K", [(1, 3), (3, 1), (0, 2), (2, 4)])
+    def test_labels_are_in_basis_index_order(self, L, K):
+        labels = basis_labels(L, K)
+        assert len(labels) == basis_dim(L, K)
+        for l in range(-L, L + 1):
+            for k in range(-K, K + 1):
+                assert labels[basis_index(l, k, L, K)] == (l, k)
+
+    @pytest.mark.parametrize("L, K", [(1, 3), (3, 1), (2, 4)])
+    def test_interior_mask_is_the_inner_window_at_every_margin(self, L, K):
+        for margin_l in range(L + 2):
+            for margin_k in range(K + 2):
+                expected = np.zeros(basis_dim(L, K), dtype=bool)
+                for l in range(-L + margin_l, L - margin_l + 1):
+                    for k in range(-K + margin_k, K - margin_k + 1):
+                        expected[basis_index(l, k, L, K)] = True
+                mask = interior_mask(L, K, margin_l, margin_k)
+                assert mask.dtype == bool and np.array_equal(mask, expected)
 
 
 class TestAdjoint:

@@ -17,7 +17,6 @@ from rotalab.scalars import (
     mobius_defect,
     mobius_transform,
     require_nonzero_defect,
-    scalar_eval,
     torus_reduce,
 )
 
@@ -25,6 +24,8 @@ rationals = st.fractions(
     min_value=-5, max_value=5, max_denominator=12
 )
 small_ints = st.integers(min_value=-5, max_value=5)
+HALF, THIRD = ThetaScalar(Fraction(1, 2)), Fraction(1, 3)
+THETA_S = ThetaScalar.theta()
 
 
 def theta_scalars():
@@ -63,7 +64,7 @@ class TestRingArithmetic:
         s = ThetaScalar(Fraction(1, 2), 3, Fraction(-1, 4))
         theta = 0.7071067811865476
         expected = 0.5 + 3 * theta - 0.25 * theta**2
-        assert scalar_eval(s, theta) == pytest.approx(expected, abs=1e-15)
+        assert s.evalf(theta) == pytest.approx(expected, abs=1e-15)
 
     @given(theta_scalars(), theta_scalars(), theta_scalars())
     def test_addition_associative_commutative(self, a, b, c):
@@ -146,6 +147,25 @@ class TestMatrixLayer:
     @given(det_one_matrices())
     def test_inverse_is_matrix_inverse(self, g):
         assert g @ g.inverse() == IntMatrix2.identity()
+
+    @pytest.mark.parametrize(
+        "x, y, image",
+        [
+            (2, -1, (1, 1)),
+            (THETA_S, 3, (ThetaScalar(9, 2), ThetaScalar(3, 1))),
+            (
+                1,
+                TorusPoint(HALF + THETA_S),
+                (TorusPoint(HALF + 3 * THETA_S), TorusPoint(HALF + THETA_S)),
+            ),
+            (THIRD, THETA_S, (2 * THIRD + 3 * THETA_S, THIRD + THETA_S)),
+        ],
+    )
+    def test_pair_image_keeps_its_values_and_types(self, x, y, image):
+        # a TorusPoint entry wraps both image entries onto the circle
+        got = IntMatrix2(2, 3, 1, 1).apply_pair(x, y)
+        assert got == image
+        assert [type(entry) for entry in got] == [type(entry) for entry in image]
 
     @given(det_one_matrices(), theta_scalars(), theta_scalars())
     def test_pair_action_respects_products(self, g, x, y):
