@@ -81,6 +81,11 @@ def _require_shear(b):
         raise ValueError("the structure needs a nonzero shear")
 
 
+def _require_route(route):
+    if route not in ("grid", "closed"):
+        raise ValueError(f"unknown route {route!r}")
+
+
 def _sum_by_key(pieces) -> dict:
     """Sum (key, profile) pairs sharing a key, in the order they arrive."""
     out = {}
@@ -282,12 +287,11 @@ def line_module_inner(phi: TRFunction, psi: TRFunction, route: str = "grid") -> 
     evaluates the exact Gaussian integrals. The two agree to quadrature
     accuracy and are compared in tests, never merged.
     """
+    _require_route(route)
     _require_same_grid(phi, psi)
     products = _mode_products(phi, psi)
     if route == "closed":
         return CTValued({m: p.integral() for m, p in products.items()})
-    if route != "grid":
-        raise ValueError(f"unknown route {route!r}")
     r, w = phi.grid.nodes(), phi.grid.weights()
     return CTValued({m: complex(np.sum(w * p(r))) for m, p in products.items()})
 
@@ -331,13 +335,12 @@ def sheared_module_inner(
     (profiles evaluate anywhere, so the r/b argument costs nothing);
     route "closed" substitutes u = r/b and integrates exactly.
     """
+    _require_route(route)
     _require_same_grid(phi, psi)
     _require_shear(b)
     products = _mode_products(phi, psi)
     if route == "closed":
         return CTValued({m: abs(b) * p.modulate(-m * b).integral() for m, p in products.items()})
-    if route != "grid":
-        raise ValueError(f"unknown route {route!r}")
     r, w = phi.grid.nodes(), phi.grid.weights()
     sums = {m: np.sum(w * p(r / b) * np.exp(-TWO_PI * 1j * m * r)) for m, p in products.items()}
     return CTValued(sums)
@@ -441,6 +444,7 @@ def descended_inner(
     psi1: ZTRFunction, psi2: ZTRFunction, theta: float, route: str = "grid"
 ) -> SmoothElement:
     """Rotation-algebra-valued inner product of the descended module: layer sums of line_module_inner."""
+    _require_route(route)
     return _layer_inner_sum(psi1, psi2, theta, lambda f, g: line_module_inner(f, g, route))
 
 
@@ -633,6 +637,7 @@ def descent_inner(
     twisted by the layer. A quadrature collapse of the pair-valued inner
     product is kept separately as an oracle (see descent_inner_oracle).
     """
+    _require_route(route)
     return _layer_inner_sum(phi, psi, theta, lambda f, g: sheared_module_inner(f, g, b, route))
 
 

@@ -86,10 +86,8 @@ def nearest_rational_denominator(theta: float, max_den: int = 64, gap: float = 1
     return None
 
 
-def validate_config(
-    config: RunConfig, suite: str = None, for_spectrum: bool = False, target: str = None
-):
-    """Raise ConfigInvalid on values the checks or the spectrum target cannot run with."""
+def validate_config(config: RunConfig, suite: str = None, target: str = None):
+    """Raise ConfigInvalid on values the suite's checks or the spectrum target cannot run with."""
     if not math.isfinite(config.theta):
         raise ConfigInvalid("theta must be finite")
     q = nearest_rational_denominator(config.theta)
@@ -102,7 +100,7 @@ def validate_config(
         raise ConfigInvalid(f"suite {suite!r} needs a nonzero twist degree b")
     if config.level_cut < 1 or config.mode_cut < 1:
         raise ConfigInvalid("truncation windows must be positive")
-    if for_spectrum and config.level_cut < 2:
+    if target is not None and config.level_cut < 2:
         raise ConfigInvalid("spectrum targets need at least two levels")
     if config.grid_nodes < 8:
         raise ConfigInvalid("the quadrature grid needs at least 8 nodes")
@@ -131,15 +129,10 @@ def validate_config(
         raise ConfigInvalid(
             f"the oscillator slope {config.lam} makes the ladder entries non-finite at --L {config.level_cut}"
         )
-
-
-def validate_resolution(config: RunConfig, suite: str):
-    """Raise ConfigInvalid when the quadrature of the suite's checks cannot resolve its profiles.
-
-    Separate from validate_config, whose cost caps bound each flag on its own. The worst
-    error/tolerance over seeds 0-15 and b in {2, 5} reads 0.41 at --grid 96 --R 7.5 and
-    0.22 at the defaults, against 1.6 at --grid 64 --R 5, 6.9 at --R 10.5 and 258 at --R 4.
-    """
+    # the quadrature resolves the check profiles of the suites that read R and the grid:
+    # the worst error/tolerance over seeds 0-15 and b in {2, 5} reads 0.41 at --grid 96
+    # --R 7.5 and 0.22 at the defaults, against 1.6 at --grid 64 --R 5, 6.9 at --R 10.5
+    # and 258 at --R 4
     radius, grid = config.radius, config.grid_nodes
     if suite in _NEEDS_TWIST and (radius < 5 or grid < 96 or 64 * radius > 5 * grid):
         raise ConfigInvalid(
@@ -343,7 +336,6 @@ def main(argv=None) -> int:
         config = build_config(args)
         if args.command == "verify":
             validate_config(config, suite=args.suite)
-            validate_resolution(config, args.suite)
             report = run_suite(args.suite, config)
             _write_output(render_report(report, args.format), args.output)
             raised = [check for check in report["checks"] if "error" in check]
@@ -352,7 +344,7 @@ def main(argv=None) -> int:
             if raised:
                 return 3
             return 0 if report["all_pass"] else 1
-        validate_config(config, for_spectrum=True, target=args.target)
+        validate_config(config, target=args.target)
         rows = spectrum_rows(args.target, config)
         _write_output(render_spectrum(args.target, config, rows, args.format), args.output)
         return 0

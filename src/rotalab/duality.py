@@ -24,7 +24,8 @@ import math
 import numpy as np
 
 from .bimodules import APairValued, LayeredProfiles, RGrid, ZTRFunction, doubled_right_act
-from .bimodules import _coset_offsets, _layer_pair_sum, _require_shear, _require_sign
+from .bimodules import _coset_offsets, _layer_pair_sum, _require_route, _require_shear
+from .bimodules import _require_sign
 from .closedform import GaussSum
 from .errors import AliasingDetected
 from .nctorus import SmoothElement, _worst, lambda_power
@@ -177,8 +178,7 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
     leaving a closed form in the coset offset that is kept for later use.
     The coset window is centred for theta in [0, 1).
     """
-    if route not in ("grid", "closed"):
-        raise ValueError(f"unknown route {route!r}")
+    _require_route(route)
     offsets = _coset_offsets(1, fn1.rgrid.radius, fn1.z_max)
     t = fn1.sgrid.nodes()
     wt = fn1.sgrid.weights()
@@ -395,9 +395,8 @@ def transformed_inner(
     form in the coset offset that is kept for later use. The coset window
     is centred for theta in [0, 1).
     """
+    _require_route(route)
     _require_shear(b)
-    if route not in ("grid", "closed"):
-        raise ValueError(f"unknown route {route!r}")
     offsets = _coset_offsets(abs(b), fn1.rgrid.radius + 2, fn1.z_max)
     t = fn1.rgrid.nodes()
     wt = fn1.rgrid.weights()

@@ -92,17 +92,10 @@ def ladder_blocks(lam: float, L: int):
         raise ValueError("slope must be nonzero")
     if L < 2:
         raise ValueError("need at least two basis functions")
-    if lam > 0:
-        dim_plus, dim_minus = L, L - 1
-        a_plus = np.zeros((dim_minus, dim_plus))
-        for l in range(1, L):
-            a_plus[l - 1, l] = math.sqrt(2.0 * lam * l)
-    else:
-        dim_plus, dim_minus = L - 1, L
-        a_plus = np.zeros((dim_minus, dim_plus))
-        for l in range(0, L - 1):
-            a_plus[l + 1, l] = -math.sqrt(2.0 * abs(lam) * (l + 1))
-    return a_plus, a_plus.T.copy(), dim_plus, dim_minus
+    lowering = np.diag(np.sqrt(2.0 * abs(lam) * np.arange(1, L)), 1)[:-1]
+    # at lam < 0 the negated transpose; 0.0 - x keeps its zero entries at +0.0, -x would not
+    a_plus = lowering if lam > 0 else 0.0 - lowering.T
+    return a_plus, a_plus.T.copy(), a_plus.shape[1], a_plus.shape[0]
 
 
 def dirac_matrix(lam: float, L: int) -> np.ndarray:

@@ -2,11 +2,12 @@
 
 The rotation parameter theta is treated as a formal transcendental, so a
 triple of rationals (p, q, r) represents p + q*theta + r*theta^2 uniquely.
-A ThetaScalar stores it as (a + b*theta + c*theta^2)/d: three integer
-numerators over one shared denominator, in the canonical form d > 0 and
-gcd(a, b, c, d) = 1. The form is unique, so equality and hashing compare
-the four integers, and each operation is integer arithmetic followed by
-one gcd. p, q and r are read back as Fractions on demand.
+A ThetaScalar is the tuple (a, b, c, d) of integers standing for
+(a + b*theta + c*theta^2)/d: three numerators over one shared denominator,
+in the canonical form d > 0 and gcd(a, b, c, d) = 1. The form is unique,
+so the tuple's own equality and hash are those of the number (tuple order
+is not an order on numbers), and each operation is integer arithmetic
+followed by one gcd. p, q and r are read back as Fractions on demand.
 
 Degree is capped at two: that is exactly what the lattice-time formulas
 need (an integer times theta times theta appears, nothing higher), and the
@@ -18,6 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import Union
 
 from .errors import DegreeOverflow, InvalidMu, PoleAtTheta
@@ -32,23 +34,25 @@ def _as_rational(value) -> Rational:
     raise TypeError(f"expected int or Fraction, got {type(value).__name__}")
 
 
-class ThetaScalar:
+class ThetaScalar(tuple):
     """p + q*theta + r*theta^2 with rational p, q, r.
 
-    Held as (a + b*theta + c*theta^2)/d with integers a, b, c, d, d > 0 and
-    gcd(a, b, c, d) = 1. Instances are immutable.
+    Held as the tuple (a, b, c, d) of integers for (a + b*theta + c*theta^2)/d,
+    with d > 0 and gcd(a, b, c, d) = 1.
     """
 
-    __slots__ = ("_a", "_b", "_c", "_d")
+    __slots__ = ()
 
-    def __init__(self, p: Rational = 0, q: Rational = 0, r: Rational = 0):
+    def __new__(cls, p: Rational = 0, q: Rational = 0, r: Rational = 0):
         p, q, r = _as_rational(p), _as_rational(q), _as_rational(r)
         d = math.lcm(p.denominator, q.denominator, r.denominator)
         # reduced inputs over their least common denominator are coprime
-        _set_a(self, p.numerator * (d // p.denominator))
-        _set_b(self, q.numerator * (d // q.denominator))
-        _set_c(self, r.numerator * (d // r.denominator))
-        _set_d(self, d)
+        a = p.numerator * (d // p.denominator)
+        b = q.numerator * (d // q.denominator)
+        c = r.numerator * (d // r.denominator)
+        return tuple.__new__(cls, (a, b, c, d))
+
+    _a, _b, _c, _d = map(property, map(itemgetter, range(4)))
 
     @classmethod
     def of(cls, value) -> "ThetaScalar":
@@ -79,56 +83,39 @@ class ThetaScalar:
     def r(self) -> Fraction:
         return Fraction(self._c, self._d)
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"ThetaScalar is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"ThetaScalar is immutable; cannot delete {name!r}")
-
     def __reduce__(self):
-        return _make, (self._a, self._b, self._c, self._d)
-
-    def __eq__(self, other):
-        if other.__class__ is ThetaScalar:
-            return (
-                self._a == other._a
-                and self._b == other._b
-                and self._c == other._c
-                and self._d == other._d
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self._a, self._b, self._c, self._d))
+        # __new__ takes (p, q, r), so a tuple subclass needs its own reduction
+        return _make, tuple(self)
 
     # ---- ring operations -------------------------------------------------
 
     def __add__(self, other) -> "ThetaScalar":
-        o = other if other.__class__ is ThetaScalar else ThetaScalar.of(other)
-        d1, d2 = self._d, o._d
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = other if other.__class__ is ThetaScalar else ThetaScalar.of(other)
         if d1 == d2:
-            return _make(self._a + o._a, self._b + o._b, self._c + o._c, d1)
+            return _make(a1 + a2, b1 + b2, c1 + c2, d1)
         return _make(
-            self._a * d2 + o._a * d1,
-            self._b * d2 + o._b * d1,
-            self._c * d2 + o._c * d1,
+            a1 * d2 + a2 * d1,
+            b1 * d2 + b2 * d1,
+            c1 * d2 + c2 * d1,
             d1 * d2,
         )
 
     __radd__ = __add__
 
     def __neg__(self) -> "ThetaScalar":
-        return _make(-self._a, -self._b, -self._c, self._d)
+        a, b, c, d = self
+        return _make(-a, -b, -c, d)
 
     def __sub__(self, other) -> "ThetaScalar":
-        o = other if other.__class__ is ThetaScalar else ThetaScalar.of(other)
-        d1, d2 = self._d, o._d
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = other if other.__class__ is ThetaScalar else ThetaScalar.of(other)
         if d1 == d2:
-            return _make(self._a - o._a, self._b - o._b, self._c - o._c, d1)
+            return _make(a1 - a2, b1 - b2, c1 - c2, d1)
         return _make(
-            self._a * d2 - o._a * d1,
-            self._b * d2 - o._b * d1,
-            self._c * d2 - o._c * d1,
+            a1 * d2 - a2 * d1,
+            b1 * d2 - b2 * d1,
+            c1 * d2 - c2 * d1,
             d1 * d2,
         )
 
@@ -136,11 +123,11 @@ class ThetaScalar:
         return ThetaScalar.of(other) - self
 
     def __mul__(self, other) -> "ThetaScalar":
+        a1, b1, c1, d1 = self
         if other.__class__ is int:
-            return _make(self._a * other, self._b * other, self._c * other, self._d)
+            return _make(a1 * other, b1 * other, c1 * other, d1)
         o = other if other.__class__ is ThetaScalar else ThetaScalar.of(other)
-        a1, b1, c1 = self._a, self._b, self._c
-        a2, b2, c2 = o._a, o._b, o._c
+        a2, b2, c2, d2 = o
         # convolution of coefficient triples; degrees 3 and 4 must vanish
         if b1 * c2 + c1 * b2 or c1 * c2:
             raise DegreeOverflow(
@@ -150,20 +137,21 @@ class ThetaScalar:
             a1 * a2,
             a1 * b2 + b1 * a2,
             a1 * c2 + b1 * b2 + c1 * a2,
-            self._d * o._d,
+            d1 * d2,
         )
 
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> "ThetaScalar":
-        o = other if other.__class__ is ThetaScalar else ThetaScalar.of(other)
-        if o._b or o._c:
+        a1, b1, c1, d1 = self
+        a2, b2, c2, d2 = other if other.__class__ is ThetaScalar else ThetaScalar.of(other)
+        if b2 or c2:
             raise ValueError("exact division only by rational scalars")
-        if not o._a:
+        if not a2:
             raise ZeroDivisionError("division by zero scalar")
         # multiply by the inverse d'/a', with its sign moved to the numerator
-        num, den = (o._d, o._a) if o._a > 0 else (-o._d, -o._a)
-        return _make(self._a * num, self._b * num, self._c * num, self._d * den)
+        num, den = (d2, a2) if a2 > 0 else (-d2, -a2)
+        return _make(a1 * num, b1 * num, c1 * num, d1 * den)
 
     # ---- predicates and views -------------------------------------------
 
@@ -182,8 +170,8 @@ class ThetaScalar:
 
     def evalf(self, theta: float) -> float:
         # int / int is correctly rounded, so this equals float(p), float(q), float(r)
-        d = self._d
-        return self._a / d + (self._b / d) * theta + (self._c / d) * theta * theta
+        a, b, c, d = self
+        return a / d + (b / d) * theta + (c / d) * theta * theta
 
     def __repr__(self) -> str:
         parts = []
@@ -196,12 +184,7 @@ class ThetaScalar:
         return " + ".join(parts).replace("+ -", "- ")
 
 
-_new = object.__new__
 _gcd = math.gcd
-# the slot descriptors write past the raising __setattr__
-_set_a, _set_b, _set_c, _set_d = (
-    ThetaScalar.__dict__[slot].__set__ for slot in ThetaScalar.__slots__
-)
 
 
 def _make(a: int, b: int, c: int, d: int) -> ThetaScalar:
@@ -209,12 +192,7 @@ def _make(a: int, b: int, c: int, d: int) -> ThetaScalar:
     g = _gcd(a, b, c, d)
     if g != 1:
         a, b, c, d = a // g, b // g, c // g, d // g
-    obj = _new(ThetaScalar)
-    _set_a(obj, a)
-    _set_b(obj, b)
-    _set_c(obj, c)
-    _set_d(obj, d)
-    return obj
+    return tuple.__new__(ThetaScalar, (a, b, c, d))
 
 
 ZERO = ThetaScalar()
@@ -235,8 +213,9 @@ class TorusPoint:
 
     def __post_init__(self):
         s = ThetaScalar.of(self.x)
-        if not 0 <= s._a < s._d:
-            s = _make(s._a % s._d, s._b, s._c, s._d)
+        a, b, c, d = s
+        if not 0 <= a < d:
+            s = _make(a % d, b, c, d)
         object.__setattr__(self, "x", s)
 
     def __add__(self, other) -> "TorusPoint":

@@ -39,7 +39,7 @@ from rotalab.bimodules import (
     sheared_module_translate,
 )
 from rotalab.closedform import GaussSum1, GaussSum2
-from rotalab.duality import SB2Function
+from rotalab.duality import SB2Function, base_inner, transformed_inner
 from rotalab.errors import GridMismatch, TruncationTooSmall
 from rotalab.nctorus import (
     SmoothElement,
@@ -639,6 +639,28 @@ def test_layer_inner_products_reject_mixed_grids(inner, profiles):
     for pair in ((f, g), (g, f)):
         with pytest.raises(GridMismatch):
             inner(*pair)
+
+
+EMPTY_TR = TRFunction(2, GRID, {})
+EMPTY_ZTR = ZTRFunction(2, 2, GRID, {})
+EMPTY_SB2 = SB2Function(2, 2, GRID, GRID, {})
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [
+        lambda route: line_module_inner(EMPTY_TR, EMPTY_TR, route),
+        lambda route: sheared_module_inner(EMPTY_TR, EMPTY_TR, 2, route),
+        lambda route: descended_inner(EMPTY_ZTR, EMPTY_ZTR, THETA, route),
+        lambda route: descent_inner(EMPTY_ZTR, EMPTY_ZTR, THETA, 2, route),
+        lambda route: base_inner(EMPTY_SB2, EMPTY_SB2, THETA, route),
+        lambda route: transformed_inner(EMPTY_SB2, EMPTY_SB2, THETA, 2, route),
+    ],
+    ids=["line", "sheared", "descended", "descent", "base", "transformed"],
+)
+def test_unknown_route_raises_with_no_profile_to_pair(inner):
+    with pytest.raises(ValueError, match="unknown route 'bogus'"):
+        inner("bogus")
 
 
 def single_profile(cls, key, grid=GRID, poly=(1.0,)):

@@ -16,7 +16,6 @@ from rotalab.cli import (
     read_config_file,
     spectrum_rows,
     validate_config,
-    validate_resolution,
 )
 from rotalab.errors import ConfigInvalid
 
@@ -65,7 +64,7 @@ class TestConfigValidation:
             {"mode_cut": 64},
             {"b": 3, "seed": 5},
             {"grid_nodes": 1448},
-            {"radius": 4091.0},
+            {"grid_nodes": 1448, "radius": 113.0},
             {"b": 682},
             {"b": -682},
             {"level_cut": 1024},
@@ -74,7 +73,15 @@ class TestConfigValidation:
     )
     def test_cost_caps_accept_values_in_use_and_at_the_cap(self, overrides):
         validate_config(RunConfig(**overrides), suite="all")
-        validate_config(RunConfig(**overrides), for_spectrum=True)
+        validate_config(RunConfig(**overrides), target="d_lambda")
+
+    def test_radius_cap_binds_where_r_is_not_read(self):
+        # where R is read, the resolution rule bounds it by 5 grid/64 first: R = 10 at grid 128
+        validate_config(RunConfig(radius=4091.0), suite="algebra")
+        validate_config(RunConfig(radius=4091.0), target="d_lambda")
+        validate_config(RunConfig(radius=10.0), suite="all")
+        with pytest.raises(ConfigInvalid, match="--R"):
+            validate_config(RunConfig(radius=10.001), suite="all")
 
     @pytest.mark.parametrize(
         "overrides",
@@ -127,10 +134,10 @@ class TestResolutionRule:
     def test_only_the_suites_that_read_the_grid_are_held_to_it(self, capsys):
         coarse = RunConfig(radius=4.0, grid_nodes=64)
         for suite in ("algebra", "oscillator", "groupoids", "ktheory"):
-            validate_resolution(coarse, suite)
+            validate_config(coarse, suite=suite)
         for suite in ("bimodules", "duality", "all"):
             with pytest.raises(ConfigInvalid):
-                validate_resolution(coarse, suite)
+                validate_config(coarse, suite=suite)
         assert main(["spectrum", "d_dolbeault", "--R", "4", "--grid", "64"]) == 0
 
 

@@ -54,7 +54,7 @@ def test_validate_config_accepts_or_raises_config_invalid(overrides, suite, targ
     config = RunConfig(**overrides)
     try:
         validate_config(config, suite=suite)
-        validate_config(config, for_spectrum=target is not None, target=target)
+        validate_config(config, target=target)
     except ConfigInvalid:
         pass
 

@@ -62,6 +62,23 @@ class TestLadderMatrices:
         expected = np.sqrt(2.0 * lam * np.arange(1, L))
         assert np.max(np.abs(sv - expected)) < 1e-12
 
+    @pytest.mark.parametrize("lam", [2.0, 0.5, 1e-300, -0.5, -2.0, -1e-300])
+    @pytest.mark.parametrize("L", [2, 3, 64])
+    def test_ladder_blocks_match_the_entrywise_loop(self, lam, L):
+        # reference: one loop per slope sign; tobytes() tells -0.0 from +0.0
+        if lam > 0:
+            expected = np.zeros((L - 1, L))
+            for l in range(1, L):
+                expected[l - 1, l] = math.sqrt(2.0 * lam * l)
+        else:
+            expected = np.zeros((L, L - 1))
+            for l in range(0, L - 1):
+                expected[l + 1, l] = -math.sqrt(2.0 * abs(lam) * (l + 1))
+        a_plus, a_minus, dim_plus, dim_minus = ladder_blocks(lam, L)
+        assert a_plus.shape == expected.shape == (dim_minus, dim_plus)
+        assert a_plus.tobytes() == expected.tobytes()
+        assert a_minus.tobytes() == expected.T.copy().tobytes()
+
     def test_kernel_is_ground_state(self):
         d = dirac_matrix(1.0, 16)
         e0 = np.zeros(d.shape[0])

@@ -306,3 +306,12 @@ class TestIntegerNumeratorRepresentation:
         assert ThetaScalar(Fraction(8, 2)).is_integer
         assert not ThetaScalar(Fraction(1, 2)).is_integer
         assert pickle.loads(pickle.dumps(s)) == s
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_and_deepcopy_keep_value_and_type(self, protocol):
+        s = ThetaScalar(Fraction(-7, 4), 3, Fraction(1, 6))
+        point = torus_reduce(s)
+        for value in (s, point):
+            for copied in (pickle.loads(pickle.dumps(value, protocol)), copy.deepcopy(value)):
+                assert copied == value and type(copied) is type(value)
+        assert type(pickle.loads(pickle.dumps(point, protocol)).x) is ThetaScalar
