@@ -301,22 +301,16 @@ def line_module_translate(phi: TRFunction, l: int, theta: float) -> TRFunction:
     return phi.map(lambda m, p: p.affine(1.0, -float(l)).scale(lambda_power(theta, -m * l)))
 
 
-def _trig_poly(f) -> dict:
-    if isinstance(f, CTValued):
-        return f.coeffs
-    return {int(m): complex(c) for m, c in f.items() if c != 0}
-
-
-def line_module_left(phi: TRFunction, f, b: int) -> TRFunction:
+def line_module_left(phi: TRFunction, f: CTValued, b: int) -> TRFunction:
     """Left circle-function action through the sheared argument x + r b."""
     return phi.gather(
         (m + n, p.modulate(n * b).scale(c))
-        for n, c in _trig_poly(f).items()
+        for n, c in f.coeffs.items()
         for m, p in phi.profiles.items()
     )
 
 
-def line_module_right(phi: TRFunction, f) -> TRFunction:
+def line_module_right(phi: TRFunction, f: CTValued) -> TRFunction:
     """Right circle-function action through the plain argument x: the left one at b = 0."""
     return line_module_left(phi, f, 0)
 

@@ -48,9 +48,8 @@ from .oscillator import (
     functional_calculus,
     grid_dirac_plus_staggered,
     kernel_projector,
-    ladder_blocks,
+    ladder_block,
     oracle_radius,
-    uniform_nodes,
 )
 from .sampling import (
     flow_chain,
@@ -229,7 +228,7 @@ def _representation_interior(cfg, rng):
 @_register("oscillator", "singular_value_law")
 def _singular_value_law(cfg, rng):
     lam, level = cfg.lam, max(cfg.level_cut, 8)
-    a_plus, _, _, _ = ladder_blocks(lam, level)
+    a_plus = ladder_block(lam, level)
     sv = np.sort(np.linalg.svd(a_plus, compute_uv=False))
     keep = max(1, level - 5)
     expected = np.sqrt(2.0 * abs(lam) * np.arange(1, level))
@@ -245,7 +244,8 @@ def _singular_value_law(cfg, rng):
 @_register("oscillator", "grid_oracle")
 def _grid_oracle(cfg, rng):
     lam = cfg.lam
-    nodes = uniform_nodes(oracle_radius(lam, 0.0), 1024)
+    radius = oracle_radius(lam, 0.0)
+    nodes = np.linspace(-radius, radius, 1024)
     sv = np.sort(np.linalg.svd(grid_dirac_plus_staggered(lam, 0.0, nodes), compute_uv=False))
     # at a negative slope the block keeps a near-kernel singular value, compared with 0
     levels = np.arange(1, 11) if lam > 0 else np.arange(11)

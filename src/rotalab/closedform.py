@@ -163,10 +163,6 @@ class GaussSum:
         return out
 
     @classmethod
-    def zero(cls) -> "GaussSum":
-        return cls()
-
-    @classmethod
     def bump(cls, width=1.0, center=0.0, freq=0.0, poly=(1,)) -> "GaussSum":
         """P(r) * exp(-width*(r-center)^2/2 + 2 pi i freq r)."""
         a = complex(width)

@@ -227,23 +227,14 @@ def nct_represent(a: SmoothElement, which: str, L: int, K: int) -> np.ndarray:
         )
     dim = basis_dim(L, K)
     mat = np.zeros((dim, dim), dtype=complex)
-    theta = a.theta
     for (j, m), c in a.coeffs.items():
-        for l in range(-L, L + 1):
-            if not -L <= l + j <= L:
-                continue
-            for k in range(-K, K + 1):
-                if which == "left":
-                    k_out = k + m
-                    phase = lambda_power(theta, j * (k + m))
-                else:
-                    k_out = k - m
-                    phase = lambda_power(theta, -l * m)
-                if not -K <= k_out <= K:
-                    continue
-                mat[basis_index(l + j, k_out, L, K), basis_index(l, k, L, K)] += (
-                    c * phase
-                )
+        for col, (l, k) in enumerate(basis_labels(L, K)):
+            if which == "left":
+                k_out, exponent = k + m, j * (k + m)
+            else:
+                k_out, exponent = k - m, -l * m
+            if -L <= l + j <= L and -K <= k_out <= K:
+                mat[basis_index(l + j, k_out, L, K), col] += c * lambda_power(a.theta, exponent)
     return mat
 
 

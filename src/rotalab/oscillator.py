@@ -2,9 +2,10 @@
 
 The operator acts on pairs of square-integrable functions as the odd
 matrix with entries  lam*(r - t) -/+ d/dr  off the diagonal. In the basis
-of normalized oscillator eigenfunctions centered at t the two blocks are
-shift matrices with entries sqrt(2*lam*l), so spectra, kernels, the
-Fredholm index and functional calculus are all exact finite computations.
+of normalized oscillator eigenfunctions centered at t it is one shift
+block with entries sqrt(2*lam*l) and, in the other corner, its transpose,
+so spectra, kernels, the Fredholm index and functional calculus are all
+exact finite computations.
 
 Truncation policy: the two graded summands keep different basis lengths
 (L and L-1). The block that raises the oscillator index would push the
@@ -79,14 +80,14 @@ def hermite_quadrature(lam: float, t: float, n: int = 80):
 # ---------------------------------------------------------------------------
 
 
-def ladder_blocks(lam: float, L: int):
-    """Blocks (lowering-image, raising-image) of the odd operator.
+def ladder_block(lam: float, L: int) -> np.ndarray:
+    """The block a_plus of the odd operator, from the plus summand to the minus one.
 
-    Returns (a_plus, a_minus, dim_plus, dim_minus) where a_plus maps the
-    plus summand (dimension dim_plus) into the minus summand (dimension
-    dim_minus) and a_minus is its transpose. For lam > 0 the plus block
-    lowers the index with coefficient sqrt(2*lam*l); for lam < 0 the
-    roles swap and a sign appears, which is what flips the index.
+    The plus summand has dimension a_plus.shape[1], the minus summand has
+    a_plus.shape[0], and the other block of the odd operator is a_plus.T.
+    For lam > 0 the block lowers the index with coefficient sqrt(2*lam*l);
+    for lam < 0 the roles swap and a sign appears, which is what flips the
+    index.
     """
     if lam == 0:
         raise ValueError("slope must be nonzero")
@@ -94,17 +95,14 @@ def ladder_blocks(lam: float, L: int):
         raise ValueError("need at least two basis functions")
     lowering = np.diag(np.sqrt(2.0 * abs(lam) * np.arange(1, L)), 1)[:-1]
     # at lam < 0 the negated transpose; 0.0 - x keeps its zero entries at +0.0, -x would not
-    a_plus = lowering if lam > 0 else 0.0 - lowering.T
-    return a_plus, a_plus.T.copy(), a_plus.shape[1], a_plus.shape[0]
+    return lowering if lam > 0 else 0.0 - lowering.T
 
 
 def dirac_matrix(lam: float, L: int) -> np.ndarray:
     """Odd matrix of the operator in the Hermite basis, graded (plus, minus)."""
-    a_plus, a_minus, dim_plus, dim_minus = ladder_blocks(lam, L)
-    mat = np.zeros((dim_plus + dim_minus, dim_plus + dim_minus))
-    mat[dim_plus:, :dim_plus] = a_plus
-    mat[:dim_plus, dim_plus:] = a_minus
-    return mat
+    a = ladder_block(lam, L)
+    dim_minus, dim_plus = a.shape
+    return np.block([[np.zeros((dim_plus, dim_plus)), a.T], [a, np.zeros((dim_minus, dim_minus))]])
 
 
 def dirac_squared_spectrum(lam: float, L: int):
@@ -121,12 +119,10 @@ def dirac_squared_spectrum(lam: float, L: int):
 
 def kernel_projector(lam: float, L: int) -> np.ndarray:
     """Rank-one projector onto the kernel mode inside the truncation."""
-    _, _, dim_plus, dim_minus = ladder_blocks(lam, L)
+    dim_minus, dim_plus = ladder_block(lam, L).shape
     mat = np.zeros((dim_plus + dim_minus, dim_plus + dim_minus))
-    if lam > 0:
-        mat[0, 0] = 1.0
-    else:
-        mat[dim_plus, dim_plus] = 1.0
+    i = 0 if lam > 0 else dim_plus
+    mat[i, i] = 1.0
     return mat
 
 
@@ -145,8 +141,8 @@ def _kernel_dim(block: np.ndarray, rank_tol: float) -> int:
 
 def fredholm_index(lam: float, L: int, rank_tol: float = 1e-8) -> int:
     """dim ker of the plus block minus dim ker of the minus block."""
-    a_plus, a_minus, _, _ = ladder_blocks(lam, L)
-    return _kernel_dim(a_plus, rank_tol) - _kernel_dim(a_minus, rank_tol)
+    a_plus = ladder_block(lam, L)
+    return _kernel_dim(a_plus, rank_tol) - _kernel_dim(a_plus.T, rank_tol)
 
 
 def functional_calculus(f, lam: float, L: int) -> np.ndarray:
@@ -193,10 +189,6 @@ def equivariance_defect(lam: float, l: int, L: int = 64) -> np.ndarray:
 def oracle_radius(lam: float, t: float) -> float:
     """Grid half-width wide enough for the low basis functions, which narrow like 1/sqrt|lam|."""
     return 8.0 / math.sqrt(abs(lam)) + abs(t)
-
-
-def uniform_nodes(radius: float, n: int = 1024) -> np.ndarray:
-    return np.linspace(-radius, radius, n)
 
 
 def _central_difference(n: int, h: float) -> np.ndarray:

@@ -63,14 +63,6 @@ class ThetaScalar(tuple):
             return value
         return cls(value)
 
-    @classmethod
-    def theta(cls, coeff: Rational = 1) -> "ThetaScalar":
-        return cls(0, coeff, 0)
-
-    @classmethod
-    def theta_squared(cls, coeff: Rational = 1) -> "ThetaScalar":
-        return cls(0, 0, coeff)
-
     @property
     def p(self) -> Fraction:
         return Fraction(self._a, self._d)
@@ -196,7 +188,7 @@ def _make(a: int, b: int, c: int, d: int) -> ThetaScalar:
 
 
 ZERO = ThetaScalar()
-THETA = ThetaScalar.theta()
+THETA = ThetaScalar(0, 1)
 
 
 @dataclass(frozen=True)

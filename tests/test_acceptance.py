@@ -43,9 +43,8 @@ from rotalab.oscillator import (
     functional_calculus,
     grid_dirac_plus_staggered,
     kernel_projector,
-    ladder_blocks,
+    ladder_block,
     oracle_radius,
-    uniform_nodes,
 )
 from rotalab.sampling import (
     flow_chain,
@@ -121,12 +120,13 @@ def _pair_diff(left, right):
 def test_criterion_01_oscillator_singular_values():
     started = time.monotonic()
     lam, level = 1.0, 64
-    a_plus, _, _, _ = ladder_blocks(lam, level)
+    a_plus = ladder_block(lam, level)
     sv = np.sort(np.linalg.svd(a_plus, compute_uv=False))
     expected = np.sqrt(2.0 * lam * np.arange(1, level))
     rel = np.abs(sv[:59] - expected[:59]) / expected[:59]
     assert np.max(rel) < 1e-10
-    nodes = uniform_nodes(oracle_radius(lam, 0.0), 1024)
+    radius = oracle_radius(lam, 0.0)
+    nodes = np.linspace(-radius, radius, 1024)
     grid_sv = np.sort(
         np.linalg.svd(grid_dirac_plus_staggered(lam, 0.0, nodes), compute_uv=False)
     )

@@ -164,6 +164,17 @@ class TestConfigSources:
         with pytest.raises(ConfigInvalid):
             read_config_file("/no/such/file.cfg")
 
+    def test_non_utf8_file_rejected(self, tmp_path, capsys):
+        path = tmp_path / "lab.cfg"
+        path.write_bytes(b"theta = 0.7\xff\n")
+        with pytest.raises(ConfigInvalid):
+            read_config_file(str(path))
+        assert main(["verify", "ktheory", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot read config file") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "lab.cfg"
         path.write_text("b = 3\nseed = 7\n")

@@ -14,7 +14,7 @@ def leg_nodes(lo, hi, n=400):
 
 
 def random_sum(rng, nterms=2, max_deg=2):
-    total = GaussSum1.zero()
+    total = GaussSum1()
     for _ in range(nterms):
         poly = rng.normal(size=rng.integers(1, max_deg + 2)) + 1j * rng.normal(
             size=1
@@ -102,7 +102,7 @@ class TestOneVariable:
 
 
 def random_sum2(rng, nterms=2):
-    total = GaussSum2.zero()
+    total = GaussSum2()
     for _ in range(nterms):
         piece = GaussSum2.outer(random_sum(rng, 1), random_sum(rng, 1))
         # a shear correlates the two slots so cross terms are exercised
@@ -208,7 +208,7 @@ def reference_partial_fourier(f, slot, sign):
     """
     delta = sign * 2j * np.pi
     kept = 1 - slot
-    out = GaussSum2.zero()
+    out = GaussSum2()
     for a, b, p in f.terms:
         ajj, akk, ajk, bj, bk = a[slot, slot], a[kept, kept], a[slot, kept], b[slot], b[kept]
         pref = np.sqrt(2 * np.pi) / np.sqrt(ajj) * np.exp(bj * bj / (2 * ajj))

@@ -42,11 +42,10 @@ def plant_moment_recurrence(monkeypatch):
 
 
 def plant_ladder_scale(monkeypatch):
-    original = oscillator.ladder_blocks
+    original = oscillator.ladder_block
 
     def scaled(lam, L):
-        a_plus, a_minus, dim_plus, dim_minus = original(lam, L)
-        return a_plus * (1 + 1e-6), a_minus * (1 + 1e-6), dim_plus, dim_minus
+        return original(lam, L) * (1 + 1e-6)
 
     replace_everywhere(monkeypatch, original, scaled)
 

@@ -12,6 +12,7 @@ from rotalab.nctorus import (
     basis_index,
     basis_labels,
     interior_mask,
+    lambda_power,
     nct_adjoint,
     nct_dolbeault,
     nct_multiply,
@@ -233,6 +234,39 @@ class TestRepresentations:
             mask = interior_mask(L, K, wa[0] + wb[0], wa[1] + wb[1])
             err = np.max(np.abs((pl @ pr - pr @ pl)[:, mask]))
             assert err < 1e-10
+
+    @pytest.mark.parametrize("L, K", [(3, 5), (5, 3), (4, 4)])
+    @pytest.mark.parametrize("which", ["left", "right"])
+    def test_matrices_match_the_entrywise_loop(self, which, L, K):
+        # reference: one loop over l, one over k, each image dropped outside the window
+        def entrywise(a):
+            mat = np.zeros((basis_dim(L, K), basis_dim(L, K)), dtype=complex)
+            for (j, m), c in a.coeffs.items():
+                for l in range(-L, L + 1):
+                    if not -L <= l + j <= L:
+                        continue
+                    for k in range(-K, K + 1):
+                        if which == "left":
+                            k_out = k + m
+                            phase = lambda_power(a.theta, j * (k + m))
+                        else:
+                            k_out = k - m
+                            phase = lambda_power(a.theta, -l * m)
+                        if not -K <= k_out <= K:
+                            continue
+                        mat[basis_index(l + j, k_out, L, K), basis_index(l, k, L, K)] += (
+                            c * phase
+                        )
+            return mat
+
+        rng = np.random.default_rng(37)
+        for theta in (THETA, 12.7071):
+            edge = {(L, 1): 0.5, (-L, -K): 1.0j, (1, K): -0.25, (0, -K): 0.75 - 0.5j}
+            a = random_element(rng, window=min(L, K), theta=theta, terms=6)
+            a = a + SmoothElement(edge, theta)
+            assert max(abs(j) for j, _ in a.coeffs) == L
+            assert max(abs(m) for _, m in a.coeffs) == K
+            assert nct_represent(a, which, L, K).tobytes() == entrywise(a).tobytes()
 
 
 def dolbeault_dense(L, K):

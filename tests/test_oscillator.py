@@ -18,10 +18,9 @@ from rotalab.oscillator import (
     hermite_eval,
     hermite_quadrature,
     kernel_projector,
-    ladder_blocks,
+    ladder_block,
     oracle_radius,
     spectral_derivative,
-    uniform_nodes,
 )
 
 
@@ -57,7 +56,7 @@ class TestHermiteBasis:
 class TestLadderMatrices:
     def test_singular_values_match_closed_form(self):
         lam, L = 1.0, 40
-        a_plus, _, _, _ = ladder_blocks(lam, L)
+        a_plus = ladder_block(lam, L)
         sv = np.sort(np.linalg.svd(a_plus, compute_uv=False))
         expected = np.sqrt(2.0 * lam * np.arange(1, L))
         assert np.max(np.abs(sv - expected)) < 1e-12
@@ -74,10 +73,23 @@ class TestLadderMatrices:
             expected = np.zeros((L, L - 1))
             for l in range(0, L - 1):
                 expected[l + 1, l] = -math.sqrt(2.0 * abs(lam) * (l + 1))
-        a_plus, a_minus, dim_plus, dim_minus = ladder_blocks(lam, L)
-        assert a_plus.shape == expected.shape == (dim_minus, dim_plus)
+        a_plus = ladder_block(lam, L)
+        assert a_plus.shape == expected.shape
         assert a_plus.tobytes() == expected.tobytes()
-        assert a_minus.tobytes() == expected.T.copy().tobytes()
+        # reference: the zero matrix with one slice assignment per block
+        dim_minus, dim_plus = expected.shape
+        dim = dim_plus + dim_minus
+        dirac = np.zeros((dim, dim))
+        dirac[dim_plus:, :dim_plus] = expected
+        dirac[:dim_plus, dim_plus:] = expected.T.copy()
+        assert dirac_matrix(lam, L).tobytes() == dirac.tobytes()
+        projector = np.zeros((dim, dim))
+        if lam > 0:
+            projector[0, 0] = 1.0
+        else:
+            projector[dim_plus, dim_plus] = 1.0
+        assert kernel_projector(lam, L).tobytes() == projector.tobytes()
+        assert fredholm_index(lam, L) == (1 if lam > 0 else -1)
 
     def test_kernel_is_ground_state(self):
         d = dirac_matrix(1.0, 16)
@@ -103,9 +115,9 @@ class TestLadderMatrices:
 
     def test_squared_spectrum_matches_matrix(self):
         lam, L = 2.0, 14
-        a_plus, a_minus, dim_plus, dim_minus = ladder_blocks(lam, L)
-        top_mat = np.sort(np.linalg.eigvalsh(a_minus @ a_plus))
-        bottom_mat = np.sort(np.linalg.eigvalsh(a_plus @ a_minus))
+        a_plus = ladder_block(lam, L)
+        top_mat = np.sort(np.linalg.eigvalsh(a_plus.T @ a_plus))
+        bottom_mat = np.sort(np.linalg.eigvalsh(a_plus @ a_plus.T))
         top, bottom = dirac_squared_spectrum(lam, L)
         assert np.max(np.abs(top_mat - top)) < 1e-10
         # the bottom block keeps one fewer basis vector in the truncation
@@ -120,7 +132,7 @@ class TestLadderIdentityGridOracle:
         # wraparound sits below the target residual
         for lam in (1.0, 2.0):
             radius = oracle_radius(lam, 0.0) + 2.0
-            nodes = uniform_nodes(radius, 1024)
+            nodes = np.linspace(-radius, radius, 1024)
             h = nodes[1] - nodes[0]
             for l in range(1, 11):
                 psi_l = hermite_eval(l, lam, 0.0, nodes)
@@ -131,7 +143,8 @@ class TestLadderIdentityGridOracle:
 
     def test_grid_singular_values_near_closed_form(self):
         lam = 1.0
-        nodes = uniform_nodes(oracle_radius(lam, 0.0), 1024)
+        radius = oracle_radius(lam, 0.0)
+        nodes = np.linspace(-radius, radius, 1024)
         grid_op = grid_dirac_plus_staggered(lam, 0.0, nodes)
         sv = np.sort(np.linalg.svd(grid_op, compute_uv=False))
         # the rectangular block has full row rank: its singular values are
@@ -151,7 +164,7 @@ class TestFredholmIndex:
     def test_rank_ambiguity_guard(self):
         # a rank cut placed on top of a genuine singular value must refuse
         lam, L = 1.0, 8
-        a_plus, _, _, _ = ladder_blocks(lam, L)
+        a_plus = ladder_block(lam, L)
         sv = np.linalg.svd(a_plus, compute_uv=False)
         bad_tol = math.sqrt(2.0 * lam) / sv[0]
         with pytest.raises(RankAmbiguous):
@@ -189,7 +202,7 @@ class TestFunctionalCalculus:
         # same statement from the grid operator: the bound only needs the
         # spectral gap above the kernel, which the staggered oracle sees
         lam = 64.0
-        nodes = uniform_nodes(8.0, 512)
+        nodes = np.linspace(-8.0, 8.0, 512)
         grid_op = grid_dirac_plus_staggered(lam, 0.0, nodes)
         sv = np.sort(np.linalg.svd(grid_op, compute_uv=False))
         # f = exp(-x^2) on the first nonzero singular value; the rectangular
@@ -222,7 +235,7 @@ class TestCommutatorBound:
         # x + r b; the commutator is the multiplier by the chain-rule
         # derivative, so its norm is controlled by b sup|f'|
         rng = np.random.default_rng(31)
-        nodes = uniform_nodes(8.0, 512)
+        nodes = np.linspace(-8.0, 8.0, 512)
         for b in (1, 2):
             modes = {j: complex(rng.normal(), rng.normal()) for j in (-2, -1, 1, 3)}
             fine = np.linspace(0.0, 1.0, 4001)

@@ -25,7 +25,7 @@ rationals = st.fractions(
 )
 small_ints = st.integers(min_value=-5, max_value=5)
 HALF, THIRD = ThetaScalar(Fraction(1, 2)), Fraction(1, 3)
-THETA_S = ThetaScalar.theta()
+THETA_S = ThetaScalar(0, 1)
 
 
 def theta_scalars():
@@ -58,7 +58,7 @@ class TestRingArithmetic:
 
     def test_cubic_overflows(self):
         with pytest.raises(DegreeOverflow):
-            ThetaScalar.theta() * ThetaScalar.theta_squared()
+            ThetaScalar(0, 1) * ThetaScalar(0, 0, 1)
 
     def test_eval_is_polynomial_evaluation(self):
         s = ThetaScalar(Fraction(1, 2), 3, Fraction(-1, 4))
