@@ -239,12 +239,6 @@ class CTValued:
             {m: c * lambda_power(theta, -m * l) for m, c in self.coeffs.items()}
         )
 
-    def __add__(self, other: "CTValued") -> "CTValued":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0j) + c
-        return CTValued(out)
-
     def scale(self, c) -> "CTValued":
         return CTValued({m: v * c for m, v in self.coeffs.items()})
 
@@ -497,15 +491,6 @@ class APairValued:
 
     def value(self, l1: int, l2: int, v: float, w: float) -> complex:
         return self.fn(l1, l2, v, w)
-
-    def __add__(self, other: "APairValued") -> "APairValued":
-        if self.theta != other.theta:
-            raise ValueError("mixed angle parameters")
-        return APairValued(
-            lambda l1, l2, v, w: self.fn(l1, l2, v, w) + other.fn(l1, l2, v, w),
-            max(self.l_max, other.l_max),
-            self.theta,
-        )
 
     def star(self) -> "APairValued":
         theta = self.theta

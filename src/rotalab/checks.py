@@ -22,6 +22,9 @@ from . import bimodules as bm
 from . import duality as du
 from .closedform import GaussSum
 from .groupoids import (
+    FlowArrow,
+    LineOrbitPoint,
+    flow_act_on_line_orbit,
     flow_compose,
     flow_transport,
     lattice_arrow_from_times,
@@ -44,6 +47,7 @@ from .nctorus import (
     pair_multiply,
 )
 from .oscillator import (
+    _kernel_dim,
     fredholm_index,
     functional_calculus,
     grid_dirac_plus_staggered,
@@ -62,7 +66,7 @@ from .sampling import (
     transversal_point,
     unimodular,
 )
-from .scalars import IntMatrix2, ThetaScalar, torus_reduce
+from .scalars import THETA, IntMatrix2, ThetaScalar, torus_reduce
 
 TWO_PI = 2.0 * math.pi
 
@@ -260,10 +264,13 @@ def _grid_oracle(cfg, rng):
 def _index_signs(cfg, rng):
     bad = 0
     for lam in (0.5, 1.0, TWO_PI):
-        if fredholm_index(lam, 32) != 1:
-            bad += 1
-        if fredholm_index(-lam, 32) != -1:
-            bad += 1
+        for slope, index, kernels in ((lam, 1, (1, 0)), (-lam, -1, (0, 1))):
+            if fredholm_index(slope, 32) != index:
+                bad += 1
+            # the index alone is cols - rows for any block; each kernel is not
+            a_plus = ladder_block(slope, 32)
+            if (_kernel_dim(a_plus, 1e-8), _kernel_dim(a_plus.T, 1e-8)) != kernels:
+                bad += 1
     return "kernel imbalance of the split operator", {"slopes": [0.5, 1.0, TWO_PI]}, float(bad), 0.0
 
 
@@ -332,6 +339,12 @@ def _flow_laws(cfg, rng):
     trials = 300
     chains = [flow_chain(rng, 3) for _ in range(trials)]
     bad = _batch_laws(chains, flow_compose)
+    # each chain's first arrow carries the line-orbit point over its source to its range
+    for arrow, _, _ in chains:
+        sx, sy = arrow.source
+        point = LineOrbitPoint(sx - sy.x * THETA, sy.x)
+        if flow_act_on_line_orbit(arrow, point).position() != arrow.range:
+            bad += 1
     return "flow groupoid laws", {"triples": trials}, float(bad), 0.0
 
 
@@ -343,6 +356,10 @@ def _lattice_laws(cfg, rng):
         g = shear(b)
         chains = [lattice_chain(rng, g, 3) for _ in range(trials)]
         bad += _batch_laws(chains, lattice_compose)
+        # each chain's first arrow has the source of the flow arrow by its first time
+        for a, _, _ in chains:
+            if FlowArrow.from_time(*a.range, a.first_time()).source != a.source:
+                bad += 1
     return "doubled-label groupoid laws", {"triples": 3 * trials}, float(bad), 0.0
 
 

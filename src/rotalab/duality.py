@@ -61,48 +61,6 @@ class SB2Function(LayeredProfiles):
         r, s = (grid.nodes()[:: max(1, grid.count // MESH_PER_SLOT)] for grid in self.grids)
         return np.meshgrid(r, s, indexing="ij")
 
-    def boundary_decay_ratio(self) -> float:
-        """Largest boundary-ring magnitude over the global maximum.
-
-        NaN when any sampled magnitude is NaN.
-        """
-        rr, ss = self._mesh()
-        edge_r, edge_s = (grid.nodes()[[0, -1]] for grid in self.grids)
-        rings = ((edge_r[:, None], ss[0][None, :]), (rr[:, 0][:, None], edge_s[None, :]))
-        top = self.sup_norm()
-        edge = _worst(
-            float(np.max(np.abs(g(*ring)))) for g in self.profiles.values() for ring in rings
-        )
-        if math.isnan(top) or math.isnan(edge):
-            return math.nan
-        return edge / top if top > 0 else 0.0
-
-
-def sb_seminorm(fn: SB2Function, n: int, alpha=(0, 0)) -> float:
-    """Weighted sup of the (alpha1, alpha2) derivative.
-
-    The weight is |k|^n + |r|^n + |s|^n + 1 for positive n; at n = 0 the
-    weight collapses to 1 so the seminorm is the plain sup. The supremum
-    is taken over the layer window and a subsampled grid mesh, with
-    derivatives exact on the closed-form profiles. A NaN sample makes
-    the seminorm NaN.
-    """
-    if n < 0:
-        raise ValueError("the weight exponent must be nonnegative")
-    a1, a2 = alpha
-    rr, ss = fn._mesh()
-    weight_rs = np.abs(rr) ** n + np.abs(ss) ** n + 1.0 if n > 0 else 1.0
-    sups = []
-    for (k, _m), g in fn.profiles.items():
-        d = g
-        for _ in range(a1):
-            d = d.derivative(0)
-        for _ in range(a2):
-            d = d.derivative(1)
-        weight = weight_rs + (abs(k) ** n if n > 0 else 0.0)
-        sups.append(float(np.max(weight * np.abs(d(rr, ss)))))
-    return _worst(sups)
-
 
 # ---------------------------------------------------------------------------
 # the base module: multiplication-type first-order operator
@@ -483,35 +441,3 @@ def outer_with_profile(phi: ZTRFunction, p: GaussSum, sgrid: RGrid) -> SB2Functi
     profiles = {key: GaussSum.outer(f, p) for key, f in phi.profiles.items()}
     return SB2Function(phi.z_max, phi.mode_max, phi.grid, sgrid, profiles)
 
-
-# ---------------------------------------------------------------------------
-# the convolution-algebra norm diagnostic
-# ---------------------------------------------------------------------------
-
-
-def i_norm(gram: APairValued, points: int = 4) -> float:
-    """Largest fiber sum of |values| over sampled anchor points.
-
-    Treats the pair-valued array as a kernel on the doubled translation
-    groupoid and returns the max of the two sup-of-fiber-sums (arrows
-    into a point, arrows out of a point), the standard convolution
-    algebra bound. A NaN value makes the norm NaN.
-    """
-    theta = gram.theta
-    span = gram.l_max
-    anchors = (np.arange(points) + 0.37) / points
-    sums = []
-    for v in anchors:
-        for w in anchors:
-            into = 0.0
-            out_of = 0.0
-            for l1 in range(-span, span + 1):
-                for l2 in range(-span, span + 1):
-                    into += abs(gram.value(l1, l2, float(v), float(w)))
-                    out_of += abs(
-                        gram.value(
-                            l1, l2, float(v + l1 * theta), float(w + l2 * theta)
-                        )
-                    )
-            sums += (into, out_of)
-    return _worst(sums)

@@ -1,13 +1,12 @@
 """Finitely supported elements of the smooth rotation algebra.
 
 An element is a finite sum  sum_{n,m} a_{n,m} V^n U^m  where the two
-unitaries satisfy V U = e^{2 pi i theta} U V. Products, adjoints, the
-canonical trace and the Schwartz-type seminorms act on the coefficient
-array directly. Two commuting representations on l^2 of the doubled index
-set (torus mode l, group index k) realize the same elements as plain
-matrices. The flat-torus Dirac operator that pairs with them is odd with
-diagonal blocks, so it is kept as its two block diagonals, never as a
-dense matrix.
+unitaries satisfy V U = e^{2 pi i theta} U V. Products, adjoints and the
+canonical trace act on the coefficient array directly. Two commuting
+representations on l^2 of the doubled index set (torus mode l, group
+index k) realize the same elements as plain matrices. The flat-torus
+Dirac operator that pairs with them is odd with diagonal blocks, so it
+is kept as its two block diagonals, never as a dense matrix.
 
 Residuals throughout the package reduce through `_worst`, which keeps a
 NaN where `max()` would drop it.
@@ -169,13 +168,6 @@ def nct_adjoint(a: SmoothElement) -> SmoothElement:
 def nct_trace(a: SmoothElement) -> complex:
     """The canonical trace picks out the constant coefficient."""
     return a.coefficient(0, 0)
-
-
-def nct_seminorm(a: SmoothElement, k: int) -> float:
-    """sup over the support of (|n|^k + |m|^k) |a_{n,m}|."""
-    if k < 0:
-        raise ValueError("seminorm degree must be nonnegative")
-    return _worst((abs(n) ** k + abs(m) ** k) * abs(c) for (n, m), c in a.coeffs.items())
 
 
 # ---------------------------------------------------------------------------

@@ -491,7 +491,7 @@ class TestPairModule:
     def test_inner_right_compatibility(self):
         rng = random.Random(63)
         f1, f2 = self.make_pair(rng)
-        xi = {(1, 1, 0, 1): 0.8 - 0.3j}
+        xi = {(1, 1, 0, 1): 0.8 - 0.3j, (0, 1, 1, 1): 0.5 + 0.4j}
         for b in (1, 2):
             lhs = pair_module_inner(
                 f1, pair_module_right(f2, xi, THETA, b), THETA, b

@@ -26,6 +26,16 @@ def replace_everywhere(monkeypatch, original, replacement):
                     monkeypatch.setattr(module, attr, replacement)
 
 
+def rewritten(module, function, old, new):
+    """function recompiled in module's namespace with old replaced by new."""
+    source = textwrap.dedent(inspect.getsource(function))
+    mutated = source.replace(old, new)
+    assert mutated != source
+    namespace = dict(vars(module))
+    exec(compile(mutated, module.__file__, "exec"), namespace)
+    return namespace[function.__name__]
+
+
 def plant_lambda_power_sign(monkeypatch):
     original = nctorus.lambda_power
     replace_everywhere(monkeypatch, original, lambda theta, exponent: original(theta, -exponent))
@@ -33,12 +43,8 @@ def plant_lambda_power_sign(monkeypatch):
 
 def plant_moment_recurrence(monkeypatch):
     """M_n = m M_{n-1} + n M_{n-2} / A_jj in place of (n - 1)."""
-    source = textwrap.dedent(inspect.getsource(closedform._integrate_slot))
-    mutated = source.replace("((n - 1) / ajj)", "(n / ajj)")
-    assert mutated != source
-    namespace = dict(vars(closedform))
-    exec(compile(mutated, closedform.__file__, "exec"), namespace)
-    monkeypatch.setattr(closedform, "_integrate_slot", namespace["_integrate_slot"])
+    mutated = rewritten(closedform, closedform._integrate_slot, "((n - 1) / ajj)", "(n / ajj)")
+    monkeypatch.setattr(closedform, "_integrate_slot", mutated)
 
 
 def plant_ladder_scale(monkeypatch):
@@ -53,18 +59,35 @@ def plant_ladder_scale(monkeypatch):
 def plant_right_anchor_sign(monkeypatch):
     """[a v + b r + k theta] in place of - k theta for the right anchor."""
     method = groupoids.TransversalPoint.paired_circle_point
-    source = textwrap.dedent(inspect.getsource(method))
-    mutated = source.replace("- THETA * self.k", "+ THETA * self.k")
-    assert mutated != source
-    namespace = dict(vars(groupoids))
-    exec(compile(mutated, groupoids.__file__, "exec"), namespace)
-    monkeypatch.setattr(groupoids.TransversalPoint, "paired_circle_point", namespace[method.__name__])
+    mutated = rewritten(groupoids, method, "- THETA * self.k", "+ THETA * self.k")
+    monkeypatch.setattr(groupoids.TransversalPoint, "paired_circle_point", mutated)
 
 
 def plant_pair_multiply_phase(monkeypatch):
     """The doubled-algebra product taken at -theta."""
     original = nctorus.pair_multiply
     replace_everywhere(monkeypatch, original, lambda xi, eta, theta: original(xi, eta, -theta))
+
+
+def plant_kernel_dim_rank_sign(monkeypatch):
+    """Columns plus rank in place of columns minus rank."""
+    original = oscillator._kernel_dim
+    mutated = rewritten(oscillator, original, "block.shape[1] - rank", "block.shape[1] + rank")
+    replace_everywhere(monkeypatch, original, mutated)
+
+
+def plant_lattice_source_sign(monkeypatch):
+    """The source's first coordinate moved forward along the flow, not back."""
+    prop = groupoids.LatticeFlowArrow.source
+    mutated = rewritten(groupoids, prop.fget, "self.x - t1 * THETA", "self.x + t1 * THETA")
+    monkeypatch.setattr(groupoids.LatticeFlowArrow, "source", mutated)
+
+
+def plant_line_orbit_flow_sign(monkeypatch):
+    """The line coordinate moved back by the flow time, not forward."""
+    original = groupoids.flow_act_on_line_orbit
+    mutated = rewritten(groupoids, original, "p.s + arrow.time", "p.s - arrow.time")
+    replace_everywhere(monkeypatch, original, mutated)
 
 
 def plant_twist_direction(monkeypatch):
@@ -99,6 +122,9 @@ MUTANTS = [
         ("bimodules",),
         {"bimodules.pair_associativity"},
     ),
+    ("kernel_dim_rank_sign", plant_kernel_dim_rank_sign, ("oscillator",), {"oscillator.index_signs"}),
+    ("lattice_source_sign", plant_lattice_source_sign, ("groupoids",), {"groupoids.lattice_laws"}),
+    ("line_orbit_flow_sign", plant_line_orbit_flow_sign, ("groupoids",), {"groupoids.flow_laws"}),
 ]
 
 

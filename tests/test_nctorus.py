@@ -17,7 +17,6 @@ from rotalab.nctorus import (
     nct_dolbeault,
     nct_multiply,
     nct_represent,
-    nct_seminorm,
     nct_trace,
     pair_multiply,
 )
@@ -41,6 +40,14 @@ def random_element(rng, window=2, theta=THETA, terms=4):
         m = int(rng.integers(-window, window + 1))
         coeffs[(n, m)] = complex(rng.normal(), rng.normal())
     return SmoothElement(coeffs, theta)
+
+
+class TestLambdaPower:
+    @pytest.mark.parametrize("theta", [THETA + 10**6, THETA + 123456, THETA - 98765])
+    @pytest.mark.parametrize("exponent", [1, -3, 7, 25])
+    def test_depends_only_on_theta_mod_one(self, theta, exponent):
+        reduced = theta - math.floor(theta)
+        assert abs(lambda_power(theta, exponent) - lambda_power(reduced, exponent)) < 1e-13
 
 
 class TestProduct:
@@ -169,15 +176,6 @@ class TestTraceAndSeminorm:
             e0 = np.zeros(basis_dim(L, K))
             e0[basis_index(0, 0, L, K)] = 1.0
             assert val.real == pytest.approx(np.sum(np.abs(rep @ e0) ** 2), abs=1e-10)
-
-    def test_seminorm_examples(self):
-        assert nct_seminorm(v(), 2) == 1.0
-        assert nct_seminorm(SmoothElement({}, THETA), 3) == 0.0
-        rng = np.random.default_rng(19)
-        a = random_element(rng)
-        assert nct_seminorm(a.scale(2.0), 4) == pytest.approx(
-            2.0 * nct_seminorm(a, 4), rel=1e-15
-        )
 
 
 class TestRepresentations:
@@ -332,8 +330,3 @@ class TestNanResiduals:
         assert math.isnan(broken.max_abs_difference(zero))
         assert math.isnan(zero.max_abs_difference(broken))
         assert zero.max_abs_difference(zero) == 0.0
-
-    def test_seminorm_keeps_nan(self):
-        broken = SmoothElement({(0, 0): 1.0, (1, 0): math.nan}, THETA)
-        for k in (0, 1, 3):
-            assert math.isnan(nct_seminorm(broken, k))
