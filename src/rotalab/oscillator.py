@@ -139,10 +139,16 @@ def _kernel_dim(block: np.ndarray, rank_tol: float) -> int:
     return block.shape[1] - rank
 
 
+def kernel_dims(lam: float, L: int, rank_tol: float = 1e-8) -> tuple[int, int]:
+    """dim ker of the plus block and dim ker of the minus block (its transpose)."""
+    a_plus = ladder_block(lam, L)
+    return _kernel_dim(a_plus, rank_tol), _kernel_dim(a_plus.T, rank_tol)
+
+
 def fredholm_index(lam: float, L: int, rank_tol: float = 1e-8) -> int:
     """dim ker of the plus block minus dim ker of the minus block."""
-    a_plus = ladder_block(lam, L)
-    return _kernel_dim(a_plus, rank_tol) - _kernel_dim(a_plus.T, rank_tol)
+    plus, minus = kernel_dims(lam, L, rank_tol)
+    return plus - minus
 
 
 def functional_calculus(f, lam: float, L: int) -> np.ndarray:
@@ -213,9 +219,11 @@ def grid_dirac_plus(lam: float, t: float, nodes: np.ndarray) -> np.ndarray:
 def grid_dirac_plus_staggered(lam: float, t: float, nodes: np.ndarray) -> np.ndarray:
     """Central differencing evaluated at midpoints: an (n-1) x n block.
 
-    Both the derivative and the position factor are second-order accurate
-    at the midpoints and adjacent nodes stay coupled, so the singular
-    values approximate the continuum ones without sublattice doubling.
+    The block is upper bidiagonal: row i has entries only in columns i
+    and i + 1, so `bidiagonal_singular_values` reads its spectrum. Both
+    the derivative and the position factor are second-order accurate at
+    the midpoints and adjacent nodes stay coupled, so the singular values
+    approximate the continuum ones without sublattice doubling.
     """
     n = len(nodes)
     h = nodes[1] - nodes[0]
@@ -225,6 +233,40 @@ def grid_dirac_plus_staggered(lam: float, t: float, nodes: np.ndarray) -> np.nda
     mat[idx, idx] = 0.5 * lam * mid - 1.0 / h
     mat[idx, idx + 1] = 0.5 * lam * mid + 1.0 / h
     return mat
+
+
+def bidiagonal_singular_values(block: np.ndarray) -> np.ndarray:
+    """Ascending singular values of an upper bidiagonal (n-1) x n block.
+
+    They are the square roots of the eigenvalues of the tridiagonal
+    B B^T (Golub and Kahan, SIAM J. Numer. Anal. B 2 (1965)), which has
+    d_i^2 + f_i^2 on its diagonal and f_i d_{i+1} beside it, for d the
+    main and f the first upper diagonal of B. A nonzero entry off those
+    two bands raises ValueError, so no part of the operator is ignored.
+    Both bands are first scaled by an exact power of two that brings the
+    largest entry into [1/2, 1), so no square overflows, even at a slope
+    near the cap, and the scaling itself rounds nothing.
+    """
+    rows, cols = block.shape
+    if cols != rows + 1:
+        raise ValueError(f"expected an (n-1) x n block, got {rows} x {cols}")
+    d = np.diagonal(block)
+    f = np.diagonal(block, 1)
+    if np.count_nonzero(block) != np.count_nonzero(d) + np.count_nonzero(f):
+        raise ValueError("block has nonzero entries off its two upper bands")
+    scale = 2.0 ** -math.frexp(float(np.max(np.maximum(np.abs(d), np.abs(f)))))[1]
+    d = scale * d
+    f = scale * f
+    # a block passed as a temporary (CPython 3.11 hands the argument to this
+    # frame) is freed here: it is never resident beside the Gram matrix and
+    # eigvalsh's copy of it, so the peak stays that of a dense SVD
+    del block
+    gram = np.zeros((rows, rows))
+    idx = np.arange(rows)
+    gram[idx, idx] = d * d + f * f
+    # eigvalsh reads the lower triangle only
+    gram[idx[1:], idx[:-1]] = f[:-1] * d[1:]
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(gram), 0.0)) / scale
 
 
 def spectral_derivative(values: np.ndarray, h: float) -> np.ndarray:

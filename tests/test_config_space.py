@@ -126,7 +126,9 @@ def test_negative_slope_passes_the_oscillator_suite(lam):
     assert entries["oscillator.grid_oracle"]["tolerance"] == 1e-3 * math.sqrt(abs(lam))
 
 
-@pytest.mark.parametrize("lam", [0.3, 1.5, 2.0, 16.0, 1e6, 1e-300, 1e300, -0.5, -2.0])
+@pytest.mark.parametrize(
+    "lam", [0.3, 1.5, 2.0, 16.0, 1e6, 1e-300, 1e300, 1e305, 1e306, -0.5, -2.0, -1e306]
+)
 def test_grid_oracle_passes_at_every_slope(lam):
     # the oracle grid scales with 1/sqrt|lambda|, so the error keeps the tolerance's scale
     _, _, max_error, tolerance = checks._grid_oracle(RunConfig(lam=lam), None)
@@ -163,3 +165,19 @@ def test_planted_one_percent_defect_fails_the_grid_oracle_at_a_tiny_slope(monkey
     monkeypatch.setattr(checks, "grid_dirac_plus_staggered", lambda *args: 1.01 * original(*args))
     _, _, max_error, tolerance = checks._grid_oracle(RunConfig(lam=1e-300), None)
     assert np.isfinite(max_error) and max_error > tolerance
+
+
+# (3, 4) lies on the upper band, (3, 0) off both bands
+@pytest.mark.parametrize("row, col, value", [(3, 4, math.nan), (3, 0, 1.0)], ids=["nan", "off-band"])
+def test_a_nan_or_off_band_grid_block_fails_the_grid_oracle(monkeypatch, row, col, value):
+    original = checks.grid_dirac_plus_staggered
+
+    def plant(*args):
+        block = original(*args)
+        block[row, col] = value
+        return block
+
+    monkeypatch.setattr(checks, "grid_dirac_plus_staggered", plant)
+    report = checks.run_suite("oscillator", RunConfig())
+    (entry,) = [e for e in report["checks"] if e["check_id"] == "oscillator.grid_oracle"]
+    assert not entry["pass"] and "error" in entry

@@ -69,6 +69,31 @@ def plant_pair_multiply_phase(monkeypatch):
     replace_everywhere(monkeypatch, original, lambda xi, eta, theta: original(xi, eta, -theta))
 
 
+def plant_pair_multiply_reversed(monkeypatch):
+    """The doubled-algebra product taken in the opposite order."""
+    original = nctorus.pair_multiply
+    replace_everywhere(monkeypatch, original, lambda xi, eta, theta: original(eta, xi, theta))
+
+
+def plant_staggered_derivative_scale(monkeypatch):
+    """The grid derivative's 1/h taken one percent too large."""
+    original = oscillator.grid_dirac_plus_staggered
+    mutated = rewritten(oscillator, original, "1.0 / h", "1.01 / h")
+    replace_everywhere(monkeypatch, original, mutated)
+
+
+def plant_staggered_off_band(monkeypatch):
+    """One entry of the grid block planted off its two upper bands."""
+    original = oscillator.grid_dirac_plus_staggered
+
+    def planted(lam, t, nodes):
+        block = original(lam, t, nodes)
+        block[-1, 0] = block[0, 0]
+        return block
+
+    replace_everywhere(monkeypatch, original, planted)
+
+
 def plant_kernel_dim_rank_sign(monkeypatch):
     """Columns plus rank in place of columns minus rank."""
     original = oscillator._kernel_dim
@@ -122,6 +147,19 @@ MUTANTS = [
         ("bimodules",),
         {"bimodules.pair_associativity"},
     ),
+    (
+        "pair_multiply_reversed",
+        plant_pair_multiply_reversed,
+        ("bimodules",),
+        {"bimodules.pair_associativity"},
+    ),
+    (
+        "staggered_derivative_scale",
+        plant_staggered_derivative_scale,
+        ("oscillator",),
+        {"oscillator.grid_oracle"},
+    ),
+    ("staggered_off_band", plant_staggered_off_band, ("oscillator",), {"oscillator.grid_oracle"}),
     ("kernel_dim_rank_sign", plant_kernel_dim_rank_sign, ("oscillator",), {"oscillator.index_signs"}),
     ("lattice_source_sign", plant_lattice_source_sign, ("groupoids",), {"groupoids.lattice_laws"}),
     ("line_orbit_flow_sign", plant_line_orbit_flow_sign, ("groupoids",), {"groupoids.flow_laws"}),

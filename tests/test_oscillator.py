@@ -8,6 +8,7 @@ import pytest
 
 from rotalab.errors import RankAmbiguous
 from rotalab.oscillator import (
+    bidiagonal_singular_values,
     dirac_matrix,
     dirac_squared_spectrum,
     equivariance_defect,
@@ -17,6 +18,7 @@ from rotalab.oscillator import (
     grid_dirac_plus_staggered,
     hermite_eval,
     hermite_quadrature,
+    kernel_dims,
     kernel_projector,
     ladder_block,
     oracle_radius,
@@ -153,13 +155,49 @@ class TestLadderIdentityGridOracle:
         assert np.max(np.abs(sv[:10] - expected)) < 1e-3
 
 
+class TestBidiagonalSingularValues:
+    @staticmethod
+    def staggered_block(lam):
+        radius = oracle_radius(lam, 0.0)
+        return grid_dirac_plus_staggered(lam, 0.0, np.linspace(-radius, radius, 1024))
+
+    @pytest.mark.parametrize(
+        "lam", [1.0, -1.0, 0.3, 16.0, 1e6, 1e-300, -1e-300, 1e305, 1e306, -1e306]
+    )
+    def test_matches_the_dense_svd(self, lam):
+        block = self.staggered_block(lam)
+        dense = np.sort(np.linalg.svd(block, compute_uv=False))
+        fast = bidiagonal_singular_values(block)
+        assert fast.shape == dense.shape
+        # the squares of the Gram matrix resolve a singular value only down
+        # to about sqrt(machine epsilon) of the largest; at a negative slope
+        # the near-kernel one sits below that in both
+        floor = 1e-7 * dense[-1]
+        resolved = dense > floor
+        assert np.all(np.abs(fast - dense)[resolved] <= 1e-9 * dense[resolved])
+        assert np.all(fast[~resolved] <= floor)
+        assert np.count_nonzero(~resolved) == (1 if lam < 0 else 0)
+
+    def test_rejects_an_entry_off_the_two_bands(self):
+        block = self.staggered_block(1.0)
+        block[-1, 0] = 1e-12
+        with pytest.raises(ValueError, match="off its two upper bands"):
+            bidiagonal_singular_values(block)
+
+    def test_rejects_a_square_block(self):
+        with pytest.raises(ValueError, match="n-1"):
+            bidiagonal_singular_values(np.eye(4))
+
+
 class TestFredholmIndex:
     def test_positive_slope(self):
         assert fredholm_index(1.0, 32) == 1
         assert fredholm_index(2.5, 32) == 1
+        assert kernel_dims(2.5, 32) == (1, 0)
 
     def test_negative_slope(self):
         assert fredholm_index(-1.0, 32) == -1
+        assert kernel_dims(-1.0, 32) == (0, 1)
 
     def test_rank_ambiguity_guard(self):
         # a rank cut placed on top of a genuine singular value must refuse
