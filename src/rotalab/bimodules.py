@@ -239,9 +239,6 @@ class CTValued:
             {m: c * lambda_power(theta, -m * l) for m, c in self.coeffs.items()}
         )
 
-    def scale(self, c) -> "CTValued":
-        return CTValued({m: v * c for m, v in self.coeffs.items()})
-
     def mul(self, other: "CTValued") -> "CTValued":
         out = {}
         for m, c in self.coeffs.items():
@@ -503,8 +500,6 @@ class APairValued:
     def right_mult(self, xi: dict) -> "APairValued":
         theta = self.theta
         items = [(key, c) for key, c in xi.items() if c != 0]
-        if not items:
-            return APairValued(lambda l1, l2, v, w: 0j, self.l_max, theta)
 
         def multiplied(l1, l2, v, w):
             total = 0j
@@ -519,7 +514,8 @@ class APairValued:
                 total += c * base * phase1 * phase2
             return total
 
-        return APairValued(multiplied, self.l_max + max(abs(k[1]) + abs(k[3]) for k, _ in items), theta)
+        reach = max((abs(k[1]) + abs(k[3]) for k, _ in items), default=0)
+        return APairValued(multiplied, self.l_max + reach, theta)
 
     def max_abs_difference(self, other: "APairValued", points: int = 5) -> float:
         """Largest |self - other| over jumps and a circle mesh; NaN if any is NaN."""

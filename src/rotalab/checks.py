@@ -101,9 +101,9 @@ def _profile(rng, freqs=(0.0,)):
     )
 
 
-def _random_tr(rng, grid, freqs=(-1.0, 0.0, 1.0)):
+def _random_tr(rng, grid):
     modes = rng.sample([-2, -1, 0, 1, 2], 3)
-    return bm.TRFunction(8, grid, {m: _profile(rng, freqs) for m in modes})
+    return bm.TRFunction(8, grid, {m: _profile(rng, (-1.0, 0.0, 1.0)) for m in modes})
 
 
 def _random_element(rng, theta, window=2, terms=3):
@@ -144,8 +144,8 @@ def _pair_difference(left, right):
 def _scalar_ring_laws(cfg, rng):
     trials, bad = 200, 0
     for _ in range(trials):
-        a = theta_scalar(rng, 1)
-        b = theta_scalar(rng, 1)
+        a = theta_scalar(rng)
+        b = theta_scalar(rng)
         c = ThetaScalar.of(rational(rng))
         if (a + b) * c != a * c + b * c:
             bad += 1
@@ -161,7 +161,7 @@ def _torus_translation(cfg, rng):
     trials, bad = 200, 0
     for _ in range(trials):
         x = torus_point(rng)
-        t = theta_scalar(rng, 1)
+        t = theta_scalar(rng)
         moved = torus_reduce(x.x + t)
         back = torus_reduce(moved.x - t)
         if back != x:

@@ -77,11 +77,11 @@ SETTINGS = (
 )
 
 
-def nearest_rational_denominator(theta: float, max_den: int = 64, gap: float = 1e-9):
-    """Denominator of a close rational, or None when theta clears the scan."""
-    for q in range(1, max_den + 1):
+def nearest_rational_denominator(theta: float):
+    """Denominator q <= 64 of a rational within 1e-9 of theta, or None."""
+    for q in range(1, 65):
         p = round(theta * q)
-        if abs(theta - p / q) < gap:
+        if abs(theta - p / q) < 1e-9:
             return q
     return None
 

@@ -195,16 +195,12 @@ class GaussSum:
         c = complex(c)
         return GaussSum._of((a, b, p * c) for a, b, p in self.terms)
 
-    def __mul__(self, other):
-        if isinstance(other, GaussSum):
-            return GaussSum._of(
-                (a + a2, b + b2, _poly_mul(p, p2))
-                for a, b, p in self.terms
-                for a2, b2, p2 in other.terms
-            )
-        return self.scale(other)
-
-    __rmul__ = __mul__
+    def __mul__(self, other: "GaussSum") -> "GaussSum":
+        return GaussSum._of(
+            (a + a2, b + b2, _poly_mul(p, p2))
+            for a, b, p in self.terms
+            for a2, b2, p2 in other.terms
+        )
 
     def conjugate(self) -> "GaussSum":
         return GaussSum._of((a.conj(), b.conj(), p.conj()) for a, b, p in self.terms)
@@ -304,6 +300,6 @@ class GaussSum:
         return f"GaussSum({len(self.terms)} terms)"
 
 
-# names kept for callers written against the separate one- and two-variable classes:
-# perfbench/workloads.py builds its inputs through cf.GaussSum1.bump and cf.GaussSum2.outer
+# names kept only for perfbench, written against the separate one- and two-variable classes:
+# workloads.py builds its inputs through cf.GaussSum1.bump and cf.GaussSum2.outer
 GaussSum1 = GaussSum2 = GaussSum

@@ -13,7 +13,8 @@ so substitutions and derivatives are exact; quadrature enters only in
 integrals, always with an exact closed-form route alongside. Both
 routes of the two pair-valued inner products run on all truncated coset
 offsets at once: the closed one integrates the second slot per profile
-pair, the quadrature one samples each layer pair on the offset x node mesh.
+pair at each evaluation, the quadrature one samples each layer pair on
+the offset x node mesh.
 """
 
 from __future__ import annotations
@@ -90,34 +91,22 @@ def base_dirac(fn: SB2Function, sign: int) -> SB2Function:
     return fn.map(lambda key, g: g.mul_poly([[0.0, -sign * 1j], [1.0, 0.0]]))
 
 
-def _closed_coset_sum(fn1: SB2Function, fn2: SB2Function, line):
+def _closed_coset_sum(fn1: SB2Function, fn2: SB2Function, k1, k2, line, jumps, x1, x2, offsets):
     """Closed-route coset sum shared by the two pair-valued inner products.
 
     line(g1, g2, *jumps) is the exact integral over the second slot for
-    one profile pair, a closed form H in the coset offset. The returned
-    sum(k1, k2, jumps, x1, x2, offsets) adds, over the profile pairs of
-    layer k1 of fn1 and layer k2 of fn2, the circle phases at x1 and x2
-    times H summed over the offsets array. Each H is built on first use
-    of its (k1, k2, jumps) and kept for later evaluations.
+    one profile pair, a closed form H in the coset offset. The sum runs
+    over the profile pairs of layer k1 of fn1 and layer k2 of fn2 and adds
+    the circle phases at x1 and x2 times H summed over the offsets array.
     """
-    lines = {}
-
-    def coset_sum(k1, k2, jumps, x1, x2, offsets):
-        key = (k1, k2, jumps)
-        if key not in lines:
-            lines[key] = [
-                (m1, m2, line(g1, g2, *jumps))
-                for m1, g1 in fn1.layer_profiles(k1).items()
-                for m2, g2 in fn2.layer_profiles(k2).items()
-            ]
-        total = 0j
-        for m1, m2, h in lines[key]:
+    total = 0j
+    for m1, g1 in fn1.layer_profiles(k1).items():
+        for m2, g2 in fn2.layer_profiles(k2).items():
+            h = line(g1, g2, *jumps)
             ph1 = cmath.exp(-TWO_PI * 1j * m1 * x1)
             ph2 = cmath.exp(TWO_PI * 1j * m2 * x2)
             total += ph1 * ph2 * complex(np.sum(h(offsets)))
-        return total
-
-    return coset_sum
+    return total
 
 
 def _base_line(g1: GaussSum, g2: GaussSum, l2: int) -> GaussSum:
@@ -132,22 +121,21 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
     while the second is integrated out, by quadrature on the stored grid
     (route "grid", on the offset x node mesh) or by exact closed forms
     (route "closed"), on all truncated offsets at once. The closed route
-    integrates the second slot once per profile pair and jump l2,
-    leaving a closed form in the coset offset that is kept for later use.
-    The coset window is centred for theta in [0, 1).
+    integrates the second slot per profile pair at each evaluation,
+    leaving a closed form in the coset offset that it sums over the
+    offsets. The coset window is centred for theta in [0, 1).
     """
     _require_route(route)
     offsets = _coset_offsets(1, fn1.rgrid.radius, fn1.z_max)
     t = fn1.sgrid.nodes()
     wt = fn1.sgrid.weights()
-    coset_sum = _closed_coset_sum(fn1, fn2, _base_line)
 
     def layer_pair(k1, k2, l1, l2, v, w):
         x1 = v - k1 * theta
         x2 = v - (k1 + l2) * theta
         rho = offsets + k1 * theta - v + w
         if route == "closed":
-            return coset_sum(k1, k2, (l2,), x1, x2, rho)
+            return _closed_coset_sum(fn1, fn2, k1, k2, _base_line, (l2,), x1, x2, rho)
         left = fn1.eval_at(k1, x1, rho[:, None], t)
         right = fn2.eval_at(k2, x2, rho[:, None], t)
         return complex(np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right))
@@ -349,22 +337,21 @@ def transformed_inner(
     integration variable, which runs through the second slot, on all
     truncated offsets at once. Route "grid" integrates with the stored
     rule on the offset x node mesh; route "closed" integrates the second
-    slot once per profile pair and jump pair (l1, l2), leaving a closed
-    form in the coset offset that is kept for later use. The coset window
-    is centred for theta in [0, 1).
+    slot per profile pair at each evaluation, leaving a closed form in the
+    coset offset that it sums over the offsets. The coset window is
+    centred for theta in [0, 1).
     """
     _require_route(route)
     _require_shear(b)
     offsets = _coset_offsets(abs(b), fn1.rgrid.radius + 2, fn1.z_max)
     t = fn1.rgrid.nodes()
     wt = fn1.rgrid.weights()
-    coset_sum = _closed_coset_sum(fn1, fn2, _transformed_line)
 
     def layer_pair(k1, k2, l1, l2, v, w):
         x2 = v - l1 * theta
         c0 = (offsets + k1 * theta - v + w) / b
         if route == "closed":
-            return coset_sum(k1, k2, (l1, l2), v, x2, c0)
+            return _closed_coset_sum(fn1, fn2, k1, k2, _transformed_line, (l1, l2), v, x2, c0)
         left = fn1.eval_at(k1, v, c0[:, None] - t, t)
         right = fn2.eval_at(k2, x2, c0[:, None] - t + l1, t - l2)
         return complex(np.sum(wt * np.conj(left) * right))

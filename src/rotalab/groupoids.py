@@ -247,15 +247,13 @@ def lattice_times_to_labels(t1, t2, g: IntMatrix2):
     return a * m1_int + b * m2_int, -c * m1_int - d * m2_int
 
 
-def lattice_times_to_labels_numeric(
-    t1: float, t2: float, g: IntMatrix2, theta: float, tol: float = 1e-9
-):
-    """Float-mode label recovery for matrices that are not upper triangular."""
+def lattice_times_to_labels_numeric(t1: float, t2: float, g: IntMatrix2, theta: float):
+    """Float-mode label recovery, to within 1e-9, for matrices that are not upper triangular."""
     a, b, c, d = g.a, g.b, g.c, g.d
     m1 = t1 * theta - t2 * (d * theta - b)
     m2 = t1 - t2 * (a - c * theta)
     m1_int, m2_int = round(m1), round(m2)
-    if abs(m1 - m1_int) > tol or abs(m2 - m2_int) > tol:
+    if abs(m1 - m1_int) > 1e-9 or abs(m2 - m2_int) > 1e-9:
         raise NotInFg("flow times do not satisfy the lattice condition")
     return a * m1_int + b * m2_int, -c * m1_int - d * m2_int
 

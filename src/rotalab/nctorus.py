@@ -64,12 +64,12 @@ class SmoothElement:
         return cls({(0, 0): 1.0}, theta)
 
     @classmethod
-    def v_power(cls, n: int, theta: float, coeff=1.0) -> "SmoothElement":
-        return cls({(n, 0): coeff}, theta)
+    def v_power(cls, n: int, theta: float) -> "SmoothElement":
+        return cls({(n, 0): 1.0}, theta)
 
     @classmethod
-    def u_power(cls, m: int, theta: float, coeff=1.0) -> "SmoothElement":
-        return cls({(0, m): coeff}, theta)
+    def u_power(cls, m: int, theta: float) -> "SmoothElement":
+        return cls({(0, m): 1.0}, theta)
 
     # ---- views -----------------------------------------------------------
 

@@ -65,10 +65,10 @@ def hermite_eval(l: int, lam: float, t: float, r):
     return psi
 
 
-def hermite_quadrature(lam: float, t: float, n: int = 80):
-    """Nodes and folded weights so that sum(w * F(r)) integrates products
+def hermite_quadrature(lam: float, t: float):
+    """80 nodes and folded weights so that sum(w * F(r)) integrates products
     of two basis functions (slope lam, center t) essentially exactly."""
-    u, w = np.polynomial.hermite.hermgauss(n)
+    u, w = np.polynomial.hermite.hermgauss(80)
     a = abs(lam)
     nodes = t + u / math.sqrt(a)
     folded = w * np.exp(u * u) / math.sqrt(a)

@@ -19,25 +19,25 @@ from .groupoids import (
 from .scalars import IntMatrix2, ThetaScalar, TorusPoint, torus_reduce
 
 
-def rational(rng: random.Random, lo: int = -5, hi: int = 5, max_den: int = 12) -> Fraction:
-    den = rng.randint(1, max_den)
-    num = rng.randint(lo * den, hi * den)
-    return Fraction(num, den)
+def rational(rng: random.Random) -> Fraction:
+    """A rational in [-5, 5] with denominator at most 12."""
+    den = rng.randint(1, 12)
+    return Fraction(rng.randint(-5 * den, 5 * den), den)
 
 
-def theta_scalar(rng: random.Random, degree: int = 1) -> ThetaScalar:
-    parts = [rational(rng) if k <= degree else 0 for k in range(3)]
-    return ThetaScalar(*parts)
+def theta_scalar(rng: random.Random) -> ThetaScalar:
+    """p + q*theta with p and q drawn by rational()."""
+    return ThetaScalar(rational(rng), rational(rng))
 
 
-def torus_point(rng: random.Random, degree: int = 1) -> TorusPoint:
-    return torus_reduce(theta_scalar(rng, degree))
+def torus_point(rng: random.Random) -> TorusPoint:
+    return torus_reduce(theta_scalar(rng))
 
 
-def unimodular(rng: random.Random, bound: int = 5) -> IntMatrix2:
-    """A random integer matrix with det +-1 and entries within the bound."""
+def unimodular(rng: random.Random) -> IntMatrix2:
+    """A random integer matrix with det +-1 and entries in [-5, 5]."""
     while True:
-        a, b, c, d = (rng.randint(-bound, bound) for _ in range(4))
+        a, b, c, d = (rng.randint(-5, 5) for _ in range(4))
         if a * d - b * c in (1, -1):
             return IntMatrix2(a, b, c, d)
 
@@ -63,7 +63,7 @@ def rotation_chain(rng: random.Random, length: int = 3):
 def flow_chain(rng: random.Random, length: int = 3):
     """Composable flow arrows with exact degree-one flow times."""
     def arrow_at(xy):
-        return FlowArrow.from_time(*xy, ThetaScalar(rational(rng), rational(rng)))
+        return FlowArrow.from_time(*xy, theta_scalar(rng))
 
     return _chain((torus_point(rng), torus_point(rng)), arrow_at, length)
 
@@ -79,7 +79,7 @@ def lattice_chain(rng: random.Random, g: IntMatrix2, length: int = 3):
 def transversal_point(rng: random.Random, b: int) -> TransversalPoint:
     return TransversalPoint(
         torus_point(rng),
-        ThetaScalar(rational(rng), rational(rng)),
+        theta_scalar(rng),
         rng.randint(-5, 5),
         shear(b),
     )

@@ -218,16 +218,6 @@ class TorusPoint:
     def __sub__(self, other) -> "TorusPoint":
         return TorusPoint(self.x - (other.x if isinstance(other, TorusPoint) else other))
 
-    def __neg__(self) -> "TorusPoint":
-        return TorusPoint(-self.x)
-
-    def scale(self, factor: Rational) -> "TorusPoint":
-        # well defined only for integer factors; guarded for that reason
-        f = _as_rational(factor)
-        if f.denominator != 1:
-            raise ValueError("circle points only scale by integers")
-        return TorusPoint(self.x * f)
-
     def evalf(self, theta: float) -> float:
         return self.x.evalf(theta) % 1.0
 

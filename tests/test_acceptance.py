@@ -15,8 +15,9 @@ import numpy as np
 
 from rotalab import bimodules as bm
 from rotalab import duality as du
+from rotalab.checks import _pair_difference
 from rotalab.cli import main as cli_main
-from rotalab.closedform import GaussSum1, GaussSum2
+from rotalab.closedform import GaussSum
 from rotalab.groupoids import (
     flow_compose,
     flow_transport,
@@ -64,7 +65,7 @@ def _stamp(n: int, message: str):
 
 
 def _profile(rng, freqs=(0.0,)):
-    return GaussSum1.bump(
+    return GaussSum.bump(
         width=rng.uniform(1.0, 2.0),
         center=rng.uniform(-0.8, 0.8),
         freq=rng.choice(freqs),
@@ -78,7 +79,7 @@ def _tr(rng, freqs=(-1.0, 0.0, 1.0), modes=(-2, -1, 0, 1, 2)):
 
 
 def _outer(rng, freqs=(-1.0, 0.0, 1.0)):
-    return GaussSum2.outer(_profile(rng, freqs), _profile(rng, freqs))
+    return GaussSum.outer(_profile(rng, freqs), _profile(rng, freqs))
 
 
 def _sb_pair(rng, freqs=(-1.0, 0.0, 1.0)):
@@ -103,13 +104,6 @@ def _twelve_set(rng):
                     )
                 )
     return out
-
-
-_PAIR_SAMPLES = [(0, 0, 0.15, 0.4), (1, 0, 0.7, 0.2), (0, 1, 0.3, 0.8), (-1, 1, 0.5, 0.1)]
-
-
-def _pair_diff(left, right):
-    return _worst(abs(left.value(*s) - right.value(*s)) for s in _PAIR_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +314,7 @@ def test_criterion_08_composite_transform_suite():
             b,
             "closed",
         )
-        unitarity.append(_pair_diff(fixed, moved))
+        unitarity.append(_pair_difference(fixed, moved))
     unit_worst = _worst(unitarity)
     assert unit_worst < 1e-6
     _stamp(
@@ -460,12 +454,12 @@ def _base_structure(rng):
         du.base_right_act(big, xi, THETA), eta, THETA
     ).max_abs_difference(du.base_right_act(big, pair_multiply(xi, eta, THETA), THETA))
     closed = du.base_inner(f1, f2, THETA, "closed")
-    linear = _pair_diff(
+    linear = _pair_difference(
         du.base_inner(f1, du.base_right_act(f2, xi, THETA), THETA, "closed"),
         closed.right_mult(xi),
     )
-    herm = _pair_diff(closed.star(), du.base_inner(f2, f1, THETA, "closed"))
-    grid = _pair_diff(du.base_inner(f1, f2, THETA, "grid"), closed)
+    herm = _pair_difference(closed.star(), du.base_inner(f2, f1, THETA, "closed"))
+    grid = _pair_difference(du.base_inner(f1, f2, THETA, "grid"), closed)
     return _worst((assoc, linear, herm)), grid
 
 
@@ -481,12 +475,12 @@ def _transformed_structure(rng):
         du.transformed_right_act(big, pair_multiply(xi, eta, THETA), THETA, b)
     )
     closed = du.transformed_inner(f1, f2, THETA, b, "closed")
-    linear = _pair_diff(
+    linear = _pair_difference(
         du.transformed_inner(f1, du.transformed_right_act(f2, xi, THETA, b), THETA, b, "closed"),
         closed.right_mult(xi),
     )
-    herm = _pair_diff(closed.star(), du.transformed_inner(f2, f1, THETA, b, "closed"))
-    grid = _pair_diff(du.transformed_inner(f1, f2, THETA, b, "grid"), closed)
+    herm = _pair_difference(closed.star(), du.transformed_inner(f2, f1, THETA, b, "closed"))
+    grid = _pair_difference(du.transformed_inner(f1, f2, THETA, b, "grid"), closed)
     return _worst((assoc, linear, herm)), grid
 
 

@@ -38,7 +38,7 @@ from rotalab.bimodules import (
     sheared_module_inner,
     sheared_module_translate,
 )
-from rotalab.closedform import GaussSum1, GaussSum2
+from rotalab.closedform import GaussSum
 from rotalab.duality import SB2Function, base_inner, transformed_inner
 from rotalab.errors import GridMismatch, TruncationTooSmall
 from rotalab.nctorus import (
@@ -56,7 +56,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def bump(width, center, freq=0.0, poly=(1.0,)):
-    return GaussSum1.bump(width=width, center=center, freq=freq, poly=poly)
+    return GaussSum.bump(width=width, center=center, freq=freq, poly=poly)
 
 
 def random_profile(rng, freqs=(-1, 0, 1)):
@@ -499,6 +499,14 @@ class TestPairModule:
             rhs = pair_module_inner(f1, f2, THETA, b).right_mult(xi)
             assert lhs.max_abs_difference(rhs, points=3) < 1e-10
 
+    @pytest.mark.parametrize("xi", [{}, {(1, 1, 0, 1): 0.0, (0, 2, 1, -1): 0j}])
+    def test_right_mult_by_zero_is_the_zero_form(self, xi):
+        form = APairValued(lambda l1, l2, v, w: complex(1 + l1, v - w), 2, THETA)
+        product = form.right_mult(xi)
+        assert product.l_max == form.l_max
+        zero = APairValued(lambda l1, l2, v, w: 0j, 2, THETA)
+        assert product.max_abs_difference(zero) == 0.0
+
     def test_inner_star_symmetry(self):
         rng = random.Random(64)
         f1, f2 = self.make_pair(rng)
@@ -670,7 +678,7 @@ def single_profile(cls, key, grid=GRID, poly=(1.0,)):
         return TRFunction(2, grid, {key[1]: p})
     if cls is ZTRFunction:
         return ZTRFunction(2, 2, grid, {key: p})
-    return SB2Function(2, 2, grid, grid, {key: GaussSum2.outer(p, bump(1.0, 0.0))})
+    return SB2Function(2, 2, grid, grid, {key: GaussSum.outer(p, bump(1.0, 0.0))})
 
 
 @pytest.mark.parametrize("cls", [TRFunction, ZTRFunction, SB2Function])
@@ -690,7 +698,7 @@ class TestKeyedProfiles:
     def test_difference_norm_is_the_sup_norm_of_the_difference(self, cls):
         f = single_profile(cls, (0, 0)) + single_profile(cls, (1, 1)).scale(0.5j)
         g = single_profile(cls, (0, 0)).scale(0.25) + single_profile(cls, (-1, 0))
-        points, zero = f._mesh(), GaussSum1()
+        points, zero = f._mesh(), GaussSum()
         # each key's profile difference, sampled on the mesh
         per_key = max(
             float(np.max(np.abs((f.profiles.get(key, zero) - g.profiles.get(key, zero))(*points))))

@@ -160,6 +160,20 @@ class TestConfigSources:
         with pytest.raises(ConfigInvalid):
             read_config_file(str(path))
 
+    def test_comment_and_blank_lines_are_skipped(self, tmp_path):
+        path = tmp_path / "lab.cfg"
+        path.write_text("# lab settings\n\nb = 3\n   \n# seed = 7\n")
+        assert read_config_file(str(path)) == {"b": 3}
+
+    def test_line_without_equals_exits_two_with_its_location(self, tmp_path, capsys):
+        path = tmp_path / "lab.cfg"
+        path.write_text("b = 3\nseed 7\n")
+        assert main(["verify", "ktheory", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {path}:2: expected key = value")
+
     def test_missing_file_rejected(self):
         with pytest.raises(ConfigInvalid):
             read_config_file("/no/such/file.cfg")
@@ -379,3 +393,9 @@ class TestSpectrumCommand:
         capsys.readouterr()
         assert main(["spectrum", "d_dolbeault", "--K", "0"]) == 2
         capsys.readouterr()
+
+    def test_single_level_rejected(self, capsys):
+        assert main(["spectrum", "d_lambda", "--L", "1"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "at least two levels" in err

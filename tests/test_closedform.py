@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rotalab.closedform import GaussSum1, GaussSum2
+from rotalab.closedform import GaussSum
 
 RNG = np.random.default_rng(7)
 
@@ -14,12 +14,12 @@ def leg_nodes(lo, hi, n=400):
 
 
 def random_sum(rng, nterms=2, max_deg=2):
-    total = GaussSum1()
+    total = GaussSum()
     for _ in range(nterms):
         poly = rng.normal(size=rng.integers(1, max_deg + 2)) + 1j * rng.normal(
             size=1
         )
-        total = total + GaussSum1.bump(
+        total = total + GaussSum.bump(
             width=float(rng.uniform(0.5, 3.0)),
             center=float(rng.uniform(-1.5, 1.5)),
             freq=float(rng.uniform(-2.0, 2.0)),
@@ -30,14 +30,14 @@ def random_sum(rng, nterms=2, max_deg=2):
 
 class TestOneVariable:
     def test_bump_matches_formula(self):
-        f = GaussSum1.bump(width=2.0, center=0.5, freq=1.5)
+        f = GaussSum.bump(width=2.0, center=0.5, freq=1.5)
         r = np.linspace(-3, 3, 41)
         direct = np.exp(-2.0 * (r - 0.5) ** 2 / 2 + 2j * np.pi * 1.5 * r)
         assert np.max(np.abs(f(r) - direct)) < 1e-14
 
     def test_positivity_guard(self):
         with pytest.raises(ValueError):
-            GaussSum1([([[-1.0]], [0.0], [1.0])])
+            GaussSum([([[-1.0]], [0.0], [1.0])])
 
     def test_product_pointwise(self):
         f, g = random_sum(RNG), random_sum(RNG)
@@ -96,15 +96,15 @@ class TestOneVariable:
         assert abs(f.l2_inner(g) - np.conj(g.l2_inner(f))) < 1e-11
 
     def test_moments_with_polynomial(self):
-        f = GaussSum1.bump(width=1.3, center=0.4, freq=0.7, poly=(1, -2, 0.5, 1j))
+        f = GaussSum.bump(width=1.3, center=0.4, freq=0.7, poly=(1, -2, 0.5, 1j))
         x, w = leg_nodes(-15, 15, 800)
         assert abs(f.integral() - np.sum(w * f(x))) < 1e-10
 
 
 def random_sum2(rng, nterms=2):
-    total = GaussSum2()
+    total = GaussSum()
     for _ in range(nterms):
-        piece = GaussSum2.outer(random_sum(rng, 1), random_sum(rng, 1))
+        piece = GaussSum.outer(random_sum(rng, 1), random_sum(rng, 1))
         # a shear correlates the two slots so cross terms are exercised
         total = total + piece.affine(1.0, float(rng.uniform(-0.6, 0.6)), 0.0, 1.0, 0.1, -0.2)
     return total
@@ -113,7 +113,7 @@ def random_sum2(rng, nterms=2):
 class TestTwoVariables:
     def test_outer_pointwise(self):
         f, g = random_sum(RNG), random_sum(RNG)
-        fg = GaussSum2.outer(f, g)
+        fg = GaussSum.outer(f, g)
         r = np.linspace(-2, 2, 21)[:, None]
         s = np.linspace(-2, 2, 19)[None, :]
         assert np.max(np.abs(fg(r, s) - f(r) * g(s))) < 1e-12
@@ -187,7 +187,7 @@ class TestTwoVariables:
         assert abs(f.l2_inner(g) - np.conj(g.l2_inner(f))) < 1e-9
 
     def test_one_variable_arguments_rejected(self):
-        f = GaussSum2.outer(GaussSum1.bump(), GaussSum1.bump(width=2.0))
+        f = GaussSum.outer(GaussSum.bump(), GaussSum.bump(width=2.0))
         with pytest.raises(ValueError):
             f.mul_poly((0.0, 1.0))
         with pytest.raises(ValueError):
@@ -208,7 +208,7 @@ def reference_partial_fourier(f, slot, sign):
     """
     delta = sign * 2j * np.pi
     kept = 1 - slot
-    out = GaussSum2()
+    out = GaussSum()
     for a, b, p in f.terms:
         ajj, akk, ajk, bj, bk = a[slot, slot], a[kept, kept], a[slot, kept], b[slot], b[kept]
         pref = np.sqrt(2 * np.pi) / np.sqrt(ajj) * np.exp(bj * bj / (2 * ajj))
@@ -219,7 +219,7 @@ def reference_partial_fourier(f, slot, sign):
         moved_b = np.empty(2, dtype=complex)
         moved_b[kept] = bk - bj * ajk / ajj
         moved_b[slot] = delta * bj / ajj
-        base = GaussSum2([(moved_a, moved_b, [[pref]])])
+        base = GaussSum([(moved_a, moved_b, [[pref]])])
         for index, c in np.ndenumerate(p):
             if c == 0:
                 continue
@@ -250,7 +250,7 @@ def random_high_degree_sum2(rng, nterms=3, max_deg=6):
         shape = (max_deg + 1, max_deg + 1) if n == 0 else rng.integers(1, max_deg + 2, size=2)
         p = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         terms.append((a, b, p))
-    return GaussSum2(terms)
+    return GaussSum(terms)
 
 
 def slot_mesh(slot):

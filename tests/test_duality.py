@@ -24,7 +24,7 @@ from rotalab import checks
 from rotalab import duality as du
 from rotalab.checks import _pair_difference
 from rotalab.cli import RunConfig
-from rotalab.closedform import GaussSum1, GaussSum2
+from rotalab.closedform import GaussSum
 from rotalab.duality import (
     SB2Function,
     angular_weight_correction,
@@ -56,7 +56,7 @@ TWO_PI = 2.0 * math.pi
 
 
 def bump(width, center, freq=0.0, poly=(1.0,)):
-    return GaussSum1.bump(width=width, center=center, freq=freq, poly=poly)
+    return GaussSum.bump(width=width, center=center, freq=freq, poly=poly)
 
 
 def sb(profiles, z_max=2, mode_max=6):
@@ -66,9 +66,9 @@ def sb(profiles, z_max=2, mode_max=6):
 def standard_function():
     return sb(
         {
-            (0, 0): GaussSum2.outer(bump(1.3, 0.2), bump(1.1, -0.3)),
-            (1, 1): GaussSum2.outer(bump(1.6, -0.4, 1.0), bump(1.4, 0.1)),
-            (-1, -2): GaussSum2.outer(bump(1.2, 0.0, 0.0, (0.0, 1.0)), bump(1.8, 0.2)),
+            (0, 0): GaussSum.outer(bump(1.3, 0.2), bump(1.1, -0.3)),
+            (1, 1): GaussSum.outer(bump(1.6, -0.4, 1.0), bump(1.4, 0.1)),
+            (-1, -2): GaussSum.outer(bump(1.2, 0.0, 0.0, (0.0, 1.0)), bump(1.8, 0.2)),
         }
     )
 
@@ -77,15 +77,15 @@ def small_pair():
     f1 = SB2Function(
         1, 4, GRID, GRID,
         {
-            (0, 0): GaussSum2.outer(bump(1.3, 0.2), bump(1.1, -0.3)),
-            (1, 1): GaussSum2.outer(bump(1.6, -0.4), bump(1.4, 0.1)),
+            (0, 0): GaussSum.outer(bump(1.3, 0.2), bump(1.1, -0.3)),
+            (1, 1): GaussSum.outer(bump(1.6, -0.4), bump(1.4, 0.1)),
         },
     )
     f2 = SB2Function(
         1, 4, GRID, GRID,
         {
-            (0, 1): GaussSum2.outer(bump(1.5, -0.1), bump(1.2, 0.3)),
-            (-1, 0): GaussSum2.outer(bump(1.2, 0.3), bump(1.7, -0.2)),
+            (0, 1): GaussSum.outer(bump(1.5, -0.1), bump(1.2, 0.3)),
+            (-1, 0): GaussSum.outer(bump(1.2, 0.3), bump(1.7, -0.2)),
         },
     )
     return f1, f2
@@ -93,9 +93,9 @@ def small_pair():
 
 def twelve_element_set():
     shapes = [
-        lambda: GaussSum2.outer(bump(1.2, 0.3), bump(1.5, -0.2)),
-        lambda: GaussSum2.outer(bump(1.8, -0.4, 1.0), bump(1.1, 0.1)),
-        lambda: GaussSum2.outer(bump(1.4, 0.0, 0.0, (0.0, 1.0)), bump(1.3, 0.4)),
+        lambda: GaussSum.outer(bump(1.2, 0.3), bump(1.5, -0.2)),
+        lambda: GaussSum.outer(bump(1.8, -0.4, 1.0), bump(1.1, 0.1)),
+        lambda: GaussSum.outer(bump(1.4, 0.0, 0.0, (0.0, 1.0)), bump(1.3, 0.4)),
     ]
     out = []
     for key1 in [(0, 0), (1, -1)]:
@@ -121,11 +121,11 @@ def coset_pair():
     f1, f2 = small_pair()
     f1 = f1 + SB2Function(
         1, 4, GRID, GRID,
-        {(0, -1): GaussSum2.outer(bump(1.4, 0.1, 1.0, (0.5, 1.0)), bump(1.3, -0.2))},
+        {(0, -1): GaussSum.outer(bump(1.4, 0.1, 1.0, (0.5, 1.0)), bump(1.3, -0.2))},
     )
     f2 = f2 + SB2Function(
         1, 4, GRID, GRID,
-        {(0, 2): GaussSum2.outer(bump(1.2, -0.3), bump(1.5, 0.2, -1.0, (1.0, -0.5)))},
+        {(0, 2): GaussSum.outer(bump(1.2, -0.3), bump(1.5, 0.2, -1.0, (1.0, -0.5)))},
     )
     return f1, f2
 
@@ -378,7 +378,7 @@ class TestBaseDirac:
 class TestTransforms:
     def test_slot_fourier_fixes_selfdual_gaussian(self):
         selfdual = bump(TWO_PI, 0.0)
-        fn = sb({(0, 0): GaussSum2.outer(bump(1.0, 0.0), selfdual)})
+        fn = sb({(0, 0): GaussSum.outer(bump(1.0, 0.0), selfdual)})
         moved = fourier_slot_transform(fn)
         assert moved.max_abs_difference(fn) < 1e-13
 
@@ -559,14 +559,14 @@ class TestSplitOperators:
 class TestNanResiduals:
     def test_sup_norm_keeps_nan(self):
         fn = standard_function() + sb(
-            {(2, 2): GaussSum2.outer(bump(1.0, 0.0, 0.0, (math.nan,)), bump(1.0, 0.0))}
+            {(2, 2): GaussSum.outer(bump(1.0, 0.0, 0.0, (math.nan,)), bump(1.0, 0.0))}
         )
         assert math.isnan(fn.sup_norm())
 
     @staticmethod
     def nan_in_layer_one():
         return standard_function() + sb(
-            {(1, 2): GaussSum2.outer(bump(1.0, 0.0, 0.0, (math.nan,)), bump(1.0, 0.0))}
+            {(1, 2): GaussSum.outer(bump(1.0, 0.0, 0.0, (math.nan,)), bump(1.0, 0.0))}
         )
 
     def test_lower_bound_gap_keeps_nan_and_its_sign(self):

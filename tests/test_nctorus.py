@@ -80,6 +80,18 @@ class TestProduct:
         right = nct_multiply(a, nct_multiply(b, c))
         assert left.max_abs_difference(right) < 1e-13
 
+    def test_mixed_parameters_rejected(self):
+        other = 0.5 * THETA
+        combines = (
+            SmoothElement.__add__,
+            SmoothElement.__sub__,
+            SmoothElement.max_abs_difference,
+            nct_multiply,
+        )
+        for combine in combines:
+            with pytest.raises(ValueError, match="mixed parameters"):
+                combine(v(), u(other))
+
 
 class TestPairProduct:
     def test_each_factor_multiplies_in_its_own_algebra(self):
@@ -207,6 +219,10 @@ class TestRepresentations:
     def test_truncation_guard(self):
         with pytest.raises(TruncationTooSmall):
             nct_represent(SmoothElement.v_power(4, THETA), "right", 3, 3)
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(ValueError, match="unknown representation"):
+            nct_represent(v(), "middle", 3, 3)
 
     def test_multiplicative_on_interior(self):
         rng = np.random.default_rng(23)

@@ -8,6 +8,7 @@ import pytest
 
 from rotalab.errors import RankAmbiguous
 from rotalab.oscillator import (
+    _kernel_dim,
     bidiagonal_singular_values,
     dirac_matrix,
     dirac_squared_spectrum,
@@ -53,6 +54,10 @@ class TestHermiteBasis:
         assert np.array_equal(
             hermite_eval(4, -2.0, 0.1, r), hermite_eval(4, 2.0, 0.1, r)
         )
+
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            hermite_eval(-1, 1.0, 0.0, 0.0)
 
 
 class TestLadderMatrices:
@@ -124,6 +129,17 @@ class TestLadderMatrices:
         assert np.max(np.abs(top_mat - top)) < 1e-10
         # the bottom block keeps one fewer basis vector in the truncation
         assert np.max(np.abs(bottom_mat - bottom[: L - 1])) < 1e-10
+
+    @pytest.mark.parametrize("lam", [0.0, -1.0])
+    def test_squared_spectrum_needs_a_positive_slope(self, lam):
+        with pytest.raises(ValueError, match="positive slope"):
+            dirac_squared_spectrum(lam, 5)
+
+    def test_ladder_block_guards(self):
+        with pytest.raises(ValueError, match="two basis functions"):
+            ladder_block(1.0, 1)
+        with pytest.raises(ValueError, match="nonzero"):
+            ladder_block(0.0, 8)
 
 
 class TestLadderIdentityGridOracle:
@@ -207,6 +223,10 @@ class TestFredholmIndex:
         bad_tol = math.sqrt(2.0 * lam) / sv[0]
         with pytest.raises(RankAmbiguous):
             fredholm_index(lam, L, rank_tol=bad_tol)
+
+    @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (0, 2)])
+    def test_zero_block_has_full_kernel(self, shape):
+        assert _kernel_dim(np.zeros(shape), 1e-8) == shape[1]
 
 
 class TestFunctionalCalculus:

@@ -148,6 +148,11 @@ class TestMatrixLayer:
     def test_inverse_is_matrix_inverse(self, g):
         assert g @ g.inverse() == IntMatrix2.identity()
 
+    @pytest.mark.parametrize("g", [IntMatrix2(2, 0, 0, 1), IntMatrix2(1, 1, 1, 1)])
+    def test_inverse_needs_a_unit_determinant(self, g):
+        with pytest.raises(ValueError, match="no integer inverse"):
+            g.inverse()
+
     @pytest.mark.parametrize(
         "x, y, image",
         [
@@ -303,6 +308,9 @@ class TestIntegerNumeratorRepresentation:
         assert (s._a, s._b, s._c, s._d) == (3, -2, 12, 6)
         assert repr(s) == "1/2 - 1/3*theta + 2*theta^2"
         assert ThetaScalar.of(4).as_integer() == 4
+        for not_integer in (HALF, THETA_S):
+            with pytest.raises(ValueError, match="not an integer"):
+                not_integer.as_integer()
         assert ThetaScalar(Fraction(8, 2)).is_integer
         assert not ThetaScalar(Fraction(1, 2)).is_integer
         assert pickle.loads(pickle.dumps(s)) == s
