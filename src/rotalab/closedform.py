@@ -72,19 +72,32 @@ def _linear(const, coeffs):
     return p
 
 
-def _poly_compose(p, lins, ndim):
-    """P(L_0, ..., L_{d-1}) for polynomials L_j in ndim variables, by Horner per axis."""
-    if not lins:
-        return np.reshape(p, (1,) * ndim)
-    out = _poly_compose(p[-1], lins[1:], ndim)
-    for c in p[-2::-1]:
-        out = _poly_add(_poly_mul(out, lins[0]), _poly_compose(c, lins[1:], ndim))
-    return out
+def _poly_compose(p, t, c):
+    """P(T y + c) for a d x m matrix T, by Horner per axis of P, last axis first.
+
+    Each intermediate is flat in the result's layout, whose axis k has length
+    1 + sum(P.shape[j] - 1 for T_jk != 0); there a product by c_j + sum_k T_jk y_k
+    is a scaled copy plus one add shifted by y_k's stride per T_jk != 0.
+    """
+    used = t != 0
+    shape = tuple(int(n) + 1 for n in (np.array(p.shape, dtype=int) - 1) @ used)
+    out = np.zeros(p.shape + (math.prod(shape),), dtype=complex)
+    out[..., 0] = p
+    for j in reversed(range(p.ndim)):
+        shifts = [(t[j, k], math.prod(shape[k + 1 :])) for k in np.flatnonzero(used[j])]
+        acc = out[..., -1, :]
+        for i in range(out.shape[-2] - 2, -1, -1):
+            step = acc * c[j]
+            for tjk, s in shifts:
+                step[..., s:] += tjk * acc[..., :-s]
+            acc = step + out[..., i, :]
+        out = acc
+    return out.reshape(shape)
 
 
 def _poly_eval(p, xs):
-    """P at the broadcast points xs, one array per axis, by Horner per axis."""
-    out = p.reshape(p.shape + (1,) * xs[0].ndim)
+    """P at the points xs, one broadcastable array per axis, by Horner per axis."""
+    out = p.reshape(p.shape + (1,) * max((x.ndim for x in xs), default=0))
     for x in xs:
         acc = out[-1]
         for c in out[-2::-1]:
@@ -242,11 +255,10 @@ class GaussSum:
         """x -> T x + c for a real T with full column rank."""
         t = np.asarray(t, dtype=complex)
         c = np.asarray(c, dtype=complex)
-        lins = [_linear(cj, row) for cj, row in zip(c, t)]
         out = []
         for a, b, p in self.terms:
             pref = cmath.exp(b @ c - (c @ a @ c) / 2)
-            poly = _poly_compose(p, lins, t.shape[1]) * pref
+            poly = _poly_compose(p, t, c) * pref
             out.append((t.T @ a @ t, t.T @ (b - a @ c), poly))
         return GaussSum._of(out)
 
@@ -261,9 +273,12 @@ class GaussSum:
         dual = slot + 1
         out = []
         for a, b, p in self.terms:
-            wide = np.insert(np.insert(a, dual, 0, axis=0), dual, 0, axis=1)
+            n = len(b) + 1
+            keep = [k for k in range(n) if k != dual]
+            wide, wide_b = np.zeros((n, n), dtype=complex), np.zeros(n, dtype=complex)
+            wide[np.ix_(keep, keep)], wide_b[keep] = a, b
             wide[slot, dual] = wide[dual, slot] = -sign * TWO_PI * 1j
-            out.append(_integrate_slot(wide, np.insert(b, dual, 0), np.expand_dims(p, dual), slot))
+            out.append(_integrate_slot(wide, wide_b, np.expand_dims(p, dual), slot))
         return GaussSum._of(out)
 
     def integral_slot(self, slot: int) -> "GaussSum":
@@ -282,8 +297,8 @@ class GaussSum:
     # ---- evaluation ------------------------------------------------------
 
     def __call__(self, *xs):
-        xs = np.broadcast_arrays(*(np.asarray(x, dtype=float) for x in xs))
-        out = np.zeros(xs[0].shape, dtype=complex)
+        xs = [np.asarray(x, dtype=float) for x in xs]
+        out = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)), dtype=complex)
         for a, b, p in self.terms:
             expo = 0
             for j, x in enumerate(xs):

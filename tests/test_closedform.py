@@ -297,3 +297,95 @@ class TestSlotFormula:
         points = slot_mesh(slot)
         for route in (f.partial_fourier(slot, -1), reference_partial_fourier(f, slot, -1)):
             assert relative_gap(route(*points), direct) < 1e-10
+
+
+# ---------------------------------------------------------------------------
+# affine substitution and line restriction against pointwise evaluation
+# ---------------------------------------------------------------------------
+
+
+def one_term_sum(rng, shape):
+    """One correlated term in len(shape) variables with a dense polynomial of that shape."""
+    d = len(shape)
+    root = rng.normal(size=(d, d))
+    tilt = rng.normal(size=(d, d))
+    a = root @ root.T + d * np.eye(d) + 0.3j * (tilt + tilt.T)
+    b = rng.normal(size=d) + 1j * rng.normal(size=d)
+    p = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return GaussSum([(a, b, p)])
+
+
+SHAPES2 = [(1, 1), (1, 6), (6, 1), (3, 4), (6, 6)]
+MATRICES2 = {
+    "full": ((0.8, -0.6), (0.4, 1.3)),
+    "lower": ((1.1, 0.0), (0.7, 0.9)),
+    "one_zero": ((0.0, 1.2), (-0.9, 0.5)),
+}
+SHIFTS2 = [(0.3, -0.4), (0.0, 0.25)]
+
+
+class TestSubstitution:
+    @pytest.mark.parametrize("shape", SHAPES2)
+    @pytest.mark.parametrize("matrix", list(MATRICES2))
+    @pytest.mark.parametrize("shift", SHIFTS2)
+    def test_affine_two_variables(self, shape, matrix, shift):
+        f = one_term_sum(np.random.default_rng(sum(shape)), shape)
+        t = np.array(MATRICES2[matrix])
+        r = np.linspace(-1.5, 1.5, 9)[:, None]
+        s = np.linspace(-1.2, 1.4, 8)[None, :]
+        want = f(t[0, 0] * r + t[0, 1] * s + shift[0], t[1, 0] * r + t[1, 1] * s + shift[1])
+        assert relative_gap(f.affine(*t.ravel(), *shift)(r, s), want) < 1e-12
+
+    @pytest.mark.parametrize("shape", SHAPES2)
+    @pytest.mark.parametrize("u", [(1.0, -0.5), (0.0, 1.0), (0.7, 0.0)])
+    @pytest.mark.parametrize("v", SHIFTS2)
+    def test_restrict_line_two_variables(self, shape, u, v):
+        f = one_term_sum(np.random.default_rng(10 + sum(shape)), shape)
+        t = np.linspace(-2.0, 2.0, 17)
+        want = f(u[0] * t + v[0], u[1] * t + v[1])
+        assert relative_gap(f.restrict_line(u, v)(t), want) < 1e-12
+
+    @pytest.mark.parametrize("shape", [(1,), (6,)])
+    @pytest.mark.parametrize("shift", [0.0, -1.25])
+    def test_one_variable(self, shape, shift):
+        f = one_term_sum(np.random.default_rng(20 + shape[0]), shape)
+        t = np.linspace(-2.0, 2.0, 17)
+        assert relative_gap(f.affine(0.5, shift)(t), f(0.5 * t + shift)) < 1e-12
+        assert relative_gap(f.restrict_line((0.8,), (shift,))(t), f(0.8 * t + shift)) < 1e-12
+
+    def test_three_variables(self):
+        f = one_term_sum(np.random.default_rng(30), (3, 2, 4))
+        t = np.array([[1.0, 0.5, 0.0], [0.0, 0.9, -0.4], [0.3, 0.0, 1.1]])
+        shift = (0.2, 0.0, -0.3)
+        y = np.meshgrid(*(np.linspace(-1.0, 1.0, 5),) * 3, indexing="ij", sparse=True)
+        want = f(*(sum(t[j, k] * y[k] for k in range(3)) + shift[j] for j in range(3)))
+        assert relative_gap(f.affine(*t.ravel(), *shift)(*y), want) < 1e-12
+        line = f.restrict_line((0.6, 0.0, -1.0), shift)
+        x = np.linspace(-2.0, 2.0, 17)
+        assert relative_gap(line(x), f(0.6 * x + 0.2, 0.0 * x, -1.0 * x - 0.3)) < 1e-12
+
+    def test_constant_without_variables(self):
+        f = GaussSum([(np.zeros((0, 0)), np.zeros(0), 2.0 - 1.0j)])
+        assert f() == 2.0 - 1.0j
+        assert f.affine()() == 2.0 - 1.0j
+        t = np.linspace(-2.0, 2.0, 5)
+        assert np.array_equal(f.restrict_line((), ())(t), np.full(5, 2.0 - 1.0j))
+
+
+class TestEvaluationBroadcast:
+    """Evaluation on broadcastable arguments equals evaluation on broadcast copies, bit for bit."""
+
+    def test_mesh(self):
+        f = random_high_degree_sum2(np.random.default_rng(41))
+        r = np.linspace(-2.0, 2.0, 26)[:, None]
+        s = np.linspace(-1.7, 2.3, 25)[None, :]
+        assert f(r, s).tobytes() == f(*np.broadcast_arrays(r, s)).tobytes()
+
+    def test_scalar_with_array(self):
+        f = random_high_degree_sum2(np.random.default_rng(43))
+        s = np.linspace(-1.7, 2.3, 25)
+        assert f(0.3, s).tobytes() == f(np.full_like(s, 0.3), s).tobytes()
+        assert f(s, -0.6).tobytes() == f(s, np.full_like(s, -0.6)).tobytes()
+        value = f(0.3, -0.6)
+        assert isinstance(value, complex)
+        assert value == f(np.array([0.3]), np.array([-0.6]))[0]

@@ -47,6 +47,20 @@ def plant_moment_recurrence(monkeypatch):
     monkeypatch.setattr(closedform, "_integrate_slot", mutated)
 
 
+def plant_compose_stride_swapped(monkeypatch):
+    """Each y_k shifted by the stride of the variable at the mirrored position."""
+    mutated = rewritten(
+        closedform, closedform._poly_compose, "shape[k + 1 :]", "shape[len(shape) - k :]"
+    )
+    monkeypatch.setattr(closedform, "_poly_compose", mutated)
+
+
+def plant_compose_shift_dropped(monkeypatch):
+    """The constant c_j of each L_j = c_j + sum_k T_jk y_k dropped."""
+    mutated = rewritten(closedform, closedform._poly_compose, "acc * c[j]", "acc * 0")
+    monkeypatch.setattr(closedform, "_poly_compose", mutated)
+
+
 def plant_ladder_scale(monkeypatch):
     original = oscillator.ladder_block
 
@@ -132,6 +146,18 @@ MUTANTS = [
         plant_moment_recurrence,
         ("bimodules",),
         {"bimodules.descent_oracle", "bimodules.line_inner_dual_routes"},
+    ),
+    (
+        "compose_stride_swapped",
+        plant_compose_stride_swapped,
+        ("duality",),
+        {"duality.composite_roundtrip", "duality.conjugation_residuals"},
+    ),
+    (
+        "compose_shift_dropped",
+        plant_compose_shift_dropped,
+        ("bimodules",),
+        {"bimodules.line_axioms"},
     ),
     ("ladder_scale", plant_ladder_scale, ("oscillator",), {"oscillator.singular_value_law"}),
     ("twist_direction", plant_twist_direction, ("ktheory",), {"ktheory.fixed_parts"}),
