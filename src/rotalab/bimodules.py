@@ -563,9 +563,9 @@ def pair_module_inner(
     so the result is an evaluator in the two circle points; the k1 sum
     is truncated where the Gaussian profiles are negligible. Each layer
     pair is evaluated once on the array of all truncated coset offsets,
-    skipping offsets where the phi layer vanishes, and the products are
-    summed in real arithmetic so that a self-pairing's diagonal comes
-    out exactly real. The coset window is centred for theta in [0, 1).
+    and the products are summed in real arithmetic so that a
+    self-pairing's diagonal comes out exactly real. The coset window is
+    centred for theta in [0, 1).
     """
     _require_shear(b)
     offsets = _coset_offsets(abs(b), phi.grid.radius + 2, phi.z_max)
@@ -573,9 +573,7 @@ def pair_module_inner(
     def layer_pair(k1, k2, l1, l2, v, w):
         r0 = (offsets + k1 * theta + w - v) / b
         left = phi.eval_at(k1, v, r0)
-        keep = left != 0
-        left = left[keep]
-        right = psi.eval_at(k2, v - l1 * theta, r0[keep] + l1)
+        right = psi.eval_at(k2, v - l1 * theta, r0 + l1)
         re = float(np.sum(left.real * right.real + left.imag * right.imag))
         im = float(np.sum(left.real * right.imag - left.imag * right.real))
         return complex(re, im)

@@ -329,7 +329,7 @@ def _batch_laws(chains, compose):
 @_register("groupoids", "rotation_laws")
 def _rotation_laws(cfg, rng):
     trials = 300
-    chains = [rotation_chain(rng, 3) for _ in range(trials)]
+    chains = [rotation_chain(rng) for _ in range(trials)]
     bad = _batch_laws(chains, rotation_compose)
     return "orbit groupoid laws", {"triples": trials}, float(bad), 0.0
 
@@ -533,13 +533,9 @@ def _descent_oracle(cfg, rng):
     oracle = bm.descent_inner_oracle(f1, f2, theta, 1)
     errs = []
     for l in (-1, 0, 1):
+        layer = bm.CTValued({m: c for (m, ll), c in inner.coeffs.items() if ll == l})
         for x in (0.15, 0.6):
-            primary = sum(
-                c * cmath.exp(TWO_PI * 1j * m * x)
-                for (m, ll), c in inner.coeffs.items()
-                if ll == l
-            )
-            errs.append(abs(primary - oracle(x, l)))
+            errs.append(abs(layer.value_at(x) - oracle(x, l)))
     worst = _worst(errs)
     return "descent pairing against the fiber average", {"theta": theta}, worst, 1e-8
 

@@ -266,12 +266,13 @@ def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _resolvent_by_key(psi1: SB2Function, psi2: SB2Function, sign: int, use) -> dict:
-    """Solve (D + sign i) phi = psi for the odd multiplication operator, key by key.
+def resolvent_residual(psi1: SB2Function, psi2: SB2Function, sign: int) -> float:
+    """Max pointwise defect of the resolvent equation (D + sign i) phi = psi over the grid mesh.
 
-    D acts by r + is on the second component and r - is on the first, so
-    phi = (D - sign i) psi / (1 + r^2 + s^2), not a closed form: psi and phi are
-    value pairs on the grid mesh. Returns {key: use(shift, psi, phi)}, shift(f, c) = (D - c i) f.
+    D is the odd multiplication operator: it acts by r + is on the second
+    component and r - is on the first, so phi = (D - sign i) psi / (1 + r^2 + s^2),
+    not a closed form: psi and phi are value pairs on the grid mesh, solved
+    key by key. The defect is |(D + sign i) phi - psi|, per key and component.
     """
     _require_sign(sign)
     rr, ss = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij")
@@ -280,26 +281,12 @@ def _resolvent_by_key(psi1: SB2Function, psi2: SB2Function, sign: int, use) -> d
     def shift(f, c):
         return (rr + 1j * ss) * f[1] - c * 1j * f[0], (rr - 1j * ss) * f[0] - c * 1j * f[1]
 
-    def solve(key):
+    defects = []
+    for key in set(psi1.profiles) | set(psi2.profiles):
         psi = (psi1.profile(*key)(rr, ss), psi2.profile(*key)(rr, ss))
-        return use(shift, psi, tuple(part / quad for part in shift(psi, sign)))
-
-    return {key: solve(key) for key in set(psi1.profiles) | set(psi2.profiles)}
-
-
-def resolvent_solve(psi1: SB2Function, psi2: SB2Function, sign: int):
-    """The two solution components of the resolvent equation, keyed by (layer, mode)."""
-    solved = _resolvent_by_key(psi1, psi2, sign, lambda shift, psi, phi: phi)
-    return tuple({key: phi[i] for key, phi in solved.items()} for i in (0, 1))
-
-
-def resolvent_residual(psi1: SB2Function, psi2: SB2Function, sign: int) -> float:
-    """Max pointwise defect of the resolvent equation over the grid mesh."""
-
-    def defects(shift, psi, phi):
-        return [float(np.max(np.abs(got - want))) for got, want in zip(shift(phi, -sign), psi)]
-
-    return _worst(sum(_resolvent_by_key(psi1, psi2, sign, defects).values(), []))
+        phi = tuple(part / quad for part in shift(psi, sign))
+        defects += [float(np.max(np.abs(got - want))) for got, want in zip(shift(phi, -sign), psi)]
+    return _worst(defects)
 
 
 # ---------------------------------------------------------------------------

@@ -32,6 +32,8 @@ import numpy as np
 from .errors import RankAmbiguous
 
 SQRT_PI = math.sqrt(math.pi)
+# relative singular-value cut below which the ladder blocks count a kernel vector
+RANK_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -139,15 +141,15 @@ def _kernel_dim(block: np.ndarray, rank_tol: float) -> int:
     return block.shape[1] - rank
 
 
-def kernel_dims(lam: float, L: int, rank_tol: float = 1e-8) -> tuple[int, int]:
-    """dim ker of the plus block and dim ker of the minus block (its transpose)."""
+def kernel_dims(lam: float, L: int) -> tuple[int, int]:
+    """dim ker of the plus block and of the minus block (its transpose), cut at RANK_TOL."""
     a_plus = ladder_block(lam, L)
-    return _kernel_dim(a_plus, rank_tol), _kernel_dim(a_plus.T, rank_tol)
+    return _kernel_dim(a_plus, RANK_TOL), _kernel_dim(a_plus.T, RANK_TOL)
 
 
-def fredholm_index(lam: float, L: int, rank_tol: float = 1e-8) -> int:
+def fredholm_index(lam: float, L: int) -> int:
     """dim ker of the plus block minus dim ker of the minus block."""
-    plus, minus = kernel_dims(lam, L, rank_tol)
+    plus, minus = kernel_dims(lam, L)
     return plus - minus
 
 

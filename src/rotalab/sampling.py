@@ -55,9 +55,9 @@ def _chain(anchor, arrow_at, length: int):
     return arrows
 
 
-def rotation_chain(rng: random.Random, length: int = 3):
-    """Composable rotation arrows with jumps in [-5, 5]."""
-    return _chain(torus_point(rng), lambda x: RotationArrow(x, rng.randint(-5, 5)), length)
+def rotation_chain(rng: random.Random):
+    """Three composable rotation arrows with jumps in [-5, 5]."""
+    return _chain(torus_point(rng), lambda x: RotationArrow(x, rng.randint(-5, 5)), 3)
 
 
 def flow_chain(rng: random.Random, length: int = 3):

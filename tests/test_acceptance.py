@@ -218,7 +218,7 @@ def test_criterion_05_exact_groupoid_suite():
                 bad += 1
         return bad
 
-    violations += batch([rotation_chain(rng, 3) for _ in range(1000)], rotation_compose)
+    violations += batch([rotation_chain(rng) for _ in range(1000)], rotation_compose)
     violations += batch([flow_chain(rng, 3) for _ in range(1000)], flow_compose)
     violations += batch(
         [lattice_chain(rng, shear(1 + i % 3), 3) for i in range(1000)], lattice_compose

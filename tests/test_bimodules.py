@@ -20,6 +20,7 @@ from rotalab.bimodules import (
     RGrid,
     TRFunction,
     ZTRFunction,
+    _coset_offsets,
     descended_inner,
     descended_left,
     descended_right,
@@ -541,6 +542,34 @@ class TestPairModule:
             for l1, l2, v, w in COSET_SAMPLES:
                 expected = pair_inner_per_point(phi, psi, THETA, b, l1, l2, v, w)
                 assert abs(gram.value(l1, l2, v, w) - expected) < 1e-13
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_phi_layer_that_underflows_on_the_coset_window(self, b):
+        # e^{-200 r^2} is exactly 0 for |r| > 2, so most coset offsets meet a
+        # zero phi layer; the sum over all offsets equals the sum over the rest
+        narrow = bump(400.0, 0.0)
+        phi = ZTRFunction(3, 8, GRID, {(0, 0): narrow, (1, 1): narrow.scale(0.5j)})
+        psi = ZTRFunction(
+            3,
+            8,
+            GRID,
+            {
+                (0, 1): bump(1.5, 0.3),
+                (1, 0): bump(1.2, -0.4),
+                (-1, 0): bump(1.1, 0.2),
+                (-3, 1): bump(1.4, -0.1),
+                (2, 0): bump(1.3, 0.0),
+            },
+        )
+        offsets = _coset_offsets(b, GRID.radius + 2, phi.z_max)
+        left = phi.eval_at(0, 0.3, (offsets + 0.6 - 0.3) / b)
+        assert np.any(left == 0) and np.any(left != 0)
+        gram = pair_module_inner(phi, psi, THETA, b)
+        for l1, l2, v, w in COSET_SAMPLES:
+            value = gram.value(l1, l2, v, w)
+            expected = pair_inner_per_point(phi, psi, THETA, b, l1, l2, v, w)
+            assert cmath.isfinite(value) and expected != 0
+            assert abs(value - expected) <= 1e-15 * abs(expected)
 
 
 class TestDescentBimodule:

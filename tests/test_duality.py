@@ -40,7 +40,6 @@ from rotalab.duality import (
     outer_with_profile,
     profile_dirac,
     resolvent_residual,
-    resolvent_solve,
     shear_substitution,
     transformed_dirac,
     transformed_inner,
@@ -445,11 +444,6 @@ class TestConjugation:
 
 
 class TestResolvent:
-    def test_zero_data_gives_zero_solution(self):
-        zero = sb({})
-        phi1, phi2 = resolvent_solve(zero, zero, 1)
-        assert phi1 == {} and phi2 == {}
-
     def test_pointwise_residual_tiny(self):
         rng = random.Random(5)
         f1, f2 = small_pair()
@@ -611,7 +605,6 @@ SIGN_GUARDED = {
     "angular_weight_correction": lambda s: angular_weight_correction(
         SmoothElement({(1, 1): 1.0}, THETA), s
     ),
-    "resolvent_solve": lambda s: resolvent_solve(standard_function(), standard_function(), s),
     "resolvent_residual": lambda s: resolvent_residual(standard_function(), standard_function(), s),
     "descended_line_dirac": lambda s: descended_line_dirac(_layered_function(), s, 1),
 }
@@ -648,6 +641,31 @@ DOUBLED_TERMS = [
     (0, 0, 0, 0), (1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0),
     (0, 0, 0, 1), (1, -1, 2, 1), (-2, 1, -1, -1),
 ]
+
+
+def _one_layer_function():
+    return sb({(0, 0): GaussSum.outer(bump(1.3, 0.2), bump(1.1, -0.3))}, z_max=1)
+
+
+# each right action with its operand, and a key whose term would leave the layer window
+ZERO_STEP_ACTIONS = {
+    "pair_module_right": (
+        lambda xi: pair_module_right(_layered_function(), xi, THETA, 2),
+        (0, 9, 0, 0),
+    ),
+    "base_right_act": (lambda xi: base_right_act(_one_layer_function(), xi, THETA), (0, 5, 0, 0)),
+    "transformed_right_act": (
+        lambda xi: transformed_right_act(_one_layer_function(), xi, THETA, 2),
+        (0, 5, 0, 0),
+    ),
+}
+
+
+@pytest.mark.parametrize("act, key", ZERO_STEP_ACTIONS.values(), ids=ZERO_STEP_ACTIONS.keys())
+def test_a_zero_coefficient_past_the_layer_window_is_skipped(act, key):
+    assert act({key: 0.0}).profiles == {}
+    with pytest.raises(TruncationTooSmall):
+        act({key: 1.0})
 
 
 @pytest.mark.parametrize("b", [1, 2, -3])

@@ -89,7 +89,7 @@ class TestRotationGroupoid:
     def test_batch_axioms(self):
         rng = random.Random(101)
         for _ in range(1000):
-            f, h, j = rotation_chain(rng, 3)
+            f, h, j = rotation_chain(rng)
             left = rotation_compose(rotation_compose(f, h), j)
             right = rotation_compose(f, rotation_compose(h, j))
             assert left == right

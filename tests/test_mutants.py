@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from rotalab import checks, closedform, groupoids, ktheory, nctorus, oscillator
+from rotalab import checks, closedform, duality, groupoids, ktheory, nctorus, oscillator
 from rotalab.cli import RunConfig
 from rotalab.scalars import IntMatrix2
 
@@ -115,6 +115,13 @@ def plant_kernel_dim_rank_sign(monkeypatch):
     replace_everywhere(monkeypatch, original, mutated)
 
 
+def plant_resolvent_denominator_s_dropped(monkeypatch):
+    """The resolvent's denominator 1 + r^2 + s^2 taken without its s^2."""
+    original = duality.resolvent_residual
+    mutated = rewritten(duality, original, "1.0 + rr * rr + ss * ss", "1.0 + rr * rr")
+    replace_everywhere(monkeypatch, original, mutated)
+
+
 def plant_lattice_source_sign(monkeypatch):
     """The source's first coordinate moved forward along the flow, not back."""
     prop = groupoids.LatticeFlowArrow.source
@@ -187,6 +194,12 @@ MUTANTS = [
     ),
     ("staggered_off_band", plant_staggered_off_band, ("oscillator",), {"oscillator.grid_oracle"}),
     ("kernel_dim_rank_sign", plant_kernel_dim_rank_sign, ("oscillator",), {"oscillator.index_signs"}),
+    (
+        "resolvent_denominator_s_dropped",
+        plant_resolvent_denominator_s_dropped,
+        ("duality",),
+        {"duality.resolvent_identity"},
+    ),
     ("lattice_source_sign", plant_lattice_source_sign, ("groupoids",), {"groupoids.lattice_laws"}),
     ("line_orbit_flow_sign", plant_line_orbit_flow_sign, ("groupoids",), {"groupoids.flow_laws"}),
 ]

@@ -237,6 +237,9 @@ class TestRepresentations:
             err = np.max(np.abs((pa @ pb - pab)[:, mask]))
             assert err < 1e-10
 
+    def test_zero_element_window_is_the_origin(self):
+        assert SmoothElement({}, THETA).window() == (0, 0)
+
     def test_left_right_commute_on_interior(self):
         rng = np.random.default_rng(29)
         L = K = 6

@@ -59,6 +59,10 @@ class TestHermiteBasis:
         with pytest.raises(ValueError, match="nonnegative"):
             hermite_eval(-1, 1.0, 0.0, 0.0)
 
+    def test_zero_slope_rejected(self):
+        with pytest.raises(ValueError, match="nonzero"):
+            hermite_eval(0, 0.0, 0.0, 0.0)
+
 
 class TestLadderMatrices:
     def test_singular_values_match_closed_form(self):
@@ -222,7 +226,7 @@ class TestFredholmIndex:
         sv = np.linalg.svd(a_plus, compute_uv=False)
         bad_tol = math.sqrt(2.0 * lam) / sv[0]
         with pytest.raises(RankAmbiguous):
-            fredholm_index(lam, L, rank_tol=bad_tol)
+            _kernel_dim(a_plus, bad_tol)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (0, 2)])
     def test_zero_block_has_full_kernel(self, shape):
