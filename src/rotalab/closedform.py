@@ -13,9 +13,11 @@ cross-checking oracles.
 
 Every integral over one variable completes the square in that variable
 (Folland, Harmonic Analysis in Phase Space, 1989, App. A; see
-_integrate_slot). A Fourier kernel exp(+-2 pi i x_j y) is one more
-bilinear entry of A, so a slot Fourier transform is the slot integral of
-a term in one more variable.
+_integrate_slot). Every product by a linear form c + sum_k T_k y_k, in
+substitution, derivatives and slot integrals, is one kernel on flat
+coefficient arrays (_times_linear). A Fourier kernel exp(+-2 pi i x_j y)
+is one more bilinear entry of A, so a slot Fourier transform is the slot
+integral of a term in one more variable.
 
 Centered parameters: a Gaussian bump exp(-a(r-mu)^2/2 + 2 pi i w r) is
 the term with b = a mu + 2 pi i w and prefactor exp(-a mu^2 / 2).
@@ -62,35 +64,42 @@ def _poly_mul(p, q):
     return np.convolve(*flat)[: math.prod(shape)].reshape(shape)
 
 
-def _linear(const, coeffs):
-    """const + sum_k coeffs[k] x_k, with a degree-one axis only where coeffs[k] != 0."""
-    p = np.zeros(tuple(1 + (c != 0) for c in coeffs), dtype=complex)
-    p[(0,) * len(coeffs)] = const
-    for k, c in enumerate(coeffs):
-        if c != 0:
-            p[(0,) * k + (1,) + (0,) * (len(coeffs) - k - 1)] = c
-    return p
+def _times_linear(flat, const, shifts):
+    """flat * (const + sum_k T_k y_k) in a flat layout; shifts holds (T_k, stride of y_k).
+
+    One scaled copy plus one copy shifted by each stride of a T_k != 0. The layout
+    must leave room for one more degree in each such y_k, so that no shift carries.
+    """
+    out = flat * const
+    for tk, stride in shifts:
+        out[..., stride:] += tk * flat[..., :-stride]
+    return out
 
 
 def _poly_compose(p, t, c):
-    """P(T y + c) for a d x m matrix T, by Horner per axis of P, last axis first.
+    """P(T y + c) for a d x m matrix T, in the result's flat layout.
 
-    Each intermediate is flat in the result's layout, whose axis k has length
-    1 + sum(P.shape[j] - 1 for T_jk != 0); there a product by c_j + sum_k T_jk y_k
-    is a scaled copy plus one add shifted by y_k's stride per T_jk != 0.
+    Axis k of the result has length 1 + sum(P.shape[j] - 1 for T_jk != 0); flat,
+    a product by L_j = c_j + sum_k T_jk y_k is one _times_linear call. The last
+    axis of P meets only constants, so it is summed against a table of the powers
+    L_j^i; the other axes follow by Horner, last axis first.
     """
-    used = t != 0
-    shape = tuple(int(n) + 1 for n in (np.array(p.shape, dtype=int) - 1) @ used)
-    out = np.zeros(p.shape + (math.prod(shape),), dtype=complex)
-    out[..., 0] = p
-    for j in reversed(range(p.ndim)):
-        shifts = [(t[j, k], math.prod(shape[k + 1 :])) for k in np.flatnonzero(used[j])]
+    rows = t.tolist()
+    shape = tuple(1 + sum(n - 1 for n, r in zip(p.shape, rows) if r[k]) for k in range(t.shape[1]))
+    strides = [math.prod(shape[k + 1 :]) for k in range(len(shape))]
+    forms = [
+        (cj, [(x, s) for x, s in zip(row, strides) if x]) for cj, row in zip(c.tolist(), rows)
+    ]
+    p = p.reshape(*p.shape[:-1], -1)  # a P with no axes as one of degree 0
+    powers = np.zeros((p.shape[-1], math.prod(shape)), dtype=complex)
+    powers[0, 0] = 1
+    for i in range(1, len(powers)):
+        powers[i] = _times_linear(powers[i - 1], *forms[-1])
+    out = p @ powers
+    for j in reversed(range(p.ndim - 1)):
         acc = out[..., -1, :]
         for i in range(out.shape[-2] - 2, -1, -1):
-            step = acc * c[j]
-            for tjk, s in shifts:
-                step[..., s:] += tjk * acc[..., :-s]
-            acc = step + out[..., i, :]
+            acc = _times_linear(acc, *forms[j]) + out[..., i, :]
         out = acc
     return out.reshape(shape)
 
@@ -112,29 +121,30 @@ def _integrate_slot(a, b, p, j):
     With x_j = u + m and m = (B_j - sum_{k != j} A_jk x_k) / A_jj the
     exponent splits into -A_jj u^2 / 2 and a Gaussian in the other
     variables, whose matrix is the Schur complement of A_jj. Each power
-    x_j^n integrates to sqrt(2 pi / A_jj) exp(B_j^2 / (2 A_jj)) times
-    M_n = E[(u + m)^n], the binomial sum of m^(n-k) against the centred
-    moments (k-1)!!/A_jj^(k/2), built here by the equivalent recurrence
-    M_n = m M_{n-1} + (n - 1) M_{n-2} / A_jj. Only Re A_jj > 0 is needed.
-    Returns (A', B', P') over the remaining variables, in order.
+    x_j^n integrates to sqrt(2 pi / A_jj) exp(B_j^2 / (2 A_jj)) times the
+    moment M_n = E[(u + m)^n], and M_{n+1} = m M_n + n M_{n-1} / A_jj. So
+    sum_k P_k M_k, with P_k the k-th slice of P along x_j, is b_0 of Clenshaw's
+    backward recurrence b_k = P_k + m b_{k+1} + (k + 1) b_{k+2} / A_jj: one
+    _times_linear call per degree, on flat arrays of the result's shape.
+    Only Re A_jj > 0 is needed. Returns (A', B', P') over the other variables.
     """
     ajj, bj = a[j, j], b[j]
     keep = [k for k in range(len(b)) if k != j]
     cross = a[keep, j]
     new_a = a[keep][:, keep] - cross[:, None] * cross[None, :] / ajj
     new_b = b[keep] - cross * (bj / ajj)
-    mean = _linear(bj / ajj, -cross / ajj)
-    slices = p.transpose([j, *keep])
-    moments = [np.ones((1,) * len(keep), dtype=complex), mean]
-    out = slices[0, ...]
-    for n in range(1, len(slices)):
-        if n > 1:
-            moments.append(
-                _poly_add(_poly_mul(mean, moments[-1]), moments[-2] * ((n - 1) / ajj))
-            )
-        out = _poly_add(out, _poly_mul(slices[n, ...], moments[n]))
+    q = p.transpose([j, *keep])
+    shape = tuple(m + (len(q) - 1) * (x != 0) for m, x in zip(q.shape[1:], cross))
+    slices = np.zeros((len(q), *shape), dtype=complex)
+    slices[tuple(map(slice, q.shape))] = q
+    slices = slices.reshape(len(q), -1)
+    shifts = [(-x / ajj, math.prod(shape[i + 1 :])) for i, x in enumerate(cross) if x != 0]
+    acc, prev = slices[-1], 0
+    for k in range(len(q) - 2, -1, -1):
+        step = slices[k] + _times_linear(acc, bj / ajj, shifts)
+        acc, prev = step + ((k + 1) / ajj) * prev, acc
     pref = math.sqrt(TWO_PI) / cmath.sqrt(ajj) * cmath.exp(bj * bj / (2 * ajj))
-    return new_a, new_b, out * pref
+    return new_a, new_b, acc.reshape(shape) * pref
 
 
 def _merge(terms):
@@ -223,11 +233,16 @@ class GaussSum:
     def derivative(self, slot: int = 0) -> "GaussSum":
         out = []
         for a, b, p in self.terms:
-            # d/dx_j (P e) = (dP/dx_j + P (B_j - sum_k A_jk x_k)) e
-            n = p.shape[slot]
-            steps = np.arange(1, n).reshape((-1,) + (1,) * (p.ndim - slot - 1))
-            dp = np.take(p, range(1, n), axis=slot) * steps if n > 1 else np.zeros((1,) * p.ndim)
-            out.append((a, b, _poly_add(dp, _poly_mul(p, _linear(b[slot], -a[slot])))))
+            # d/dx_j (P e) = (P (B_j - sum_k A_jk x_k) + dP/dx_j) e
+            shape = tuple(n + (x != 0) for n, x in zip(p.shape, a[slot]))
+            padded = np.zeros(shape, dtype=complex)
+            padded[tuple(map(slice, p.shape))] = p
+            shifts = [(-x, math.prod(shape[k + 1 :])) for k, x in enumerate(a[slot]) if x != 0]
+            poly = _times_linear(padded.ravel(), b[slot], shifts).reshape(shape)
+            steps = np.arange(1, p.shape[slot]).reshape((-1,) + (1,) * (p.ndim - slot - 1))
+            dp = p[(slice(None),) * slot + (slice(1, None),)] * steps
+            poly[tuple(map(slice, dp.shape))] += dp
+            out.append((a, b, poly))
         return GaussSum._of(out)
 
     def mul_poly(self, poly) -> "GaussSum":

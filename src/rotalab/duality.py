@@ -14,7 +14,9 @@ integrals, always with an exact closed-form route alongside. Both
 routes of the two pair-valued inner products run on all truncated coset
 offsets at once: the closed one integrates the second slot per profile
 pair at each evaluation, the quadrature one samples each layer pair on
-the offset x node mesh.
+the offset x node mesh. Residuals and norms evaluate profiles on open
+(r, s) meshes, a column of r and a row of s, which give the same values
+bit for bit as the full mesh.
 """
 
 from __future__ import annotations
@@ -58,9 +60,13 @@ class SB2Function(LayeredProfiles):
         return self.grids[1]
 
     def _mesh(self):
-        """Every (count // MESH_PER_SLOT)-th node of each grid, as an (r, s) mesh."""
+        """Every (count // MESH_PER_SLOT)-th node of each grid, as an open (r, s) mesh.
+
+        The column of r and the row of s broadcast to the full mesh, with the
+        same values bit for bit as on full copies.
+        """
         r, s = (grid.nodes()[:: max(1, grid.count // MESH_PER_SLOT)] for grid in self.grids)
-        return np.meshgrid(r, s, indexing="ij")
+        return np.meshgrid(r, s, indexing="ij", sparse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -273,9 +279,11 @@ def resolvent_residual(psi1: SB2Function, psi2: SB2Function, sign: int) -> float
     component and r - is on the first, so phi = (D - sign i) psi / (1 + r^2 + s^2),
     not a closed form: psi and phi are value pairs on the grid mesh, solved
     key by key. The defect is |(D + sign i) phi - psi|, per key and component.
+    The profiles are evaluated on the open mesh (r, s), which gives the same bits.
     """
     _require_sign(sign)
-    rr, ss = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij")
+    r, s = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij", sparse=True)
+    rr, ss = np.broadcast_arrays(r, s)
     quad = 1.0 + rr * rr + ss * ss
 
     def shift(f, c):
@@ -283,7 +291,7 @@ def resolvent_residual(psi1: SB2Function, psi2: SB2Function, sign: int) -> float
 
     defects = []
     for key in set(psi1.profiles) | set(psi2.profiles):
-        psi = (psi1.profile(*key)(rr, ss), psi2.profile(*key)(rr, ss))
+        psi = (psi1.profile(*key)(r, s), psi2.profile(*key)(r, s))
         phi = tuple(part / quad for part in shift(psi, sign))
         defects += [float(np.max(np.abs(got - want))) for got, want in zip(shift(phi, -sign), psi)]
     return _worst(defects)

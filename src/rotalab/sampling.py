@@ -60,7 +60,7 @@ def rotation_chain(rng: random.Random):
     return _chain(torus_point(rng), lambda x: RotationArrow(x, rng.randint(-5, 5)), 3)
 
 
-def flow_chain(rng: random.Random, length: int = 3):
+def flow_chain(rng: random.Random, length: int):
     """Composable flow arrows with exact degree-one flow times."""
     def arrow_at(xy):
         return FlowArrow.from_time(*xy, theta_scalar(rng))
@@ -68,7 +68,7 @@ def flow_chain(rng: random.Random, length: int = 3):
     return _chain((torus_point(rng), torus_point(rng)), arrow_at, length)
 
 
-def lattice_chain(rng: random.Random, g: IntMatrix2, length: int = 3):
+def lattice_chain(rng: random.Random, g: IntMatrix2, length: int):
     """Composable doubled-label arrows over a fixed matrix with rational defect."""
     def arrow_at(xy):
         return LatticeFlowArrow(*xy, rng.randint(-5, 5), rng.randint(-5, 5), g)

@@ -1,9 +1,15 @@
 """Closed-form Gaussian sums against quadrature and finite-difference oracles."""
 
+import cmath
+import math
+
 import numpy as np
 import pytest
 
-from rotalab.closedform import GaussSum
+from rotalab.bimodules import RGrid
+from rotalab.closedform import GaussSum, _integrate_slot, _poly_add, _poly_mul
+from rotalab.duality import SB2Function, resolvent_residual
+from rotalab.nctorus import _worst
 
 RNG = np.random.default_rng(7)
 
@@ -320,6 +326,8 @@ MATRICES2 = {
     "full": ((0.8, -0.6), (0.4, 1.3)),
     "lower": ((1.1, 0.0), (0.7, 0.9)),
     "one_zero": ((0.0, 1.2), (-0.9, 0.5)),
+    # triangular with an identity row; with the shift (0.0, 0.25) its c_0 is 0
+    "identity_row": ((1.0, 0.0), (0.7, 0.9)),
 }
 SHIFTS2 = [(0.3, -0.4), (0.0, 0.25)]
 
@@ -389,3 +397,157 @@ class TestEvaluationBroadcast:
         value = f(0.3, -0.6)
         assert isinstance(value, complex)
         assert value == f(np.array([0.3]), np.array([-0.6]))[0]
+
+
+# ---------------------------------------------------------------------------
+# the linear-form kernel against the formulas it replaced
+# ---------------------------------------------------------------------------
+
+
+def _linear(const, coeffs):
+    """const + sum_k coeffs[k] x_k, with a degree-one axis only where coeffs[k] != 0."""
+    p = np.zeros(tuple(1 + (c != 0) for c in coeffs), dtype=complex)
+    p[(0,) * len(coeffs)] = const
+    for k, c in enumerate(coeffs):
+        if c != 0:
+            p[(0,) * k + (1,) + (0,) * (len(coeffs) - k - 1)] = c
+    return p
+
+
+def moment_reference(a, b, p, j):
+    """The slot integral by the forward recurrence M_n = m M_{n-1} + (n - 1) M_{n-2} / A_jj."""
+    ajj, bj = a[j, j], b[j]
+    keep = [k for k in range(len(b)) if k != j]
+    cross = a[keep, j]
+    mean = _linear(bj / ajj, -cross / ajj)
+    slices = p.transpose([j, *keep])
+    moments = [np.ones((1,) * len(keep), dtype=complex), mean]
+    out = slices[0, ...]
+    for n in range(1, len(slices)):
+        if n > 1:
+            moments.append(_poly_add(_poly_mul(mean, moments[-1]), moments[-2] * ((n - 1) / ajj)))
+        out = _poly_add(out, _poly_mul(slices[n, ...], moments[n]))
+    return out * (math.sqrt(2 * math.pi) / cmath.sqrt(ajj) * cmath.exp(bj * bj / (2 * ajj)))
+
+
+def derivative_reference(a, b, p, slot):
+    """dP/dx_j + P (B_j - sum_k A_jk x_k), by a product with a linear polynomial."""
+    n = p.shape[slot]
+    steps = np.arange(1, n).reshape((-1,) + (1,) * (p.ndim - slot - 1))
+    dp = np.take(p, range(1, n), axis=slot) * steps if n > 1 else np.zeros((1,) * p.ndim)
+    return _poly_add(dp, _poly_mul(p, _linear(b[slot], -a[slot])))
+
+
+def random_term(rng, shape, zero=None):
+    """One term with Re A positive definite; zero=(j, k) sets A_jk = A_kj = 0."""
+    d = len(shape)
+    root = rng.normal(size=(d, d))
+    tilt = rng.normal(size=(d, d))
+    a = root @ root.T + d * np.eye(d) + 0.3j * (tilt + tilt.T)
+    if zero is not None:
+        a[zero] = a[zero[::-1]] = 0.0
+    b = rng.normal(size=d) + 1j * rng.normal(size=d)
+    return a, b, rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+def widened_term(rng, shape, slot):
+    """A two-variable term widened by a Fourier kernel as partial_fourier builds it."""
+    a, b, p = random_term(rng, shape)
+    dual = slot + 1
+    keep = [k for k in range(3) if k != dual]
+    wide, wide_b = np.zeros((3, 3), dtype=complex), np.zeros(3, dtype=complex)
+    wide[np.ix_(keep, keep)], wide_b[keep] = a, b
+    wide[slot, dual] = wide[dual, slot] = 2j * math.pi
+    return wide, wide_b, np.expand_dims(p, dual)
+
+
+KERNEL_CASES = [
+    ("one_variable", (5,), 0, None),
+    ("one_variable_degree_0", (1,), 0, None),
+    ("degree_0", (1, 4), 0, None),
+    ("two_variables", (6, 4), 0, None),
+    ("two_variables_last", (3, 7), 1, None),
+    ("zero_cross", (4, 3, 5), 1, (0, 1)),
+    ("three_variables", (3, 4, 2), 2, None),
+]
+
+
+class TestLinearFormKernel:
+    @pytest.mark.parametrize("name, shape, j, zero", KERNEL_CASES)
+    def test_slot_integral_matches_moment_recurrence(self, name, shape, j, zero):
+        rng = np.random.default_rng(len(name) + 10 * j)
+        for _ in range(3):
+            a, b, p = random_term(rng, shape, zero)
+            want = moment_reference(a, b, p, j)
+            got = _integrate_slot(a, b, p, j)[2]
+            assert got.shape == want.shape
+            assert relative_gap(got, want) < 1e-13
+
+    @pytest.mark.parametrize("slot", [0, 1])
+    def test_widened_slot_integral_matches_moment_recurrence(self, slot):
+        rng = np.random.default_rng(50 + slot)
+        for shape in [(8, 11), (3, 3), (1, 5)]:
+            a, b, p = widened_term(rng, shape, slot)
+            want = moment_reference(a, b, p, slot)
+            got = _integrate_slot(a, b, p, slot)[2]
+            assert got.shape == want.shape
+            assert relative_gap(got, want) < 1e-13
+
+    @pytest.mark.parametrize("name, shape, j, zero", KERNEL_CASES)
+    def test_derivative_matches_linear_product(self, name, shape, j, zero):
+        rng = np.random.default_rng(60 + len(name) + 10 * j)
+        for _ in range(3):
+            a, b, p = random_term(rng, shape, zero)
+            ((_, _, got),) = GaussSum([(a, b, p)]).derivative(j).terms
+            want = derivative_reference(a, b, p, j)
+            assert got.shape == want.shape
+            assert relative_gap(got, want) < 1e-13
+
+
+# ---------------------------------------------------------------------------
+# residuals on open sample meshes against full ones
+# ---------------------------------------------------------------------------
+
+
+def open_mesh_function():
+    grid = RGrid(8.0, 64)
+    rng = np.random.default_rng(71)
+    profiles = {
+        (0, 0): random_high_degree_sum2(rng),
+        (1, -1): random_high_degree_sum2(rng, nterms=2, max_deg=3),
+        (-1, 2): random_sum2(rng),
+    }
+    return SB2Function(1, 3, grid, grid, profiles)
+
+
+def full_mesh_resolvent_residual(psi1, psi2, sign):
+    """resolvent_residual with every profile evaluated on the full node mesh."""
+    rr, ss = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij")
+    quad = 1.0 + rr * rr + ss * ss
+
+    def shift(f, c):
+        return (rr + 1j * ss) * f[1] - c * 1j * f[0], (rr - 1j * ss) * f[0] - c * 1j * f[1]
+
+    defects = []
+    for key in set(psi1.profiles) | set(psi2.profiles):
+        psi = (psi1.profile(*key)(rr, ss), psi2.profile(*key)(rr, ss))
+        phi = tuple(part / quad for part in shift(psi, sign))
+        defects += [float(np.max(np.abs(got - want))) for got, want in zip(shift(phi, -sign), psi)]
+    return _worst(defects)
+
+
+class TestOpenMesh:
+    def test_sup_norm_bitwise(self):
+        fn = open_mesh_function()
+        r, s = fn._mesh()
+        assert r.shape == (len(r), 1) and s.shape == (1, s.size)
+        full = np.meshgrid(r.ravel(), s.ravel(), indexing="ij")
+        want = _worst(float(np.max(np.abs(p(*full)))) for p in fn.profiles.values())
+        assert fn.sup_norm() == want
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_resolvent_residual_bitwise(self, sign):
+        psi1 = open_mesh_function()
+        psi2 = psi1.map(lambda key, g: g.derivative(1))
+        want = full_mesh_resolvent_residual(psi1, psi2, sign)
+        assert resolvent_residual(psi1, psi2, sign) == want

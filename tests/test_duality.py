@@ -575,6 +575,20 @@ class TestNanResiduals:
         _, _, max_error, _ = check(RunConfig(), random.Random(0))
         assert math.isnan(max_error)
 
+    def test_diagonal_lower_bound_check_reports_the_signed_gap(self, monkeypatch):
+        gaps = []
+        original = du.transformed_lower_bound_gap
+
+        def recorded(*args):
+            gaps.append(original(*args))
+            return gaps[-1]
+
+        monkeypatch.setattr(du, "transformed_lower_bound_gap", recorded)
+        check = dict(checks._REGISTRY["duality"])["duality.diagonal_lower_bound"]
+        _, _, max_error, _ = check(RunConfig(), random.Random(0))
+        # the largest gap itself, negative while the bound holds, not clamped at zero
+        assert gaps and max_error == max(gaps) < 0.0
+
     def test_resolvent_residual_keeps_nan(self):
         for sign in (1, -1):
             assert math.isnan(resolvent_residual(self.nan_in_layer_one(), standard_function(), sign))

@@ -42,8 +42,10 @@ def plant_lambda_power_sign(monkeypatch):
 
 
 def plant_moment_recurrence(monkeypatch):
-    """M_n = m M_{n-1} + n M_{n-2} / A_jj in place of (n - 1)."""
-    mutated = rewritten(closedform, closedform._integrate_slot, "((n - 1) / ajj)", "(n / ajj)")
+    """Clenshaw weight (k + 2) / A_jj: M_n = m M_{n-1} + n M_{n-2} / A_jj in place of (n - 1)."""
+    mutated = rewritten(
+        closedform, closedform._integrate_slot, "((k + 1) / ajj)", "((k + 2) / ajj)"
+    )
     monkeypatch.setattr(closedform, "_integrate_slot", mutated)
 
 
@@ -57,7 +59,7 @@ def plant_compose_stride_swapped(monkeypatch):
 
 def plant_compose_shift_dropped(monkeypatch):
     """The constant c_j of each L_j = c_j + sum_k T_jk y_k dropped."""
-    mutated = rewritten(closedform, closedform._poly_compose, "acc * c[j]", "acc * 0")
+    mutated = rewritten(closedform, closedform._poly_compose, "(cj, [", "(0, [")
     monkeypatch.setattr(closedform, "_poly_compose", mutated)
 
 
