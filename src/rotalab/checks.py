@@ -249,15 +249,22 @@ def _singular_value_law(cfg, rng):
 def _grid_oracle(cfg, rng):
     lam = cfg.lam
     radius = oracle_radius(lam, 0.0)
-    nodes = np.linspace(-radius, radius, 1024)
-    sv = bidiagonal_singular_values(grid_dirac_plus_staggered(lam, 0.0, nodes))
     # at a negative slope the block keeps a near-kernel singular value, compared with 0
     levels = np.arange(1, 11) if lam > 0 else np.arange(11)
+    coarse, fine = (
+        bidiagonal_singular_values(
+            grid_dirac_plus_staggered(lam, 0.0, np.linspace(-radius, radius, n))
+        )[: len(levels)]
+        for n in (257, 513)
+    )
+    # the scheme is O(h^2) and 513 nodes halve the spacing of 257 on the same interval, so
+    # Richardson's extrapolate cancels the h^2 term and leaves the h^4 one
+    extrapolate = (4.0 * fine - coarse) / 3.0
     expected = np.sqrt(2.0 * abs(lam) * levels)
-    err = float(np.max(np.abs(sv[: len(levels)] - expected)))
+    err = float(np.max(np.abs(extrapolate - expected)))
     # the singular values scale with sqrt(|lambda|), and so does the tolerance
-    tol = 1e-3 * math.sqrt(abs(lam))
-    return "finite-difference spectral oracle", {"lambda": lam, "nodes": 1024}, err, tol
+    tol = 1e-5 * math.sqrt(abs(lam))
+    return "finite-difference spectral oracle", {"lambda": lam, "nodes": [257, 513]}, err, tol
 
 
 @_register("oscillator", "index_signs")

@@ -313,7 +313,13 @@ class GaussSum:
 
     def __call__(self, *xs):
         xs = [np.asarray(x, dtype=float) for x in xs]
-        out = np.zeros(np.broadcast_shapes(*(x.shape for x in xs)), dtype=complex)
+        shape = np.broadcast_shapes(*(x.shape for x in xs))
+        if not shape:
+            # a point goes through as one-element arrays: numpy rounds a product of two
+            # complex scalars differently from its array loop, and a point must read the
+            # same bits as the same point in an array
+            xs = [x.reshape(1) for x in xs]
+        out = np.zeros(shape or (1,), dtype=complex)
         for a, b, p in self.terms:
             expo = 0
             for j, x in enumerate(xs):
@@ -321,7 +327,7 @@ class GaussSum:
                 for k in range(j):
                     expo = expo - a[j, k] * x * xs[k]
             out += _poly_eval(p, xs) * np.exp(expo)
-        return out if out.shape else complex(out)
+        return out if shape else complex(out[0])
 
     def l2_inner(self, other: "GaussSum") -> complex:
         return (self.conjugate() * other).integral()

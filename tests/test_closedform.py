@@ -398,6 +398,17 @@ class TestEvaluationBroadcast:
         assert isinstance(value, complex)
         assert value == f(np.array([0.3]), np.array([-0.6]))[0]
 
+    def test_point_sweep(self):
+        # a point of Python floats reads the bits of the same point as one-element arrays
+        mismatches = []
+        for seed in range(400):
+            rng = np.random.default_rng(seed)
+            f = random_high_degree_sum2(rng)
+            for x, y in rng.uniform(-2.0, 2.0, size=(5, 2)).tolist():
+                if f(x, y) != f(np.array([x]), np.array([y]))[0]:
+                    mismatches.append((seed, x, y))
+        assert mismatches == []
+
 
 # ---------------------------------------------------------------------------
 # the linear-form kernel against the formulas it replaced

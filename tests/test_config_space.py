@@ -122,8 +122,8 @@ def test_negative_slope_passes_the_oscillator_suite(lam):
     assert code == 0, out
     assert err == "" and not caught
     entries = {entry["check_id"]: entry for entry in json.loads(out)["checks"]}
-    # the grid oracle's tolerance follows the slope's scale and is 1e-3 at |lambda| = 1
-    assert entries["oscillator.grid_oracle"]["tolerance"] == 1e-3 * math.sqrt(abs(lam))
+    # the grid oracle's tolerance follows the slope's scale and is 1e-5 at |lambda| = 1
+    assert entries["oscillator.grid_oracle"]["tolerance"] == 1e-5 * math.sqrt(abs(lam))
 
 
 @pytest.mark.parametrize(

@@ -98,6 +98,13 @@ def plant_staggered_derivative_scale(monkeypatch):
     replace_everywhere(monkeypatch, original, mutated)
 
 
+def plant_staggered_derivative_scale_small(monkeypatch):
+    """The grid derivative's 1/h taken one part in ten thousand too large."""
+    original = oscillator.grid_dirac_plus_staggered
+    mutated = rewritten(oscillator, original, "1.0 / h", "1.0001 / h")
+    replace_everywhere(monkeypatch, original, mutated)
+
+
 def plant_staggered_off_band(monkeypatch):
     """One entry of the grid block planted off its two upper bands."""
     original = oscillator.grid_dirac_plus_staggered
@@ -191,6 +198,12 @@ MUTANTS = [
     (
         "staggered_derivative_scale",
         plant_staggered_derivative_scale,
+        ("oscillator",),
+        {"oscillator.grid_oracle"},
+    ),
+    (
+        "staggered_derivative_scale_small",
+        plant_staggered_derivative_scale_small,
         ("oscillator",),
         {"oscillator.grid_oracle"},
     ),

@@ -6,6 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from rotalab import checks
+from rotalab.cli import RunConfig
 from rotalab.errors import RankAmbiguous
 from rotalab.oscillator import (
     _kernel_dim,
@@ -207,6 +209,47 @@ class TestBidiagonalSingularValues:
     def test_rejects_a_square_block(self):
         with pytest.raises(ValueError, match="n-1"):
             bidiagonal_singular_values(np.eye(4))
+
+
+class TestRichardsonGridOracle:
+    """The route of checks._grid_oracle: staggered blocks on 257 and 513 nodes, extrapolated."""
+
+    SLOPES = [1.0, -1.0, 0.3, 50.0, 1e-300, -1e306]
+
+    @staticmethod
+    def levels(lam):
+        # the ten lowest levels, and at a negative slope the near-kernel one below them
+        return np.arange(1, 11) if lam > 0 else np.arange(11)
+
+    @classmethod
+    def level_values(cls, lam, n):
+        radius = oracle_radius(lam, 0.0)
+        block = grid_dirac_plus_staggered(lam, 0.0, np.linspace(-radius, radius, n))
+        return bidiagonal_singular_values(block)[: len(cls.levels(lam))]
+
+    @classmethod
+    def expected(cls, lam):
+        return np.sqrt(2.0 * abs(lam) * cls.levels(lam))
+
+    @pytest.mark.parametrize("lam", SLOPES)
+    def test_levels_converge_at_second_order(self, lam):
+        # the extrapolate (4 s_513 - s_257) / 3 cancels an h^2 term, so it rests on this order
+        coarse, fine = (np.abs(self.level_values(lam, n) - self.expected(lam)) for n in (257, 513))
+        # at a negative slope the near-kernel value and level one are resolved to rounding
+        # (the Gram route's floor is about sqrt(eps) times the block's norm) on both grids
+        resolved = 2 if lam < 0 else 0
+        floor = 1e-6 * math.sqrt(abs(lam))
+        assert np.all(coarse[:resolved] < floor) and np.all(fine[:resolved] < floor)
+        order = np.log2(coarse[resolved:] / fine[resolved:])
+        assert np.all((order >= 1.9) & (order <= 2.1)), order
+
+    @pytest.mark.parametrize("lam", SLOPES)
+    def test_extrapolate_agrees_with_the_1024_node_route(self, lam):
+        coarse, fine = (self.level_values(lam, n) for n in (257, 513))
+        extrapolate = (4.0 * fine - coarse) / 3.0
+        error = np.max(np.abs(extrapolate - self.expected(lam)))
+        assert checks._grid_oracle(RunConfig(lam=lam), None)[2] == error
+        assert np.max(np.abs(extrapolate - self.level_values(lam, 1024))) <= 1e-3 * math.sqrt(abs(lam))
 
 
 class TestFredholmIndex:
