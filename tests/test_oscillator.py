@@ -235,8 +235,8 @@ class TestRichardsonGridOracle:
     def test_levels_converge_at_second_order(self, lam):
         # the extrapolate (4 s_513 - s_257) / 3 cancels an h^2 term, so it rests on this order
         coarse, fine = (np.abs(self.level_values(lam, n) - self.expected(lam)) for n in (257, 513))
-        # at a negative slope the near-kernel value and level one are resolved to rounding
-        # (the Gram route's floor is about sqrt(eps) times the block's norm) on both grids
+        # at a negative slope, on both grids, the near-kernel value sits at the Gram route's
+        # rounding floor (about sqrt(eps) times the block's norm) and level one is exact to rounding
         resolved = 2 if lam < 0 else 0
         floor = 1e-6 * math.sqrt(abs(lam))
         assert np.all(coarse[:resolved] < floor) and np.all(fine[:resolved] < floor)
