@@ -69,6 +69,9 @@ from .sampling import (
 from .scalars import THETA, IntMatrix2, ThetaScalar, torus_reduce
 
 TWO_PI = 2.0 * math.pi
+# tolerances of the closed-form checks and of the checks that route through quadrature
+TOL_EXACT = 1e-10
+TOL_QUAD = 1e-6
 
 SUITE_NAMES = ("algebra", "oscillator", "groupoids", "bimodules", "duality", "ktheory")
 
@@ -177,7 +180,7 @@ def _generator_commutation(cfg, rng):
     vu = nct_multiply(v, u)
     uv = nct_multiply(u, v).scale(cmath.exp(TWO_PI * 1j * theta))
     err = vu.max_abs_difference(uv)
-    return "generator exchange relation", {"theta": theta}, err, cfg.tol_exact
+    return "generator exchange relation", {"theta": theta}, err, TOL_EXACT
 
 
 @_register("algebra", "adjoint_antihomomorphism")
@@ -190,7 +193,7 @@ def _adjoint_antihom(cfg, rng):
         rhs = nct_multiply(nct_adjoint(b), nct_adjoint(a))
         errs.append(lhs.max_abs_difference(rhs))
         errs.append(nct_adjoint(nct_adjoint(a)).max_abs_difference(a))
-    return "star reverses products", {"trials": 10}, _worst(errs), cfg.tol_exact
+    return "star reverses products", {"trials": 10}, _worst(errs), TOL_EXACT
 
 
 @_register("algebra", "trace_properties")
@@ -203,7 +206,7 @@ def _trace_properties(cfg, rng):
         centrality = abs(nct_trace(nct_multiply(a, b)) - nct_trace(nct_multiply(b, a)))
         # against the floor 0, -square.real counts only its negative part
         errs += [abs(square.imag), -square.real, centrality]
-    return "trace positivity and centrality", {"trials": 10}, _worst(errs), cfg.tol_exact
+    return "trace positivity and centrality", {"trials": 10}, _worst(errs), TOL_EXACT
 
 
 @_register("algebra", "representation_interior")
@@ -221,7 +224,7 @@ def _representation_interior(cfg, rng):
         pab = nct_represent(nct_multiply(a, b), "left", size, size)
         pbl = nct_represent(b, "left", size, size)
         errs.append(float(np.max(np.abs((pl @ pbl - pab)[:, mask]))))
-    return "commuting truncated representations", {"window": size}, _worst(errs), cfg.tol_exact
+    return "commuting truncated representations", {"window": size}, _worst(errs), TOL_EXACT
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +244,7 @@ def _singular_value_law(cfg, rng):
         "ladder singular values",
         {"lambda": lam, "levels": level, "compared": keep},
         float(np.max(rel)),
-        cfg.tol_exact,
+        TOL_EXACT,
     )
 
 
@@ -452,7 +455,7 @@ def _line_axioms(cfg, rng):
         tr = bm.line_module_translate(phi, 3, theta)
         cov = bm.line_module_inner(tr, bm.line_module_translate(psi, 3, theta), "closed")
         errs.append(cov.max_abs_difference(inner.rotate(3, theta)))
-    return "line module axioms", {"pairs": 2, "theta": theta}, _worst(errs), cfg.tol_exact
+    return "line module axioms", {"pairs": 2, "theta": theta}, _worst(errs), TOL_EXACT
 
 
 @_register("bimodules", "shear_unitarity")
@@ -467,7 +470,7 @@ def _shear_unitarity(cfg, rng):
         )
         fixed = bm.line_module_inner(phi, psi, "closed")
         errs.append(moved.max_abs_difference(fixed))
-    return "rescaling unitary preserves pairings", {"pairs": 12, "b": b}, _worst(errs), cfg.tol_quad
+    return "rescaling unitary preserves pairings", {"pairs": 12, "b": b}, _worst(errs), TOL_QUAD
 
 
 @_register("bimodules", "dirac_conjugation")
@@ -487,7 +490,7 @@ def _dirac_conjugation(cfg, rng):
         "conjugated line operator is weighted position plus derivative",
         {"b_values": [1, 2]},
         _worst(errs),
-        cfg.tol_quad,
+        TOL_QUAD,
     )
 
 
@@ -513,7 +516,7 @@ def _descended_axioms(cfg, rng):
             compat.max_abs_difference(direct),
         )
     )
-    return "descended module axioms", {"theta": theta, "b": b}, worst, cfg.tol_exact
+    return "descended module axioms", {"theta": theta, "b": b}, worst, TOL_EXACT
 
 
 @_register("bimodules", "pair_associativity")
@@ -561,7 +564,7 @@ def _composite_roundtrip(cfg, rng):
         for b in sorted({1, cfg.b}):
             back = du.full_transform(du.full_transform(fn, b, cfg.theta), b, cfg.theta, inverse=True)
             errs.append(back.max_abs_difference(fn))
-    return "composite transform inverts", {"b_values": sorted({1, cfg.b})}, _worst(errs), cfg.tol_quad
+    return "composite transform inverts", {"b_values": sorted({1, cfg.b})}, _worst(errs), TOL_QUAD
 
 
 @_register("duality", "conjugation_residuals")
@@ -569,7 +572,7 @@ def _conjugation_residuals(cfg, rng):
     grid = _grid_of(cfg)
     fn, _ = _sb_pair(rng, grid)
     worst = _worst(v for b in (1, 2) for v in du.conjugation_report(fn, b, cfg.theta).values())
-    return "transported multipliers and derivatives", {"b_values": [1, 2]}, worst, cfg.tol_quad
+    return "transported multipliers and derivatives", {"b_values": [1, 2]}, worst, TOL_QUAD
 
 
 @_register("duality", "transform_unitarity")
@@ -585,7 +588,7 @@ def _transform_unitarity(cfg, rng):
         b,
         "closed",
     )
-    return "pairings agree through the transform", {"b": b}, _pair_difference(fixed, moved), cfg.tol_quad
+    return "pairings agree through the transform", {"b": b}, _pair_difference(fixed, moved), TOL_QUAD
 
 
 @_register("duality", "resolvent_identity")
@@ -624,7 +627,7 @@ def _leibniz_creation(cfg, rng):
         )
         rhs3 = du.outer_with_profile(du.layered_line_dirac(phi, sign, b), psi, grid)
         errs.append(lhs3.max_abs_difference(rhs3))
-    return "product rules for the split operator", {"b": b}, _worst(errs), cfg.tol_quad
+    return "product rules for the split operator", {"b": b}, _worst(errs), TOL_QUAD
 
 
 @_register("duality", "diagonal_lower_bound")
@@ -640,7 +643,7 @@ def _diagonal_lower_bound(cfg, rng):
         ),
         floor=-math.inf,
     )
-    return "diagonal dominates the line integral", {"samples": len(samples)}, worst, cfg.tol_quad
+    return "diagonal dominates the line integral", {"samples": len(samples)}, worst, TOL_QUAD
 
 
 @_register("duality", "inner_dual_routes")

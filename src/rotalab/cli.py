@@ -44,7 +44,7 @@ _SPECTRUM_ROW_BYTES = 1024
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Everything a run needs: angle, twist degree, truncations, tolerances."""
+    """Everything a run needs: angle, twist degree, slope, truncations, grid and seed."""
 
     theta: float = 0.7071067811865476
     b: int = 2
@@ -53,8 +53,6 @@ class RunConfig:
     mode_cut: int = 8
     grid_nodes: int = 128
     radius: float = 10.0
-    tol_exact: float = 1e-10
-    tol_quad: float = 1e-6
     seed: int = 0
 
     def as_dict(self) -> dict:
@@ -71,9 +69,7 @@ SETTINGS = (
     ("--K", "mode_cut", int, "K", "mode window half-width"),
     ("--grid", "grid_nodes", int, "grid_nodes", "quadrature node count"),
     ("--R", "radius", float, "R", "quadrature radius"),
-    ("--tol-exact", "tol_exact", float, "tol_exact", None),
-    ("--tol-quad", "tol_quad", float, "tol_quad", None),
-    ("--seed", "seed", int, "seed", None),
+    ("--seed", "seed", int, "seed", "RNG seed for sampled checks"),
 )
 
 
@@ -108,10 +104,6 @@ def validate_config(config: RunConfig, suite: str = None, target: str = None):
         raise ConfigInvalid("the grid radius must be finite")
     if config.radius <= 0:
         raise ConfigInvalid("the grid radius must be positive")
-    for name in ("tol_exact", "tol_quad"):
-        tol = getattr(config, name)
-        if not (math.isfinite(tol) and 0 < tol < 1):
-            raise ConfigInvalid(f"{name} must be finite and in (0, 1), got {tol}")
     if not math.isfinite(config.lam):
         raise ConfigInvalid("the oscillator slope must be finite")
     if config.lam == 0:
@@ -173,13 +165,8 @@ def _largest_arrays(config: RunConfig):
 # configuration sources
 # ---------------------------------------------------------------------------
 
-# a config file names a setting by its flag without the leading dashes, or
-# with underscores for the dashes inside it
-_FIELD_BY_KEY = {
-    name: (field, cast)
-    for flag, field, cast, _, _ in SETTINGS
-    for name in (flag[2:], flag[2:].replace("-", "_"))
-}
+# a config file names a setting by its flag without the leading dashes
+_FIELD_BY_KEY = {flag[2:]: (field, cast) for flag, field, cast, _, _ in SETTINGS}
 
 
 def read_config_file(path: str) -> dict:

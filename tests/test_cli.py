@@ -98,17 +98,6 @@ class TestConfigValidation:
         with pytest.raises(ConfigInvalid, match="cap"):
             validate_config(RunConfig(**overrides), suite="all")
 
-    def test_bad_tolerances_rejected(self):
-        with pytest.raises(ConfigInvalid):
-            validate_config(RunConfig(tol_exact=0.0))
-        with pytest.raises(ConfigInvalid):
-            validate_config(RunConfig(tol_quad=-1.0))
-        for bad in (1.0, 1e300, math.inf, math.nan):
-            with pytest.raises(ConfigInvalid):
-                validate_config(RunConfig(tol_exact=bad))
-            with pytest.raises(ConfigInvalid):
-                validate_config(RunConfig(tol_quad=bad))
-
 
 class TestResolutionRule:
     """R >= 5, grid >= 96 and 2R/grid <= 5/32 for the suites that read R and the grid."""
@@ -189,6 +178,17 @@ class TestConfigSources:
         assert err.startswith("error: cannot read config file") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("line", ["tol_quad = 0.5", "tol-exact = 1e-3"])
+    def test_retired_tolerance_key_exits_two(self, tmp_path, capsys, line):
+        # each check fixes its own tolerance; no config key loosens it
+        path = tmp_path / "lab.cfg"
+        path.write_text(line + "\n")
+        assert main(["verify", "duality", "--config", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "unknown config key" in err and "Traceback" not in err
+
     def test_flags_override_file(self, tmp_path):
         path = tmp_path / "lab.cfg"
         path.write_text("b = 3\nseed = 7\n")
@@ -239,14 +239,27 @@ class TestVerifyCommand:
         ids = [c["check_id"] for c in json.loads(out.read_text())["checks"]]
         assert ids == sorted(ids)
 
-    def test_failing_tolerance_exits_one(self, tmp_path):
+    def test_failing_tolerance_exits_one(self, tmp_path, monkeypatch, capsys):
+        planted = ("ktheory.planted_fail", lambda cfg, rng: ("planted", {}, 1.0, 0.0))
+        kept = list(checks._REGISTRY["ktheory"])
+        monkeypatch.setitem(checks._REGISTRY, "ktheory", [planted] + kept)
         out = tmp_path / "report.json"
-        code = main(
-            ["verify", "algebra", "--output", str(out), "--tol-exact", "1e-30"]
-        )
-        assert code == 1
+        assert main(["verify", "ktheory", "--output", str(out)]) == 1
+        assert capsys.readouterr().err == ""
         report = json.loads(out.read_text())
         assert report["all_pass"] is False
+        entries = {entry["check_id"]: entry for entry in report["checks"]}
+        assert entries.pop("ktheory.planted_fail")["pass"] is False
+        assert all(entry["pass"] for entry in entries.values())
+
+    def test_retired_tolerance_flag_is_refused(self, capsys):
+        # duality fails at --b 28, and no flag may turn that into a pass
+        with pytest.raises(SystemExit) as exit_info:
+            main(["verify", "duality", "--b", "28", "--tol-quad", "0.99"])
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "--tol-quad" in err
 
     def test_invalid_config_exits_two(self, capsys):
         assert main(["verify", "duality", "--b", "0"]) == 2
@@ -259,9 +272,6 @@ class TestVerifyCommand:
             (["verify", "oscillator", "--lambda", "inf"], "slope"),
             (["verify", "bimodules", "--R", "nan"], "radius"),
             (["verify", "bimodules", "--R", "inf"], "radius"),
-            (["verify", "algebra", "--tol-exact", "nan"], "tol_exact"),
-            (["verify", "algebra", "--tol-exact", "inf", "--tol-quad", "inf"], "tol_exact"),
-            (["verify", "algebra", "--tol-quad", "inf"], "tol_quad"),
             (["verify", "oscillator", "--lambda=1e308"], "slope"),
             (["verify", "oscillator", "--lambda=-1e308"], "slope"),
             (["verify", "oscillator", "--lambda=1e307", "--L=2"], "slope"),

@@ -38,8 +38,6 @@ FIELD_VALUES = {
     "mode_cut": any_int,
     "grid_nodes": any_int,
     "radius": any_float,
-    "tol_exact": any_float,
-    "tol_quad": any_float,
     "seed": any_int,
 }
 
@@ -76,8 +74,6 @@ FLAG_VALUES = {
     "--b": st.integers(-4, 4).map(str),
     "--theta": mostly(st.floats(0.05, 0.95), any_float).map(repr),
     "--lambda": mostly(st.floats(-4.0, 4.0), any_float).map(repr),
-    "--tol-exact": mostly(st.floats(1e-14, 0.5), any_float).map(repr),
-    "--tol-quad": mostly(st.floats(1e-14, 0.5), any_float).map(repr),
     "--seed": st.integers().map(str),
 }
 # the oscillator suite costs about 0.4 s a run, the other commands milliseconds
