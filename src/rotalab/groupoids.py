@@ -9,11 +9,15 @@ by plain integer-linear algebra on anchor and displacement, which keeps
 the functoriality law (transport by N after transport by M equals
 transport by NM) exact even though the transported rotation parameter is
 a fractional-linear image with no polynomial representative.
+
+Every arrow, point and pair is a NamedTuple of its fields, so equality and
+hash are the tuple's; + and * raise TypeError rather than concatenate.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import (
     NotComposable,
@@ -27,6 +31,8 @@ from .scalars import (
     IntMatrix2,
     ThetaScalar,
     TorusPoint,
+    _make,
+    _no_tuple_arithmetic,
     require_nonzero_defect,
     torus_reduce,
 )
@@ -42,8 +48,7 @@ def _require(cond: bool, err, msg: str):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class RotationArrow:
+class RotationArrow(NamedTuple):
     """Arrow ([x], n) with range [x] and source [x - n theta]."""
 
     x: TorusPoint
@@ -68,6 +73,8 @@ class RotationArrow:
     def is_unit(self) -> bool:
         return self.n == 0
 
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
+
 
 def rotation_compose(f: RotationArrow, h: RotationArrow) -> RotationArrow:
     _require(f.source == h.range, NotComposable, "source of f differs from range of h")
@@ -79,8 +86,7 @@ def rotation_compose(f: RotationArrow, h: RotationArrow) -> RotationArrow:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FlowArrow:
+class FlowArrow(NamedTuple):
     """Arrow anchored at (x, y) with exact displacement (dx, dy).
 
     For an arrow of the slope-theta flow the displacement is
@@ -123,6 +129,8 @@ class FlowArrow:
     def is_unit(self) -> bool:
         return self.dx == ZERO and self.dy == ZERO
 
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
+
 
 def flow_compose(f: FlowArrow, h: FlowArrow) -> FlowArrow:
     _require(f.source == h.range, NotComposable, "source of f differs from range of h")
@@ -163,16 +171,21 @@ def reduction_iso(arrow: FlowArrow) -> RotationArrow:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=16)
 def _exact_defect(g: IntMatrix2) -> ThetaScalar:
-    """The defect b + (a - d) theta - c theta^2; exact division needs it rational."""
+    """The defect b + (a - d) theta - c theta^2; exact division needs it rational.
+
+    Cached per matrix, since every arrow over g asks again and a run uses a
+    handful of matrices; a matrix that raises is not cached, so it raises on
+    every call.
+    """
     mu = require_nonzero_defect(g)
     if not mu.is_rational:
         raise UnsupportedMatrix("exact arithmetic needs a rational defect (c = 0 and a = d)")
     return mu
 
 
-@dataclass(frozen=True)
-class LatticeFlowArrow:
+class LatticeFlowArrow(NamedTuple):
     """Arrow ((x, y), k, l) of the doubled-label groupoid for a fixed matrix.
 
     The pair (k, l) acts on the plane torus by the flow displacement
@@ -188,13 +201,13 @@ class LatticeFlowArrow:
 
     def first_time(self) -> ThetaScalar:
         mu = _exact_defect(self.g)
-        return ThetaScalar(self.k, self.l) / mu
+        return _make(self.k, self.l, 0, 1) / mu
 
     def second_time(self) -> ThetaScalar:
         a, b, c, d = self.g.a, self.g.b, self.g.c, self.g.d
         mu = _exact_defect(self.g)
         # k*(d + c*theta) + l*(b + a*theta)
-        return ThetaScalar(self.k * d + self.l * b, self.k * c + self.l * a) / mu
+        return _make(self.k * d + self.l * b, self.k * c + self.l * a, 0, 1) / mu
 
     @property
     def range(self) -> tuple:
@@ -212,6 +225,8 @@ class LatticeFlowArrow:
     @property
     def is_unit(self) -> bool:
         return self.k == 0 and self.l == 0
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
 
 def lattice_compose(f: LatticeFlowArrow, h: LatticeFlowArrow) -> LatticeFlowArrow:
@@ -272,8 +287,7 @@ def lattice_arrow_from_times(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LineOrbitPoint:
+class LineOrbitPoint(NamedTuple):
     """Point ([x], s) of the circle-times-line transversal of the flow."""
 
     x: TorusPoint
@@ -282,6 +296,8 @@ class LineOrbitPoint:
     def position(self) -> tuple:
         """The plane-torus point (x + s theta, s) the element sits over."""
         return (self.x + self.s * THETA, torus_reduce(self.s))
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
 
 def flow_act_on_line_orbit(arrow: FlowArrow, p: LineOrbitPoint) -> LineOrbitPoint:
@@ -308,18 +324,22 @@ def rotation_act_on_line_orbit(
     return LineOrbitPoint(p.x - THETA * arrow.n, p.s + arrow.n)
 
 
-@dataclass(frozen=True)
-class TransversalPoint:
-    """Point ([v], r, k) of the two-sided transversal for a fixed matrix."""
-
+class _TransversalFields(NamedTuple):
     v: TorusPoint
     r: ThetaScalar
     k: int
     g: IntMatrix2
 
-    def __post_init__(self):
+
+class TransversalPoint(_TransversalFields):
+    """Point ([v], r, k) of the two-sided transversal for a fixed matrix."""
+
+    __slots__ = ()
+
+    def __new__(cls, v: TorusPoint, r: ThetaScalar, k: int, g: IntMatrix2):
         # the balanced representative roundtrips only for a rational defect
-        _exact_defect(self.g)
+        _exact_defect(g)
+        return tuple.__new__(cls, (v, r, k, g))
 
     def anchor(self) -> tuple:
         """Left anchor (v + r theta, [r]): the first side is the line-orbit transversal."""
@@ -330,6 +350,8 @@ class TransversalPoint:
         the left action fixes it, a right action moves it to its k2 arrow's source."""
         a, b = self.g.a, self.g.b
         return torus_reduce(self.v.x * a + self.r * b - THETA * self.k)
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
 
 def _require_unit_shear(g: IntMatrix2):
@@ -389,8 +411,7 @@ def rotation_pair_act_on_transversal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BalancedPair:
+class BalancedPair(NamedTuple):
     """A representative of the balanced product behind a transversal point.
 
     Fields: a plane anchor (x, y), a matched time pair (t1, t2) on the
@@ -423,6 +444,8 @@ class BalancedPair:
             self.s2 - shift2,
             self.g,
         )
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
 
 def transversal_to_balanced(z: TransversalPoint) -> BalancedPair:

@@ -13,31 +13,40 @@ twist action is a homomorphism from the integers into the invertible
 integer matrices of determinant one.
 """
 
-from dataclasses import dataclass
+from operator import index
+from typing import NamedTuple
 
-from .scalars import IntMatrix2
+from .scalars import IntMatrix2, _no_tuple_arithmetic
 
 __all__ = ["KClass", "twist_matrix", "twist_apply", "twist_compose"]
 
 
-@dataclass(frozen=True)
-class KClass:
-    """Even and odd integer invariants, each a pair of multiplicities."""
-
+class _KFields(NamedTuple):
     k0: tuple
     k1: tuple
 
-    def __post_init__(self):
-        for name, pair in (("k0", self.k0), ("k1", self.k1)):
+
+class KClass(_KFields):
+    """Even and odd integer invariants, each a pair of multiplicities."""
+
+    __slots__ = ()
+
+    def __new__(cls, k0, k1):
+        for name, pair in (("k0", k0), ("k1", k1)):
             if len(pair) != 2 or not all(isinstance(v, int) for v in pair):
                 raise ValueError(f"{name} must be a pair of integers, got {pair!r}")
-        object.__setattr__(self, "k0", tuple(self.k0))
-        object.__setattr__(self, "k1", tuple(self.k1))
+        return tuple.__new__(cls, (tuple(k0), tuple(k1)))
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
 
 def twist_matrix(b: int) -> IntMatrix2:
-    """Unipotent matrix implementing the degree-b twist on the even part."""
-    return IntMatrix2(1, int(b), 0, 1)
+    """Unipotent matrix implementing the degree-b twist on the even part.
+
+    The degree must be an integer: operator.index refuses a float such as
+    2.7 with TypeError instead of truncating it.
+    """
+    return IntMatrix2(1, index(b), 0, 1)
 
 
 def twist_apply(b: int, cls: KClass) -> KClass:
@@ -46,11 +55,9 @@ def twist_apply(b: int, cls: KClass) -> KClass:
     The even pair transforms as a column vector, so (x, y) goes to
     (x + b*y, y). All arithmetic is exact.
     """
-    x, y = cls.k0
-    new_even = twist_matrix(b).apply_pair(x, y)
-    return KClass((int(new_even[0]), int(new_even[1])), cls.k1)
+    return KClass(twist_matrix(b).apply_pair(*cls.k0), cls.k1)
 
 
 def twist_compose(b: int, b_next: int) -> int:
     """Index of the twist obtained by applying degree b then degree b_next."""
-    return int(b) + int(b_next)
+    return index(b) + index(b_next)

@@ -16,18 +16,25 @@ from .groupoids import (
     RotationArrow,
     TransversalPoint,
 )
-from .scalars import IntMatrix2, ThetaScalar, TorusPoint, torus_reduce
+from .scalars import IntMatrix2, ThetaScalar, TorusPoint, _make, torus_reduce
+
+
+def _numerator_denominator(rng: random.Random) -> tuple:
+    """The two ints behind rational(): a denominator in [1, 12], then a numerator."""
+    den = rng.randint(1, 12)
+    return rng.randint(-5 * den, 5 * den), den
 
 
 def rational(rng: random.Random) -> Fraction:
     """A rational in [-5, 5] with denominator at most 12."""
-    den = rng.randint(1, 12)
-    return Fraction(rng.randint(-5 * den, 5 * den), den)
+    return Fraction(*_numerator_denominator(rng))
 
 
 def theta_scalar(rng: random.Random) -> ThetaScalar:
-    """p + q*theta with p and q drawn by rational()."""
-    return ThetaScalar(rational(rng), rational(rng))
+    """p + q*theta with p and q drawn by rational(), over the product of their denominators."""
+    a, d1 = _numerator_denominator(rng)
+    b, d2 = _numerator_denominator(rng)
+    return _make(a * d2, b * d1, 0, d1 * d2)
 
 
 def torus_point(rng: random.Random) -> TorusPoint:

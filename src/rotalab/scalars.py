@@ -9,6 +9,12 @@ so the tuple's own equality and hash are those of the number (tuple order
 is not an order on numbers), and each operation is integer arithmetic
 followed by one gcd. p, q and r are read back as Fractions on demand.
 
+A TorusPoint is the 1-tuple (x,) of its canonical representative and an
+IntMatrix2 the NamedTuple (a, b, c, d), so their equality and hash are the
+tuple's too (each also equals the plain tuple of its fields). Their + and *
+are not the tuple's: a point shifts by a scalar and refuses *, and a matrix
+refuses both.
+
 Degree is capped at two: that is exactly what the lattice-time formulas
 need (an integer times theta times theta appears, nothing higher), and the
 cap turns silent precision loss into a loud DegreeOverflow.
@@ -17,10 +23,9 @@ cap turns silent precision loss into a loud DegreeOverflow.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import DegreeOverflow, InvalidMu, PoleAtTheta
 
@@ -191,32 +196,46 @@ ZERO = ThetaScalar()
 THETA = ThetaScalar(0, 1)
 
 
-@dataclass(frozen=True)
-class TorusPoint:
+def _no_tuple_arithmetic(self, other):
+    """Refuse the tuple's + and *: concatenation and repetition are not operations on values."""
+    raise TypeError(f"{type(self).__name__} does not support this operator")
+
+
+class TorusPoint(tuple):
     """A point of R/Z written as [x] for x in Q + Q*theta + Q*theta^2.
 
-    The stored representative is canonical: the rational part lies in [0, 1)
-    while the theta parts are untouched. Because 1, theta, theta^2 are
-    linearly independent over Q, two canonical representatives are equal in
-    the circle iff they are equal on the nose, so equality is structural.
+    Held as the 1-tuple (x,) of its canonical representative: the rational
+    part lies in [0, 1) while the theta parts are untouched. Because 1,
+    theta, theta^2 are linearly independent over Q, two canonical
+    representatives are equal in the circle iff they are equal on the nose,
+    so the tuple's equality and hash are those of the point.
     """
 
-    x: ThetaScalar
+    __slots__ = ()
 
-    def __post_init__(self):
-        s = ThetaScalar.of(self.x)
+    def __new__(cls, x):
+        s = ThetaScalar.of(x)
         a, b, c, d = s
         if not 0 <= a < d:
             s = _make(a % d, b, c, d)
-        object.__setattr__(self, "x", s)
+        return tuple.__new__(cls, (s,))
+
+    x = property(itemgetter(0))
+
+    def __reduce__(self):
+        return TorusPoint, tuple(self)
 
     def __add__(self, other) -> "TorusPoint":
-        return TorusPoint(self.x + (other.x if isinstance(other, TorusPoint) else other))
+        a, b, c, d = other if other.__class__ is ThetaScalar else _shift_of(other)
+        return _circle_shift(self[0], a, b, c, d)
 
     __radd__ = __add__
 
     def __sub__(self, other) -> "TorusPoint":
-        return TorusPoint(self.x - (other.x if isinstance(other, TorusPoint) else other))
+        a, b, c, d = other if other.__class__ is ThetaScalar else _shift_of(other)
+        return _circle_shift(self[0], -a, -b, -c, d)
+
+    __mul__ = __rmul__ = _no_tuple_arithmetic
 
     def evalf(self, theta: float) -> float:
         return self.x.evalf(theta) % 1.0
@@ -225,13 +244,31 @@ class TorusPoint:
         return f"[{self.x}]"
 
 
+def _shift_of(other) -> ThetaScalar:
+    """The scalar a circle point is shifted by: another point's representative, or a scalar."""
+    return other[0] if isinstance(other, TorusPoint) else ThetaScalar.of(other)
+
+
+def _circle_shift(s: ThetaScalar, a2: int, b2: int, c2: int, d2: int) -> TorusPoint:
+    """[s + (a2 + b2*theta + c2*theta^2)/d2] for a canonical s, with one gcd.
+
+    The rational numerator is taken mod d before the reduction, which keeps
+    the result canonical because gcd(a mod d, b, c, d) = gcd(a, b, c, d).
+    """
+    a1, b1, c1, d1 = s
+    if d1 == d2:
+        a, b, c, d = a1 + a2, b1 + b2, c1 + c2, d1
+    else:
+        a, b, c, d = a1 * d2 + a2 * d1, b1 * d2 + b2 * d1, c1 * d2 + c2 * d1, d1 * d2
+    return tuple.__new__(TorusPoint, (_make(a % d, b, c, d),))
+
+
 def torus_reduce(value) -> TorusPoint:
     """Reduce a scalar modulo 1 to its canonical circle representative."""
     return value if isinstance(value, TorusPoint) else TorusPoint(value)
 
 
-@dataclass(frozen=True)
-class IntMatrix2:
+class IntMatrix2(NamedTuple):
     """2x2 integer matrix [[a, b], [c, d]], usually with det = +-1."""
 
     a: int
@@ -268,6 +305,8 @@ class IntMatrix2:
         if isinstance(x, TorusPoint) or isinstance(y, TorusPoint):
             return tuple(map(TorusPoint, image))
         return image
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _no_tuple_arithmetic
 
     def __repr__(self) -> str:
         return f"[[{self.a}, {self.b}], [{self.c}, {self.d}]]"

@@ -1,5 +1,7 @@
 """Exact checks for the integer invariants and the twist action."""
 
+from fractions import Fraction
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +30,25 @@ class TestKClass:
     def test_equality_is_structural(self):
         assert KClass((1, 2), (3, 4)) == KClass((1, 2), (3, 4))
         assert KClass((1, 2), (3, 4)) != KClass((1, 2), (4, 3))
+
+
+class TestIntegralDegree:
+    @pytest.mark.parametrize("degree", [2.7, 0.5, 1.9, 2.0, Fraction(3, 1), "1"])
+    def test_a_non_integral_degree_raises(self, degree):
+        cls = KClass((0, 1), (0, 0))
+        with pytest.raises(TypeError):
+            twist_matrix(degree)
+        with pytest.raises(TypeError):
+            twist_apply(degree, cls)
+        with pytest.raises(TypeError):
+            twist_compose(degree, 0)
+        with pytest.raises(TypeError):
+            twist_compose(0, degree)
+
+    def test_integer_like_degrees_are_accepted(self):
+        assert twist_matrix(True) == IntMatrix2(1, 1, 0, 1)
+        assert twist_apply(-2, KClass((0, 1), (0, 0))).k0 == (-2, 1)
+        assert twist_compose(True, 2) == 3
 
 
 class TestTwistAction:

@@ -12,7 +12,7 @@ import textwrap
 
 import pytest
 
-from rotalab import checks, closedform, duality, groupoids, ktheory, nctorus, oscillator
+from rotalab import checks, closedform, duality, groupoids, ktheory, nctorus, oscillator, scalars
 from rotalab.cli import RunConfig
 from rotalab.scalars import IntMatrix2
 
@@ -145,6 +145,19 @@ def plant_line_orbit_flow_sign(monkeypatch):
     replace_everywhere(monkeypatch, original, mutated)
 
 
+def plant_circle_shift_unreduced(monkeypatch):
+    """The one-pass circle shift without its mod d, so a shifted point leaves canonical form."""
+    mutated = rewritten(scalars, scalars._circle_shift, "a % d", "a")
+    monkeypatch.setattr(scalars, "_circle_shift", mutated)
+
+
+def plant_circle_shift_subtract_adds(monkeypatch):
+    """A circle point minus a scalar shifted forward by the scalar, not back."""
+    method = scalars.TorusPoint.__sub__
+    mutated = rewritten(scalars, method, "-a, -b, -c, d", "a, b, c, d")
+    monkeypatch.setattr(scalars.TorusPoint, "__sub__", mutated)
+
+
 def plant_twist_direction(monkeypatch):
     replace_everywhere(monkeypatch, ktheory.twist_matrix, lambda b: IntMatrix2(1, -int(b), 0, 1))
 
@@ -217,6 +230,18 @@ MUTANTS = [
     ),
     ("lattice_source_sign", plant_lattice_source_sign, ("groupoids",), {"groupoids.lattice_laws"}),
     ("line_orbit_flow_sign", plant_line_orbit_flow_sign, ("groupoids",), {"groupoids.flow_laws"}),
+    (
+        "circle_shift_unreduced",
+        plant_circle_shift_unreduced,
+        ("groupoids",),
+        {"groupoids.flow_laws", "groupoids.matrix_functoriality"},
+    ),
+    (
+        "circle_shift_subtract_adds",
+        plant_circle_shift_subtract_adds,
+        ("groupoids",),
+        {"groupoids.flow_laws"},
+    ),
 ]
 
 

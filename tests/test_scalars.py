@@ -3,6 +3,7 @@
 import copy
 import math
 import pickle
+import random
 from fractions import Fraction
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rotalab.errors import DegreeOverflow, InvalidMu, PoleAtTheta
+from rotalab.sampling import rational, theta_scalar
 from rotalab.scalars import (
     IntMatrix2,
     ThetaScalar,
@@ -323,3 +325,45 @@ class TestIntegerNumeratorRepresentation:
             for copied in (pickle.loads(pickle.dumps(value, protocol)), copy.deepcopy(value)):
                 assert copied == value and type(copied) is type(value)
         assert type(pickle.loads(pickle.dumps(point, protocol)).x) is ThetaScalar
+
+
+# ---------------------------------------------------------------------------
+# the one-pass circle shift and the direct scalar sampler against their
+# two-step references
+# ---------------------------------------------------------------------------
+
+
+def canonical(point):
+    a, b, c, d = point.x
+    return d > 0 and 0 <= a < d and math.gcd(a, b, c, d) == 1
+
+
+class TestOnePassShift:
+    @given(triples, triples)
+    def test_shift_by_a_scalar_equals_reduction_of_the_sum(self, x, y):
+        point, s = torus_reduce(ThetaScalar(*x)), ThetaScalar(*y)
+        for got, expected in ((point + s, point.x + s), (point - s, point.x - s)):
+            want = torus_reduce(expected)
+            assert tuple(got.x) == tuple(want.x)
+            assert type(got) is TorusPoint and type(got.x) is ThetaScalar
+            assert canonical(got)
+
+    @given(triples, triples, small_ints)
+    def test_shift_by_a_point_or_an_int_equals_reduction_of_the_sum(self, x, y, n):
+        point, other = torus_reduce(ThetaScalar(*x)), torus_reduce(ThetaScalar(*y))
+        assert tuple((point + other).x) == tuple(torus_reduce(point.x + other.x).x)
+        assert tuple((point - other).x) == tuple(torus_reduce(point.x - other.x).x)
+        assert tuple((point + n).x) == tuple((n + point).x) == tuple(point.x)
+        assert tuple((point - n).x) == tuple(point.x)
+
+
+class TestScalarSampler:
+    @given(st.integers(min_value=0, max_value=2**64))
+    def test_same_scalars_and_stream_as_two_rationals(self, seed):
+        rng, twin = random.Random(seed), random.Random(seed)
+        for _ in range(8):
+            got = theta_scalar(rng)
+            expected = ThetaScalar(rational(twin), rational(twin))
+            assert tuple(got) == tuple(expected)
+            assert type(got) is ThetaScalar
+            assert rng.getstate() == twin.getstate()
