@@ -192,10 +192,20 @@ class LayeredProfiles(KeyedProfiles):
         """The profiles of layer k keyed by mode, in insertion order."""
         return {m: p for (kk, m), p in self.profiles.items() if kk == k}
 
-    def eval_at(self, k: int, x: float, *line) -> complex:
+    def eval_at(self, k: int, x, *line):
+        """F(k, [x], *line) at a circle point x or an array of them.
+
+        An array x must broadcast against the profile values: its shape
+        leads, with a length-one axis for each axis of the line arrays.
+        Each point's phase is one cmath.exp, so a point in an array reads
+        the same bits as the point alone.
+        """
+        points = np.asarray(x, dtype=float)
+        ys = points.ravel().tolist()
         total = 0j
         for m, p in self.layer_profiles(k).items():
-            total += p(*line) * cmath.exp(TWO_PI * 1j * m * x)
+            phases = np.array([cmath.exp(TWO_PI * 1j * m * y) for y in ys])
+            total += p(*line) * phases.reshape(points.shape)[()]
         return total
 
 
@@ -549,7 +559,9 @@ def _layer_pair_sum(fn1, fn2, layer_pair, l_max: int, theta: float) -> APairValu
             k2 = k1 + l2 - l1
             if abs(k2) <= fn2.z_max:
                 total += layer_pair(k1, k2, l1, l2, v, w)
-        return total
+        # a Python complex at a point (a numpy scalar would divide with other
+        # rounding), a list of them for an array of points
+        return np.asarray(total).tolist()
 
     return APairValued(fn, l_max, theta)
 
@@ -564,19 +576,24 @@ def pair_module_inner(
     is truncated where the Gaussian profiles are negligible. Each layer
     pair is evaluated once on the array of all truncated coset offsets,
     and the products are summed in real arithmetic so that a
-    self-pairing's diagonal comes out exactly real. The coset window is
-    centred for theta in [0, 1).
+    self-pairing's diagonal comes out exactly real. The first circle
+    point v may be a 1-D array; the value is then the list of the values
+    at its points, each with the bits of that point alone (or 0j when no
+    layer pair is in reach). The coset window is centred for theta in
+    [0, 1).
     """
     _require_shear(b)
     offsets = _coset_offsets(abs(b), phi.grid.radius + 2, phi.z_max)
 
     def layer_pair(k1, k2, l1, l2, v, w):
+        v = np.asarray(v)[..., None]
         r0 = (offsets + k1 * theta + w - v) / b
         left = phi.eval_at(k1, v, r0)
         right = psi.eval_at(k2, v - l1 * theta, r0 + l1)
-        re = float(np.sum(left.real * right.real + left.imag * right.imag))
-        im = float(np.sum(left.real * right.imag - left.imag * right.real))
-        return complex(re, im)
+        out = np.empty(r0.shape[:-1], dtype=complex)
+        out.real = (left.real * right.real + left.imag * right.imag).sum(axis=-1)
+        out.imag = (left.real * right.imag - left.imag * right.real).sum(axis=-1)
+        return out
 
     return _layer_pair_sum(phi, psi, layer_pair, 2 * phi.z_max, theta)
 
@@ -618,15 +635,16 @@ def descent_inner_oracle(phi: ZTRFunction, psi: ZTRFunction, theta: float, b: in
     """Collapse the pair-valued inner product by averaging the first slot.
 
     Returns a callable (x, l) -> complex for comparison with the primary
-    descent_inner route.
+    descent_inner route. All first-slot samples go through the pair in
+    one array call, and their values are summed in sample order.
     """
     pair = pair_module_inner(phi, psi, theta, b)
     ys = (np.arange(ORACLE_Y_COUNT) + 0.5) / ORACLE_Y_COUNT
 
     def collapsed(x: float, l: int) -> complex:
         total = 0j
-        for y in ys:
-            total += pair.value(0, l, float(y), x)
+        for value in np.broadcast_to(pair.value(0, l, ys, x), ys.shape).tolist():
+            total += value
         return total / ORACLE_Y_COUNT
 
     return collapsed

@@ -209,6 +209,7 @@ def nct_represent(a: SmoothElement, which: str, L: int, K: int) -> np.ndarray:
         e^{-2 pi i theta l m} z^{l+j} (x) eps_{k-m}.
     Images that leave the truncation window are dropped, so the
     compression is faithful on the columns of interior_mask(L, K, *window).
+    Each coefficient fills all its columns in one indexed assignment.
     """
     if which not in ("left", "right"):
         raise ValueError(f"unknown representation {which!r}")
@@ -218,15 +219,22 @@ def nct_represent(a: SmoothElement, which: str, L: int, K: int) -> np.ndarray:
             f"support window ({wn}, {wm}) exceeds truncation ({L}, {K})"
         )
     dim = basis_dim(L, K)
+    l, k = np.array(basis_labels(L, K), dtype=np.int64).T
     mat = np.zeros((dim, dim), dtype=complex)
     for (j, m), c in a.coeffs.items():
-        for col, (l, k) in enumerate(basis_labels(L, K)):
-            if which == "left":
-                k_out, exponent = k + m, j * (k + m)
-            else:
-                k_out, exponent = k - m, -l * m
-            if -L <= l + j <= L and -K <= k_out <= K:
-                mat[basis_index(l + j, k_out, L, K), col] += c * lambda_power(a.theta, exponent)
+        if which == "left":
+            k_out, exponent = k + m, j * (k + m)
+        else:
+            k_out, exponent = k - m, -l * m
+        cols = np.flatnonzero((np.abs(l + j) <= L) & (np.abs(k_out) <= K))
+        rows = basis_index(l[cols] + j, k_out[cols], L, K)
+        # one phase per distinct exponent, times c as a Python complex since
+        # numpy's array product can round differently; not np.unique, whose
+        # sort pages in about half a megabyte of library code
+        exponents = exponent[cols]
+        powers = sorted(set(exponents.tolist()))
+        vals = np.array([c * lambda_power(a.theta, e) for e in powers], dtype=complex)
+        mat[rows, cols] += vals[np.searchsorted(powers, exponents)]
     return mat
 
 

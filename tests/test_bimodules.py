@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from rotalab.bimodules import (
+    ORACLE_Y_COUNT,
     APairValued,
     CTValued,
     RGrid,
@@ -662,6 +663,79 @@ class TestDescentBimodule:
                     if ll == l
                 )
                 assert abs(primary - oracle(x, l)) < 1e-9
+
+
+# (x, l) points for the fiber average, l reaching past the layers both functions hold
+ORACLE_POINTS = [(0.15, -1), (0.6, 0), (0.93, 1), (0.0, 2), (0.41, -3)]
+ORACLE_YS = (np.arange(ORACLE_Y_COUNT) + 0.5) / ORACLE_Y_COUNT
+
+
+class TestBatchedFiberAverage:
+    """An array of first circle points reads the bits of each point alone."""
+
+    def make_pair(self, seed):
+        rng = random.Random(seed)
+        return tuple(random_ztr(rng, z_max=2, freqs=(-1, 0, 1)) for _ in range(2))
+
+    def test_layer_evaluation_at_an_array_of_points(self):
+        f1, _ = self.make_pair(80)
+        r = np.linspace(-3.0, 3.0, 7)
+        for k in f1.layers():
+            batch = f1.eval_at(k, ORACLE_YS[:, None], r)
+            assert batch.shape == (ORACLE_Y_COUNT, r.size)
+            for i, y in enumerate(ORACLE_YS.tolist()):
+                assert batch[i].tobytes() == f1.eval_at(k, y, r).tobytes()
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_pair_value_at_an_array_of_points(self, b):
+        f1, f2 = self.make_pair(99)
+        pair = pair_module_inner(f1, f2, THETA, b)
+        for x, l in ORACLE_POINTS:
+            batch = pair.value(0, l, ORACLE_YS, x)
+            assert len(batch) == ORACLE_Y_COUNT
+            for i in range(ORACLE_Y_COUNT):
+                point = pair.value(0, l, ORACLE_YS[i], x)
+                assert type(point) is complex and batch[i] == point
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_point_value_is_the_real_sum_over_each_layer_pair(self, b):
+        # reference: one point at a time, each layer's phases from cmath.exp and
+        # the two real sums taken over the coset offsets
+        def layer(fn, k, x, r):
+            total = 0j
+            for m, p in fn.layer_profiles(k).items():
+                total += p(r) * cmath.exp(TWO_PI * 1j * m * x)
+            return total
+
+        f1, f2 = self.make_pair(95)
+        pair = pair_module_inner(f1, f2, THETA, b)
+        offsets = _coset_offsets(b, GRID.radius + 2, f1.z_max)
+        for x, l in ORACLE_POINTS:
+            for v in ORACLE_YS[::7].tolist():
+                expected = 0j
+                for k1 in f1.layers():
+                    if abs(k1 + l) <= f2.z_max:
+                        r0 = (offsets + k1 * THETA + x - v) / b
+                        left, right = layer(f1, k1, v, r0), layer(f2, k1 + l, v, r0)
+                        re = float(np.sum(left.real * right.real + left.imag * right.imag))
+                        im = float(np.sum(left.real * right.imag - left.imag * right.real))
+                        expected += complex(re, im)
+                assert pair.value(0, l, v, x) == expected
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_oracle_is_the_point_loop_summed_in_order(self, b):
+        f1, f2 = self.make_pair(98)
+        pair = pair_module_inner(f1, f2, THETA, b)
+        oracle = descent_inner_oracle(f1, f2, THETA, b)
+        for x, l in ORACLE_POINTS:
+            total = 0j
+            for y in ORACLE_YS:
+                total += pair.value(0, l, float(y), x)
+            assert oracle(x, l) == total / ORACLE_Y_COUNT
+
+    def test_oracle_with_no_layer_pair_in_reach_is_zero(self):
+        f1, f2 = self.make_pair(88)
+        assert descent_inner_oracle(f1, f2, THETA, 1)(0.3, 5) == 0j
 
 
 @pytest.mark.parametrize(

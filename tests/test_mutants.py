@@ -12,7 +12,17 @@ import textwrap
 
 import pytest
 
-from rotalab import checks, closedform, duality, groupoids, ktheory, nctorus, oscillator, scalars
+from rotalab import (
+    bimodules,
+    checks,
+    closedform,
+    duality,
+    groupoids,
+    ktheory,
+    nctorus,
+    oscillator,
+    scalars,
+)
 from rotalab.cli import RunConfig
 from rotalab.scalars import IntMatrix2
 
@@ -158,6 +168,20 @@ def plant_circle_shift_subtract_adds(monkeypatch):
     monkeypatch.setattr(scalars.TorusPoint, "__sub__", mutated)
 
 
+def plant_right_representation_phase_sign(monkeypatch):
+    """The right representation's phase e^{-2 pi i theta l m} with its sign flipped."""
+    original = nctorus.nct_represent
+    mutated = rewritten(nctorus, original, "-l * m", "l * m")
+    replace_everywhere(monkeypatch, original, mutated)
+
+
+def plant_layer_phase_sign(monkeypatch):
+    """Each point's circle phase in a layer evaluation taken as e^{-2 pi i m x}."""
+    method = bimodules.LayeredProfiles.eval_at
+    mutated = rewritten(bimodules, method, "exp(TWO_PI * 1j * m * y)", "exp(-TWO_PI * 1j * m * y)")
+    monkeypatch.setattr(bimodules.LayeredProfiles, "eval_at", mutated)
+
+
 def plant_twist_direction(monkeypatch):
     replace_everywhere(monkeypatch, ktheory.twist_matrix, lambda b: IntMatrix2(1, -int(b), 0, 1))
 
@@ -233,15 +257,26 @@ MUTANTS = [
     (
         "circle_shift_unreduced",
         plant_circle_shift_unreduced,
-        ("groupoids",),
-        {"groupoids.flow_laws", "groupoids.matrix_functoriality"},
+        ("algebra", "groupoids"),
+        {
+            "algebra.torus_translation",
+            "groupoids.flow_laws",
+            "groupoids.matrix_functoriality",
+        },
     ),
     (
         "circle_shift_subtract_adds",
         plant_circle_shift_subtract_adds,
-        ("groupoids",),
-        {"groupoids.flow_laws"},
+        ("algebra", "groupoids"),
+        {"algebra.torus_translation", "groupoids.flow_laws"},
     ),
+    (
+        "right_representation_phase_sign",
+        plant_right_representation_phase_sign,
+        ("algebra",),
+        {"algebra.representation_interior"},
+    ),
+    ("layer_phase_sign", plant_layer_phase_sign, ("bimodules",), {"bimodules.descent_oracle"}),
 ]
 
 

@@ -286,6 +286,63 @@ class TestRepresentations:
             assert nct_represent(a, which, L, K).tobytes() == entrywise(a).tobytes()
 
 
+def represent_per_column(a, which, L, K):
+    """The representation filled one basis column at a time, a phase per entry."""
+    dim = basis_dim(L, K)
+    mat = np.zeros((dim, dim), dtype=complex)
+    for (j, m), c in a.coeffs.items():
+        for col, (l, k) in enumerate(basis_labels(L, K)):
+            if which == "left":
+                k_out, exponent = k + m, j * (k + m)
+            else:
+                k_out, exponent = k - m, -l * m
+            if -L <= l + j <= L and -K <= k_out <= K:
+                mat[basis_index(l + j, k_out, L, K), col] += c * lambda_power(a.theta, exponent)
+    return mat
+
+
+class TestIndexedRepresentation:
+    """One indexed assignment per coefficient gives the per-column matrices bit for bit."""
+
+    @pytest.mark.parametrize("L, K", [(6, 6), (2, 4), (4, 2), (1, 1)])
+    @pytest.mark.parametrize("which", ["left", "right"])
+    def test_random_elements(self, which, L, K):
+        rng = np.random.default_rng(41)
+        for theta in (THETA, 12.7071, -98765.4321):
+            for terms in (1, 3, 8):
+                a = random_element(rng, window=min(L, K), theta=theta, terms=terms)
+                got = nct_represent(a, which, L, K)
+                want = represent_per_column(a, which, L, K)
+                assert np.array_equal(got, want) and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("which", ["left", "right"])
+    def test_support_on_the_truncation_edge(self, which):
+        L, K = 3, 4
+        corners = {(L, K): 1.0, (-L, -K): -0.5j, (L, -K): 0.25 + 0.75j, (-L, K): 2.0}
+        a = SmoothElement(corners, THETA)
+        assert a.window() == (L, K)
+        assert np.array_equal(nct_represent(a, which, L, K), represent_per_column(a, which, L, K))
+
+    @pytest.mark.parametrize("which", ["left", "right"])
+    def test_zero_element_is_the_zero_matrix(self, which):
+        zero = SmoothElement({}, THETA)
+        got = nct_represent(zero, which, 2, 3)
+        assert np.array_equal(got, represent_per_column(zero, which, 2, 3))
+        assert got.shape == (basis_dim(2, 3),) * 2 and not got.any()
+
+    @pytest.mark.parametrize("which", ["left", "right"])
+    @pytest.mark.parametrize("key", [(4, 0), (0, -4), (-4, 4)])
+    def test_support_beyond_the_window_raises(self, which, key):
+        a = SmoothElement({(0, 0): 1.0, key: 0.5}, THETA)
+        message = r"support window .* exceeds truncation \(3, 3\)"
+        with pytest.raises(TruncationTooSmall, match=message):
+            nct_represent(a, which, 3, 3)
+
+    def test_unknown_side_raises_before_the_window_check(self):
+        with pytest.raises(ValueError, match="unknown representation 'middle'"):
+            nct_represent(SmoothElement.v_power(9, THETA), "middle", 3, 3)
+
+
 def dolbeault_dense(L, K):
     """The odd operator as a dense matrix, rebuilt from its two block diagonals."""
     upper, lower = nct_dolbeault(L, K)
