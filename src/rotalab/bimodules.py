@@ -197,15 +197,11 @@ class LayeredProfiles(KeyedProfiles):
 
         An array x must broadcast against the profile values: its shape
         leads, with a length-one axis for each axis of the line arrays.
-        Each point's phase is one cmath.exp, so a point in an array reads
-        the same bits as the point alone.
         """
         points = np.asarray(x, dtype=float)
-        ys = points.ravel().tolist()
         total = 0j
         for m, p in self.layer_profiles(k).items():
-            phases = np.array([cmath.exp(TWO_PI * 1j * m * y) for y in ys])
-            total += p(*line) * phases.reshape(points.shape)[()]
+            total += p(*line) * np.exp(TWO_PI * 1j * m * points)
         return total
 
 
@@ -339,11 +335,6 @@ def sheared_module_inner(
     r, w = phi.grid.nodes(), phi.grid.weights()
     sums = {m: np.sum(w * p(r / b) * np.exp(-TWO_PI * 1j * m * r)) for m, p in products.items()}
     return CTValued(sums)
-
-
-def sheared_module_translate(phi: TRFunction, l: int, theta: float) -> TRFunction:
-    """Integer action of the sheared structure: phi([x - l theta], r + l)."""
-    return phi.map(lambda m, p: p.affine(1.0, float(l)).scale(lambda_power(theta, -m * l)))
 
 
 def shear_unitary(phi: TRFunction, b: int, inverse: bool = False) -> TRFunction:

@@ -28,7 +28,6 @@ from .groupoids import (
     flow_compose,
     flow_transport,
     lattice_arrow_from_times,
-    lattice_arrow_to_times,
     lattice_compose,
     rotation_compose,
     transversal_roundtrip,
@@ -251,12 +250,12 @@ def _singular_value_law(cfg, rng):
 @_register("oscillator", "grid_oracle")
 def _grid_oracle(cfg, rng):
     lam = cfg.lam
-    radius = oracle_radius(lam, 0.0)
+    radius = oracle_radius(lam)
     # at a negative slope the block keeps a near-kernel singular value, compared with 0
     levels = np.arange(1, 11) if lam > 0 else np.arange(11)
     coarse, fine = (
         bidiagonal_singular_values(
-            grid_dirac_plus_staggered(lam, 0.0, np.linspace(-radius, radius, n))
+            grid_dirac_plus_staggered(lam, np.linspace(-radius, radius, n))
         )[: len(levels)]
         for n in (257, 513)
     )
@@ -407,7 +406,7 @@ def _lattice_times_roundtrip(cfg, rng):
         g = shear(b)
         for _ in range(trials):
             a = lattice_chain(rng, g, 1)[0]
-            t1, t2 = lattice_arrow_to_times(a)
+            t1, t2 = a.first_time(), a.second_time()
             if lattice_arrow_from_times(a.range[0], a.range[1], t1, t2, g) != a:
                 bad += 1
     return "label pair to time pair roundtrip", {"samples": 3 * trials}, float(bad), 0.0

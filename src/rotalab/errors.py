@@ -9,10 +9,6 @@ class DegreeOverflow(RotalabError):
     """A product left the degree-two polynomial window for theta."""
 
 
-class PoleAtTheta(RotalabError):
-    """A Mobius denominator vanished at the given parameter value."""
-
-
 class NotComposable(RotalabError):
     """Two groupoid arrows were composed but range and source disagree."""
 

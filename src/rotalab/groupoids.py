@@ -235,15 +235,6 @@ def lattice_compose(f: LatticeFlowArrow, h: LatticeFlowArrow) -> LatticeFlowArro
     return LatticeFlowArrow(f.x, f.y, f.k + h.k, f.l + h.l, f.g)
 
 
-def lattice_arrow_to_times(arrow: LatticeFlowArrow):
-    """The two matched flow times of a doubled-label arrow.
-
-    Exact when the defect is rational (c = 0 and a = d); any other matrix
-    raises UnsupportedMatrix, since its defect involves theta.
-    """
-    return arrow.first_time(), arrow.second_time()
-
-
 def lattice_times_to_labels(t1, t2, g: IntMatrix2):
     """Recover the integer labels (k, l) from a matched pair of flow times.
 

@@ -17,7 +17,8 @@ comes out +-1 as it should.
 
 Every operator here is a plain numpy array. The Hermite basis moves with
 the center t, so the ladder matrices do not depend on it and take no
-center argument; only the grid oracles and basis functions do.
+center argument; only the basis functions do. The grid oracles sit at
+the center t = 0.
 
 Uniform-grid discretizations of the same operator serve as independent
 oracles: they know nothing about the ladder algebra.
@@ -128,13 +129,13 @@ def kernel_projector(lam: float, L: int) -> np.ndarray:
     return mat
 
 
-def _kernel_dim(block: np.ndarray, rank_tol: float) -> int:
+def _kernel_dim(block: np.ndarray) -> int:
     """Columns minus rank, with an ambiguity guard at the rank cut."""
     sv = np.linalg.svd(block, compute_uv=False)
     top = sv[0] if sv.size else 0.0
     if top == 0.0:
         return block.shape[1]
-    cut = rank_tol * top
+    cut = RANK_TOL * top
     if np.any((sv > 0.1 * cut) & (sv < 10.0 * cut)):
         raise RankAmbiguous(f"singular values cluster at the rank cut {cut:.3e}")
     rank = int(np.sum(sv >= cut))
@@ -144,13 +145,7 @@ def _kernel_dim(block: np.ndarray, rank_tol: float) -> int:
 def kernel_dims(lam: float, L: int) -> tuple[int, int]:
     """dim ker of the plus block and of the minus block (its transpose), cut at RANK_TOL."""
     a_plus = ladder_block(lam, L)
-    return _kernel_dim(a_plus, RANK_TOL), _kernel_dim(a_plus.T, RANK_TOL)
-
-
-def fredholm_index(lam: float, L: int) -> int:
-    """dim ker of the plus block minus dim ker of the minus block."""
-    plus, minus = kernel_dims(lam, L)
-    return plus - minus
+    return _kernel_dim(a_plus), _kernel_dim(a_plus.T)
 
 
 def functional_calculus(f, lam: float, L: int) -> np.ndarray:
@@ -194,9 +189,9 @@ def equivariance_defect(lam: float, l: int, L: int = 64) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def oracle_radius(lam: float, t: float) -> float:
+def oracle_radius(lam: float) -> float:
     """Grid half-width wide enough for the low basis functions, which narrow like 1/sqrt|lam|."""
-    return 8.0 / math.sqrt(abs(lam)) + abs(t)
+    return 8.0 / math.sqrt(abs(lam))
 
 
 def _central_difference(n: int, h: float) -> np.ndarray:
@@ -207,18 +202,18 @@ def _central_difference(n: int, h: float) -> np.ndarray:
     return d
 
 
-def grid_dirac_plus(lam: float, t: float, nodes: np.ndarray) -> np.ndarray:
-    """Collocated central-difference discretization of lam*(r - t) + d/dr.
+def grid_dirac_plus(lam: float, nodes: np.ndarray) -> np.ndarray:
+    """Collocated central-difference discretization of lam*r + d/dr.
 
     Couples next-nearest nodes only, so its spectrum carries each value
     twice (independent even and odd sublattices). Fine for norm bounds;
     use the staggered form when individual singular values matter.
     """
     h = nodes[1] - nodes[0]
-    return lam * np.diag(nodes - t) + _central_difference(len(nodes), h)
+    return lam * np.diag(nodes) + _central_difference(len(nodes), h)
 
 
-def grid_dirac_plus_staggered(lam: float, t: float, nodes: np.ndarray) -> np.ndarray:
+def grid_dirac_plus_staggered(lam: float, nodes: np.ndarray) -> np.ndarray:
     """Central differencing evaluated at midpoints: an (n-1) x n block.
 
     The block is upper bidiagonal: row i has entries only in columns i
@@ -229,11 +224,12 @@ def grid_dirac_plus_staggered(lam: float, t: float, nodes: np.ndarray) -> np.nda
     """
     n = len(nodes)
     h = nodes[1] - nodes[0]
-    mid = 0.5 * (nodes[:-1] + nodes[1:]) - t
+    mid = 0.5 * (nodes[:-1] + nodes[1:])
     mat = np.zeros((n - 1, n))
     idx = np.arange(n - 1)
-    mat[idx, idx] = 0.5 * lam * mid - 1.0 / h
-    mat[idx, idx + 1] = 0.5 * lam * mid + 1.0 / h
+    # lam * mid first: 0.5 * lam underflows to zero at the smallest subnormal slope
+    mat[idx, idx] = 0.5 * (lam * mid) - 1.0 / h
+    mat[idx, idx + 1] = 0.5 * (lam * mid) + 1.0 / h
     return mat
 
 

@@ -27,7 +27,7 @@ from fractions import Fraction
 from operator import itemgetter
 from typing import NamedTuple, Union
 
-from .errors import DegreeOverflow, InvalidMu, PoleAtTheta
+from .errors import DegreeOverflow, InvalidMu
 
 Rational = Union[int, Fraction]
 
@@ -320,14 +320,6 @@ def mobius_defect(g: IntMatrix2) -> ThetaScalar:
     fractional-linear action of g fixes theta.
     """
     return _make(g.b, g.a - g.d, -g.c, 1)
-
-
-def mobius_transform(g: IntMatrix2, theta: float) -> float:
-    """Fractional-linear action (a*theta + b) / (c*theta + d)."""
-    den = g.c * theta + g.d
-    if den == 0.0:
-        raise PoleAtTheta(f"{g} has a pole at theta = {theta}")
-    return (g.a * theta + g.b) / den
 
 
 def require_nonzero_defect(g: IntMatrix2) -> ThetaScalar:

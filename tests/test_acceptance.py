@@ -22,7 +22,6 @@ from rotalab.groupoids import (
     flow_compose,
     flow_transport,
     lattice_arrow_from_times,
-    lattice_arrow_to_times,
     lattice_compose,
     rotation_compose,
     transversal_roundtrip,
@@ -40,9 +39,9 @@ from rotalab.nctorus import (
     pair_multiply,
 )
 from rotalab.oscillator import (
-    fredholm_index,
     functional_calculus,
     grid_dirac_plus_staggered,
+    kernel_dims,
     kernel_projector,
     ladder_block,
     oracle_radius,
@@ -119,10 +118,10 @@ def test_criterion_01_oscillator_singular_values():
     expected = np.sqrt(2.0 * lam * np.arange(1, level))
     rel = np.abs(sv[:59] - expected[:59]) / expected[:59]
     assert np.max(rel) < 1e-10
-    radius = oracle_radius(lam, 0.0)
+    radius = oracle_radius(lam)
     nodes = np.linspace(-radius, radius, 1024)
     grid_sv = np.sort(
-        np.linalg.svd(grid_dirac_plus_staggered(lam, 0.0, nodes), compute_uv=False)
+        np.linalg.svd(grid_dirac_plus_staggered(lam, nodes), compute_uv=False)
     )
     assert np.max(np.abs(grid_sv[:10] - expected[:10])) < 1e-3
     elapsed = time.monotonic() - started
@@ -132,8 +131,9 @@ def test_criterion_01_oscillator_singular_values():
 
 def test_criterion_02_fredholm_index_signs():
     for lam in (0.5, 1.0, TWO_PI):
-        assert fredholm_index(lam, 32) == 1
-        assert fredholm_index(-lam, 32) == -1
+        for slope, index in ((lam, 1), (-lam, -1)):
+            plus, minus = kernel_dims(slope, 32)
+            assert plus - minus == index
     _stamp(2, "kernel imbalance is +1 for positive slopes, -1 for negative")
 
 
@@ -244,7 +244,7 @@ def test_criterion_06_equivalence_roundtrips():
     for i in range(500):
         b = 1 + i % 3
         a = lattice_chain(rng, shear(b), 1)[0]
-        t1, t2 = lattice_arrow_to_times(a)
+        t1, t2 = a.first_time(), a.second_time()
         assert lattice_arrow_from_times(a.range[0], a.range[1], t1, t2, shear(b)) == a
     _stamp(6, "transversal and label-time roundtrips exact on 1000 samples")
 

@@ -38,7 +38,6 @@ from rotalab.bimodules import (
     shear_unitary,
     sheared_dirac,
     sheared_module_inner,
-    sheared_module_translate,
 )
 from rotalab.closedform import GaussSum
 from rotalab.duality import SB2Function, base_inner, transformed_inner
@@ -217,18 +216,6 @@ class TestShearedModule:
         zbar = CTValued({-1: 1.0})
         roundtrip = line_module_left(line_module_left(phi, z, 2), zbar, 2)
         assert roundtrip.max_abs_difference(phi) < 1e-14
-
-    def test_translation_covariance_of_inner(self):
-        rng = random.Random(26)
-        phi, psi = random_tr(rng), random_tr(rng)
-        moved = sheared_module_inner(
-            sheared_module_translate(phi, 2, THETA),
-            sheared_module_translate(psi, 2, THETA),
-            2,
-            "closed",
-        )
-        fixed = sheared_module_inner(phi, psi, 2, "closed").rotate(2, THETA)
-        assert moved.max_abs_difference(fixed) < 1e-12
 
     def test_self_inner_function_nonnegative(self):
         rng = random.Random(27)

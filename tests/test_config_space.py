@@ -123,10 +123,13 @@ def test_negative_slope_passes_the_oscillator_suite(lam):
 
 
 @pytest.mark.parametrize(
-    "lam", [0.3, 1.5, 2.0, 16.0, 1e6, 1e-300, 1e300, 1e305, 1e306, -0.5, -2.0, -1e306]
+    "lam",
+    [0.3, 1.5, 2.0, 16.0, 1e6, 1e-300, 1e300, 1e305, 1e306, -0.5, -2.0, -1e306, 5e-324, -5e-324],
 )
 def test_grid_oracle_passes_at_every_slope(lam):
-    # the oracle grid scales with 1/sqrt|lambda|, so the error keeps the tolerance's scale
+    # the oracle grid scales with 1/sqrt|lambda|, so the error keeps the tolerance's scale;
+    # at the smallest subnormal slope half of lambda rounds to zero, so the block must
+    # halve lambda * r rather than multiply r by lambda / 2
     _, _, max_error, tolerance = checks._grid_oracle(RunConfig(lam=lam), None)
     assert max_error < tolerance
 

@@ -28,7 +28,6 @@ from rotalab.groupoids import (
     flow_transport,
     lattice_act_on_transversal,
     lattice_arrow_from_times,
-    lattice_arrow_to_times,
     lattice_compose,
     lattice_times_to_labels_numeric,
     reduction_iso,
@@ -238,13 +237,13 @@ class TestLatticeFlow:
                 x, y = torus_point(rng), torus_point(rng)
                 k, l = rng.randint(-5, 5), rng.randint(-5, 5)
                 a = LatticeFlowArrow(x, y, k, l, g)
-                t1, t2 = lattice_arrow_to_times(a)
+                t1, t2 = a.first_time(), a.second_time()
                 assert lattice_arrow_from_times(x, y, t1, t2, g) == a
 
     def test_bad_times_rejected(self):
         g = shear(2)
         a = LatticeFlowArrow(torus_reduce(0), torus_reduce(0), 3, 1, g)
-        t1, t2 = lattice_arrow_to_times(a)
+        t1, t2 = a.first_time(), a.second_time()
         with pytest.raises(NotInFg):
             lattice_arrow_from_times(
                 torus_reduce(0), torus_reduce(0), t1 + frac(1, 3), t2, g

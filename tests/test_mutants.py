@@ -119,8 +119,8 @@ def plant_staggered_off_band(monkeypatch):
     """One entry of the grid block planted off its two upper bands."""
     original = oscillator.grid_dirac_plus_staggered
 
-    def planted(lam, t, nodes):
-        block = original(lam, t, nodes)
+    def planted(lam, nodes):
+        block = original(lam, nodes)
         block[-1, 0] = block[0, 0]
         return block
 
@@ -178,7 +178,7 @@ def plant_right_representation_phase_sign(monkeypatch):
 def plant_layer_phase_sign(monkeypatch):
     """Each point's circle phase in a layer evaluation taken as e^{-2 pi i m x}."""
     method = bimodules.LayeredProfiles.eval_at
-    mutated = rewritten(bimodules, method, "exp(TWO_PI * 1j * m * y)", "exp(-TWO_PI * 1j * m * y)")
+    mutated = rewritten(bimodules, method, "exp(TWO_PI * 1j * m * points)", "exp(-TWO_PI * 1j * m * points)")
     monkeypatch.setattr(bimodules.LayeredProfiles, "eval_at", mutated)
 
 

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from rotalab import checks
+from rotalab import checks, oscillator
 from rotalab.cli import RunConfig
 from rotalab.errors import RankAmbiguous
 from rotalab.oscillator import (
@@ -15,7 +15,6 @@ from rotalab.oscillator import (
     dirac_matrix,
     dirac_squared_spectrum,
     equivariance_defect,
-    fredholm_index,
     functional_calculus,
     grid_dirac_plus,
     grid_dirac_plus_staggered,
@@ -102,7 +101,8 @@ class TestLadderMatrices:
         else:
             projector[dim_plus, dim_plus] = 1.0
         assert kernel_projector(lam, L).tobytes() == projector.tobytes()
-        assert fredholm_index(lam, L) == (1 if lam > 0 else -1)
+        plus, minus = kernel_dims(lam, L)
+        assert plus - minus == (1 if lam > 0 else -1)
 
     def test_kernel_is_ground_state(self):
         d = dirac_matrix(1.0, 16)
@@ -155,7 +155,7 @@ class TestLadderIdentityGridOracle:
         # window is padded past the l = 10 turning point so the periodic
         # wraparound sits below the target residual
         for lam in (1.0, 2.0):
-            radius = oracle_radius(lam, 0.0) + 2.0
+            radius = oracle_radius(lam) + 2.0
             nodes = np.linspace(-radius, radius, 1024)
             h = nodes[1] - nodes[0]
             for l in range(1, 11):
@@ -167,9 +167,9 @@ class TestLadderIdentityGridOracle:
 
     def test_grid_singular_values_near_closed_form(self):
         lam = 1.0
-        radius = oracle_radius(lam, 0.0)
+        radius = oracle_radius(lam)
         nodes = np.linspace(-radius, radius, 1024)
-        grid_op = grid_dirac_plus_staggered(lam, 0.0, nodes)
+        grid_op = grid_dirac_plus_staggered(lam, nodes)
         sv = np.sort(np.linalg.svd(grid_op, compute_uv=False))
         # the rectangular block has full row rank: its singular values are
         # exactly the nonzero series, the kernel does not contribute a zero
@@ -180,8 +180,8 @@ class TestLadderIdentityGridOracle:
 class TestBidiagonalSingularValues:
     @staticmethod
     def staggered_block(lam):
-        radius = oracle_radius(lam, 0.0)
-        return grid_dirac_plus_staggered(lam, 0.0, np.linspace(-radius, radius, 1024))
+        radius = oracle_radius(lam)
+        return grid_dirac_plus_staggered(lam, np.linspace(-radius, radius, 1024))
 
     @pytest.mark.parametrize(
         "lam", [1.0, -1.0, 0.3, 16.0, 1e6, 1e-300, -1e-300, 1e305, 1e306, -1e306]
@@ -223,8 +223,8 @@ class TestRichardsonGridOracle:
 
     @classmethod
     def level_values(cls, lam, n):
-        radius = oracle_radius(lam, 0.0)
-        block = grid_dirac_plus_staggered(lam, 0.0, np.linspace(-radius, radius, n))
+        radius = oracle_radius(lam)
+        block = grid_dirac_plus_staggered(lam, np.linspace(-radius, radius, n))
         return bidiagonal_singular_values(block)[: len(cls.levels(lam))]
 
     @classmethod
@@ -254,26 +254,28 @@ class TestRichardsonGridOracle:
 
 class TestFredholmIndex:
     def test_positive_slope(self):
-        assert fredholm_index(1.0, 32) == 1
-        assert fredholm_index(2.5, 32) == 1
+        for lam in (1.0, 2.5):
+            plus, minus = kernel_dims(lam, 32)
+            assert plus - minus == 1
         assert kernel_dims(2.5, 32) == (1, 0)
 
     def test_negative_slope(self):
-        assert fredholm_index(-1.0, 32) == -1
-        assert kernel_dims(-1.0, 32) == (0, 1)
+        plus, minus = kernel_dims(-1.0, 32)
+        assert plus - minus == -1
+        assert (plus, minus) == (0, 1)
 
-    def test_rank_ambiguity_guard(self):
+    def test_rank_ambiguity_guard(self, monkeypatch):
         # a rank cut placed on top of a genuine singular value must refuse
         lam, L = 1.0, 8
         a_plus = ladder_block(lam, L)
         sv = np.linalg.svd(a_plus, compute_uv=False)
-        bad_tol = math.sqrt(2.0 * lam) / sv[0]
+        monkeypatch.setattr(oscillator, "RANK_TOL", math.sqrt(2.0 * lam) / sv[0])
         with pytest.raises(RankAmbiguous):
-            _kernel_dim(a_plus, bad_tol)
+            _kernel_dim(a_plus)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (0, 2)])
     def test_zero_block_has_full_kernel(self, shape):
-        assert _kernel_dim(np.zeros(shape), 1e-8) == shape[1]
+        assert _kernel_dim(np.zeros(shape)) == shape[1]
 
 
 class TestFunctionalCalculus:
@@ -308,7 +310,7 @@ class TestFunctionalCalculus:
         # spectral gap above the kernel, which the staggered oracle sees
         lam = 64.0
         nodes = np.linspace(-8.0, 8.0, 512)
-        grid_op = grid_dirac_plus_staggered(lam, 0.0, nodes)
+        grid_op = grid_dirac_plus_staggered(lam, nodes)
         sv = np.sort(np.linalg.svd(grid_op, compute_uv=False))
         # f = exp(-x^2) on the first nonzero singular value; the rectangular
         # block has no zero singular value to exclude
@@ -348,7 +350,7 @@ class TestCommutatorBound:
             for j, c in modes.items():
                 fprime += 2j * math.pi * j * c * np.exp(2j * math.pi * j * fine)
             sup_fprime = np.max(np.abs(fprime))
-            d_grid = grid_dirac_plus(1.0, 0.0, nodes)
+            d_grid = grid_dirac_plus(1.0, nodes)
             fvals = np.zeros_like(nodes, dtype=complex)
             for j, c in modes.items():
                 fvals += c * np.exp(2j * math.pi * j * b * nodes)

@@ -10,14 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rotalab.errors import DegreeOverflow, InvalidMu, PoleAtTheta
+from rotalab.errors import DegreeOverflow, InvalidMu
 from rotalab.sampling import rational, theta_scalar
 from rotalab.scalars import (
     IntMatrix2,
     ThetaScalar,
     TorusPoint,
     mobius_defect,
-    mobius_transform,
     require_nonzero_defect,
     torus_reduce,
 )
@@ -112,35 +111,16 @@ class TestMatrixLayer:
     def test_defect_of_rotation(self):
         assert mobius_defect(IntMatrix2(0, -1, 1, 0)) == ThetaScalar(-1, 0, -1)
 
-    def test_transform_shear(self):
-        assert mobius_transform(IntMatrix2(1, 1, 0, 1), 0.5) == pytest.approx(1.5)
-
-    def test_transform_rotation(self):
-        assert mobius_transform(IntMatrix2(0, -1, 1, 0), 2.0) == pytest.approx(-0.5)
-
-    def test_pole_detection(self):
-        with pytest.raises(PoleAtTheta):
-            mobius_transform(IntMatrix2(0, -1, 1, 0), 0.0)
-
     def test_zero_defect_guard(self):
         with pytest.raises(InvalidMu):
             require_nonzero_defect(IntMatrix2.identity())
-
-    @settings(max_examples=100)
-    @given(det_one_matrices(), det_one_matrices())
-    def test_transform_is_an_action(self, g, h):
-        # numeric composition law at a generic irrational point
-        theta = 1.0 / math.sqrt(2.0)
-        via_product = mobius_transform(g @ h, theta)
-        via_steps = mobius_transform(g, mobius_transform(h, theta))
-        assert via_steps == pytest.approx(via_product, abs=1e-12)
 
     @settings(max_examples=100)
     @given(det_one_matrices())
     def test_zero_defect_iff_theta_fixed(self, g):
         mu = mobius_defect(g)
         fixes = all(
-            abs(mobius_transform(g, t) - t) < 1e-9
+            abs((g.a * t + g.b) / (g.c * t + g.d) - t) < 1e-9
             for t in (0.7071067811865476, 1.4142135623730951, 0.318309886,
                       2.718281828, 0.5773502691896258)
         )
