@@ -22,8 +22,10 @@ Structures implemented:
   one by integrating out the first circle slot.
 
 The pair-valued inner products, here and in the duality layer, are sums
-over a coset of line offsets. One layer loop serves all three, and each
-layer pair is evaluated on the array of all truncated offsets at once.
+over a coset of line offsets. One layer loop serves all three. It pairs
+each layer of the first function only with a partner layer that holds a
+profile, and each such layer pair is evaluated on the array of all
+truncated offsets at once.
 """
 
 from __future__ import annotations
@@ -539,20 +541,22 @@ def _layer_pair_sum(fn1, fn2, layer_pair, l_max: int, theta: float) -> APairValu
     """The pair-valued form that sums layer_pair over the layers of fn1.
 
     layer_pair(k1, k2, l1, l2, v, w) is the contribution of layer k1 of
-    fn1 paired with layer k2 = k1 + l2 - l1 of fn2; a layer whose
-    partner falls outside fn2's window contributes nothing.
+    fn1 paired with layer k2 = k1 + l2 - l1 of fn2. It is called only when
+    fn2 holds a profile at layer k2: any other partner is the zero function
+    (every stored layer lies inside fn2's window), so its pair adds nothing.
     """
     layers = fn1.layers()
+    partners = set(fn2.layers())
 
     def fn(l1, l2, v, w):
-        total = 0j
+        total = np.zeros(np.shape(v), dtype=complex)
         for k1 in layers:
             k2 = k1 + l2 - l1
-            if abs(k2) <= fn2.z_max:
+            if k2 in partners:
                 total += layer_pair(k1, k2, l1, l2, v, w)
         # a Python complex at a point (a numpy scalar would divide with other
-        # rounding), a list of them for an array of points
-        return np.asarray(total).tolist()
+        # rounding), a list of them, one per point, for an array of points
+        return total.tolist()
 
     return APairValued(fn, l_max, theta)
 
@@ -565,13 +569,12 @@ def pair_module_inner(
     The line argument runs over the coset (k1 + k2 theta + w - v) / b,
     so the result is an evaluator in the two circle points; the k1 sum
     is truncated where the Gaussian profiles are negligible. Each layer
-    pair is evaluated once on the array of all truncated coset offsets,
-    and the products are summed in real arithmetic so that a
-    self-pairing's diagonal comes out exactly real. The first circle
-    point v may be a 1-D array; the value is then the list of the values
-    at its points, each with the bits of that point alone (or 0j when no
-    layer pair is in reach). The coset window is centred for theta in
-    [0, 1).
+    pair with a partner profile is evaluated once on the array of all
+    truncated coset offsets, and the products are summed in real
+    arithmetic so that a self-pairing's diagonal comes out exactly real.
+    The first circle point v may be a 1-D array; the value is then the
+    list of the values at its points, each with the bits of that point
+    alone. The coset window is centred for theta in [0, 1).
     """
     _require_shear(b)
     offsets = _coset_offsets(abs(b), phi.grid.radius + 2, phi.z_max)
@@ -582,8 +585,8 @@ def pair_module_inner(
         left = phi.eval_at(k1, v, r0)
         right = psi.eval_at(k2, v - l1 * theta, r0 + l1)
         out = np.empty(r0.shape[:-1], dtype=complex)
-        out.real = (left.real * right.real + left.imag * right.imag).sum(axis=-1)
-        out.imag = (left.real * right.imag - left.imag * right.real).sum(axis=-1)
+        out.real = np.add.reduce(left.real * right.real + left.imag * right.imag, axis=-1)
+        out.imag = np.add.reduce(left.real * right.imag - left.imag * right.real, axis=-1)
         return out
 
     return _layer_pair_sum(phi, psi, layer_pair, 2 * phi.z_max, theta)
@@ -634,7 +637,7 @@ def descent_inner_oracle(phi: ZTRFunction, psi: ZTRFunction, theta: float, b: in
 
     def collapsed(x: float, l: int) -> complex:
         total = 0j
-        for value in np.broadcast_to(pair.value(0, l, ys, x), ys.shape).tolist():
+        for value in pair.value(0, l, ys, x):
             total += value
         return total / ORACLE_Y_COUNT
 

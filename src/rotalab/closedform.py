@@ -154,7 +154,7 @@ def _merge(terms):
         # keys of Python numbers, so that 0.0 and -0.0 entries merge
         key = (*a.ravel().tolist(), *b.tolist())
         merged[key] = (a, b, _poly_add(merged[key][2], p)) if key in merged else (a, b, p)
-    return tuple(t for t in merged.values() if t[2].any())
+    return tuple(t for t in merged.values() if np.count_nonzero(t[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -260,11 +260,12 @@ class GaussSum:
     def affine(self, *entries) -> "GaussSum":
         """Substitute x -> T x + c: entries are the real invertible T row by row, then c."""
         d = math.isqrt(len(entries))
-        return self._substitute(np.reshape(entries[: d * d], (d, d)), entries[d * d :])
+        t = np.array(entries[: d * d], dtype=complex).reshape(d, d)
+        return self._substitute(t, entries[d * d :])
 
     def restrict_line(self, u, v) -> "GaussSum":
         """The one-variable sum t -> F(u t + v)."""
-        return self._substitute(np.reshape(u, (-1, 1)), v)
+        return self._substitute(np.array(u, dtype=complex).reshape(-1, 1), v)
 
     def _substitute(self, t, c) -> "GaussSum":
         """x -> T x + c for a real T with full column rank."""
@@ -313,7 +314,7 @@ class GaussSum:
 
     def __call__(self, *xs):
         xs = [np.asarray(x, dtype=float) for x in xs]
-        shape = np.broadcast_shapes(*(x.shape for x in xs))
+        shape = np.broadcast(*xs).shape
         if not shape:
             # a point goes through as one-element arrays: numpy rounds a product of two
             # complex scalars differently from its array loop, and a point must read the

@@ -12,11 +12,12 @@ Profiles are two-variable Gaussian closed forms per (layer, mode) key,
 so substitutions and derivatives are exact; quadrature enters only in
 integrals, always with an exact closed-form route alongside. Both
 routes of the two pair-valued inner products run on all truncated coset
-offsets at once: the closed one integrates the second slot per profile
-pair at each evaluation, the quadrature one samples each layer pair on
-the offset x node mesh. Residuals and norms evaluate profiles on open
-(r, s) meshes, a column of r and a row of s, which give the same values
-bit for bit as the full mesh.
+offsets at once: the closed one prepares each first-slot factor once per
+evaluator and integrates the second slot per profile pair at each
+evaluation, the quadrature one samples each layer pair on the offset x
+node mesh. Residuals and norms evaluate profiles on open (r, s) meshes,
+a column of r and a row of s, which give the same values bit for bit as
+the full mesh.
 """
 
 from __future__ import annotations
@@ -97,27 +98,30 @@ def base_dirac(fn: SB2Function, sign: int) -> SB2Function:
     return fn.map(lambda key, g: g.mul_poly([[0.0, -sign * 1j], [1.0, 0.0]]))
 
 
-def _closed_coset_sum(fn1: SB2Function, fn2: SB2Function, k1, k2, line, jumps, x1, x2, offsets):
+def _closed_coset_sum(lefts: SB2Function, fn2: SB2Function, k1, k2, line, jumps, x1, x2, offsets):
     """Closed-route coset sum shared by the two pair-valued inner products.
 
-    line(g1, g2, *jumps) is the exact integral over the second slot for
-    one profile pair, a closed form H in the coset offset. The sum runs
-    over the profile pairs of layer k1 of fn1 and layer k2 of fn2 and adds
-    the circle phases at x1 and x2 times H summed over the offsets array.
+    lefts holds the prepared first-slot factor of each profile of the
+    first function, a jump-independent closed form built once per
+    evaluator. line(left, g2, *jumps) is the exact integral over the
+    second slot for one profile pair, a closed form H in the coset offset.
+    The sum runs over the profile pairs of layer k1 of lefts and layer k2
+    of fn2 and adds the circle phases at x1 and x2 times H summed over the
+    offsets array.
     """
     total = 0j
-    for m1, g1 in fn1.layer_profiles(k1).items():
+    for m1, left in lefts.layer_profiles(k1).items():
         for m2, g2 in fn2.layer_profiles(k2).items():
-            h = line(g1, g2, *jumps)
+            h = line(left, g2, *jumps)
             ph1 = cmath.exp(-TWO_PI * 1j * m1 * x1)
             ph2 = cmath.exp(TWO_PI * 1j * m2 * x2)
-            total += ph1 * ph2 * complex(np.sum(h(offsets)))
+            total += ph1 * ph2 * complex(np.add.reduce(h(offsets)))
     return total
 
 
-def _base_line(g1: GaussSum, g2: GaussSum, l2: int) -> GaussSum:
-    """rho -> integral over s of conj(g1)(rho, s) g2(rho, s) e^{2 pi i l2 s}."""
-    return (g1.conjugate() * g2).modulate(0, l2).integral_slot(1)
+def _base_line(left: GaussSum, g2: GaussSum, l2: int) -> GaussSum:
+    """rho -> integral over s of left(rho, s) g2(rho, s) e^{2 pi i l2 s}, with left = conj(g1)."""
+    return (left * g2).modulate(0, l2).integral_slot(1)
 
 
 def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -> APairValued:
@@ -127,21 +131,24 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
     while the second is integrated out, by quadrature on the stored grid
     (route "grid", on the offset x node mesh) or by exact closed forms
     (route "closed"), on all truncated offsets at once. The closed route
-    integrates the second slot per profile pair at each evaluation,
-    leaving a closed form in the coset offset that it sums over the
-    offsets. The coset window is centred for theta in [0, 1).
+    conjugates each profile of fn1 once per evaluator and integrates the
+    second slot per profile pair at each evaluation, leaving a closed
+    form in the coset offset that it sums over the offsets. The coset
+    window is centred for theta in [0, 1).
     """
     _require_route(route)
     offsets = _coset_offsets(1, fn1.rgrid.radius, fn1.z_max)
     t = fn1.sgrid.nodes()
     wt = fn1.sgrid.weights()
+    if route == "closed":
+        lefts = fn1.map(lambda key, g: g.conjugate())
 
     def layer_pair(k1, k2, l1, l2, v, w):
         x1 = v - k1 * theta
         x2 = v - (k1 + l2) * theta
         rho = offsets + k1 * theta - v + w
         if route == "closed":
-            return _closed_coset_sum(fn1, fn2, k1, k2, _base_line, (l2,), x1, x2, rho)
+            return _closed_coset_sum(lefts, fn2, k1, k2, _base_line, (l2,), x1, x2, rho)
         left = fn1.eval_at(k1, x1, rho[:, None], t)
         right = fn2.eval_at(k2, x2, rho[:, None], t)
         return complex(np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right))
@@ -316,9 +323,11 @@ def transformed_right_act(fn: SB2Function, xi: dict, theta: float, b: int) -> SB
     return doubled_right_act(fn, xi, theta, move)
 
 
-def _transformed_line(g1: GaussSum, g2: GaussSum, l1: int, l2: int) -> GaussSum:
-    """c -> integral over s of conj(g1)(c - s, s) g2(c - s + l1, s - l2)."""
-    left = g1.conjugate().affine(1.0, -1.0, 0.0, 1.0, 0.0, 0.0)
+def _transformed_line(left: GaussSum, g2: GaussSum, l1: int, l2: int) -> GaussSum:
+    """c -> integral over s of left(c, s) g2(c - s + l1, s - l2).
+
+    left is the prepared first-slot factor (c, s) -> conj(g1)(c - s, s).
+    """
     right = g2.affine(1.0, -1.0, 0.0, 1.0, float(l1), float(-l2))
     return (left * right).integral_slot(1)
 
@@ -331,22 +340,25 @@ def transformed_inner(
     The first slot is pinned to the b-scaled coset points minus the
     integration variable, which runs through the second slot, on all
     truncated offsets at once. Route "grid" integrates with the stored
-    rule on the offset x node mesh; route "closed" integrates the second
-    slot per profile pair at each evaluation, leaving a closed form in the
-    coset offset that it sums over the offsets. The coset window is
-    centred for theta in [0, 1).
+    rule on the offset x node mesh. Route "closed" builds each profile's
+    first-slot factor conj(g1)(c - s, s) once per evaluator and integrates
+    the second slot per profile pair at each evaluation, leaving a closed
+    form in the coset offset that it sums over the offsets. The coset
+    window is centred for theta in [0, 1).
     """
     _require_route(route)
     _require_shear(b)
     offsets = _coset_offsets(abs(b), fn1.rgrid.radius + 2, fn1.z_max)
     t = fn1.rgrid.nodes()
     wt = fn1.rgrid.weights()
+    if route == "closed":
+        lefts = fn1.map(lambda key, g: g.conjugate().affine(1.0, -1.0, 0.0, 1.0, 0.0, 0.0))
 
     def layer_pair(k1, k2, l1, l2, v, w):
         x2 = v - l1 * theta
         c0 = (offsets + k1 * theta - v + w) / b
         if route == "closed":
-            return _closed_coset_sum(fn1, fn2, k1, k2, _transformed_line, (l1, l2), v, x2, c0)
+            return _closed_coset_sum(lefts, fn2, k1, k2, _transformed_line, (l1, l2), v, x2, c0)
         left = fn1.eval_at(k1, v, c0[:, None] - t, t)
         right = fn2.eval_at(k2, x2, c0[:, None] - t + l1, t - l2)
         return complex(np.sum(wt * np.conj(left) * right))

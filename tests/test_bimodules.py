@@ -685,6 +685,16 @@ class TestBatchedFiberAverage:
                 assert type(point) is complex and batch[i] == point
 
     @pytest.mark.parametrize("b", [1, 2])
+    def test_array_value_is_one_entry_per_point_at_every_jump(self, b):
+        # at l = -3 and 2 no partner layer holds a profile, and at l = 3 none is in f2's window
+        f1, f2 = self.make_pair(99)
+        pair = pair_module_inner(f1, f2, THETA, b)
+        for l in range(-3, 4):
+            batch = pair.value(0, l, ORACLE_YS, 0.37)
+            assert type(batch) is list and len(batch) == ORACLE_Y_COUNT
+            assert all(type(value) is complex for value in batch)
+
+    @pytest.mark.parametrize("b", [1, 2])
     def test_point_value_is_the_real_sum_over_each_layer_pair(self, b):
         # reference: one point at a time, each layer's phases from cmath.exp and
         # the two real sums taken over the coset offsets

@@ -286,6 +286,171 @@ class TestQuadratureCosetSums:
         assert got.dtype == complex and np.array_equal(got, np.zeros(2))
 
 
+def windowed_pair_sum(fn1, fn2, layer_pair, l_max):
+    """The layer loop pairing each layer of fn1 with every partner inside fn2's window.
+
+    It calls layer_pair also where fn2 holds no profile at the partner layer.
+    """
+
+    def fn(l1, l2, v, w):
+        total = 0j
+        for k1 in fn1.layers():
+            k2 = k1 + l2 - l1
+            if abs(k2) <= fn2.z_max:
+                total += layer_pair(k1, k2, l1, l2, v, w)
+        return np.asarray(total).tolist()
+
+    return APairValued(fn, l_max, THETA)
+
+
+def pair_inner_every_partner(phi, psi, b):
+    """pair_module_inner on windowed_pair_sum, with numpy's sum method per layer pair."""
+    offsets = bm._coset_offsets(abs(b), phi.grid.radius + 2, phi.z_max)
+
+    def layer_pair(k1, k2, l1, l2, v, w):
+        v = np.asarray(v)[..., None]
+        r0 = (offsets + k1 * THETA + w - v) / b
+        left = phi.eval_at(k1, v, r0)
+        right = psi.eval_at(k2, v - l1 * THETA, r0 + l1)
+        out = np.empty(r0.shape[:-1], dtype=complex)
+        out.real = (left.real * right.real + left.imag * right.imag).sum(axis=-1)
+        out.imag = (left.real * right.imag - left.imag * right.real).sum(axis=-1)
+        return out
+
+    return windowed_pair_sum(phi, psi, layer_pair, 2 * phi.z_max)
+
+
+def _closed_sum_per_call(fn1, fn2, k1, k2, line, x1, x2, offsets):
+    """The closed coset sum with each line factor, the conjugate included, built per call."""
+    total = 0j
+    for m1, g1 in fn1.layer_profiles(k1).items():
+        for m2, g2 in fn2.layer_profiles(k2).items():
+            h = line(g1, g2)
+            ph1 = cmath.exp(-TWO_PI * 1j * m1 * x1)
+            ph2 = cmath.exp(TWO_PI * 1j * m2 * x2)
+            total += ph1 * ph2 * complex(np.sum(h(offsets)))
+    return total
+
+
+def base_inner_every_partner(fn1, fn2, route):
+    """base_inner on windowed_pair_sum, its closed route building every factor per call."""
+    offsets = bm._coset_offsets(1, fn1.rgrid.radius, fn1.z_max)
+    t, wt = fn1.sgrid.nodes(), fn1.sgrid.weights()
+
+    def layer_pair(k1, k2, l1, l2, v, w):
+        x1 = v - k1 * THETA
+        x2 = v - (k1 + l2) * THETA
+        rho = offsets + k1 * THETA - v + w
+        if route == "closed":
+
+            def line(g1, g2):
+                return (g1.conjugate() * g2).modulate(0, l2).integral_slot(1)
+
+            return _closed_sum_per_call(fn1, fn2, k1, k2, line, x1, x2, rho)
+        left = fn1.eval_at(k1, x1, rho[:, None], t)
+        right = fn2.eval_at(k2, x2, rho[:, None], t)
+        return complex(np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right))
+
+    return windowed_pair_sum(fn1, fn2, layer_pair, 2 * max(fn1.z_max, fn2.z_max))
+
+
+def transformed_inner_every_partner(fn1, fn2, b, route):
+    """transformed_inner on windowed_pair_sum, its closed route building every factor per call."""
+    offsets = bm._coset_offsets(abs(b), fn1.rgrid.radius + 2, fn1.z_max)
+    t, wt = fn1.rgrid.nodes(), fn1.rgrid.weights()
+
+    def layer_pair(k1, k2, l1, l2, v, w):
+        x2 = v - l1 * THETA
+        c0 = (offsets + k1 * THETA - v + w) / b
+        if route == "closed":
+
+            def line(g1, g2):
+                left = g1.conjugate().affine(1.0, -1.0, 0.0, 1.0, 0.0, 0.0)
+                right = g2.affine(1.0, -1.0, 0.0, 1.0, float(l1), float(-l2))
+                return (left * right).integral_slot(1)
+
+            return _closed_sum_per_call(fn1, fn2, k1, k2, line, v, x2, c0)
+        left = fn1.eval_at(k1, v, c0[:, None] - t, t)
+        right = fn2.eval_at(k2, x2, c0[:, None] - t + l1, t - l2)
+        return complex(np.sum(wt * np.conj(left) * right))
+
+    return windowed_pair_sum(fn1, fn2, layer_pair, 2 * max(fn1.z_max, fn2.z_max))
+
+
+# a right multiplier with terms where p1 q1 != 0 and where p2 q2 != 0
+SKIP_XI = {(0, 0, 0, 0): 0.7, (1, 1, 0, 0): 0.3 - 0.2j, (0, 0, 1, -1): -0.4 + 0.1j}
+
+
+def transversal_pair():
+    """Layers {0, 1} and {-1, 0} in windows of 4, so most in-window partners hold no profile."""
+    rng = random.Random(28)
+
+    def profile():
+        return GaussSum.bump(
+            rng.uniform(1.0, 2.0), rng.uniform(-0.8, 0.8), rng.choice((-1, 1)),
+            (rng.uniform(-1, 1), rng.uniform(-1, 1)),
+        )
+
+    phi = ZTRFunction(4, 8, GRID, {(0, 0): profile(), (1, -1): profile()})
+    psi = ZTRFunction(4, 8, GRID, {(0, 1): profile(), (-1, 0): profile()})
+    return phi, psi
+
+
+class TestPartnerSkipKeepsTheBits:
+    """Each evaluator against the loop over every in-window partner, bit for bit.
+
+    The reference calls each layer pair also where the partner layer holds
+    no profile, and builds each closed line factor per call. Both function
+    pairs have in-window partner layers without a profile at the samples.
+    """
+
+    @staticmethod
+    def assert_same_bits(got, expected):
+        for form, reference in (
+            (got, expected),
+            (got.star(), expected.star()),
+            (got.right_mult(SKIP_XI), expected.right_mult(SKIP_XI)),
+        ):
+            for sample in checks._PAIR_SAMPLES:
+                value = form.value(*sample)
+                assert type(value) is complex
+                assert value == reference.value(*sample)
+
+    @staticmethod
+    def assert_skips_a_partner(fn1, fn2):
+        assert any(
+            abs(k + l2 - l1) <= fn2.z_max and k + l2 - l1 not in fn2.layers()
+            for l1, l2, _, _ in checks._PAIR_SAMPLES
+            for k in fn1.layers()
+        )
+
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_pair_module_inner(self, b):
+        phi, psi = transversal_pair()
+        self.assert_skips_a_partner(phi, psi)
+        self.assert_same_bits(
+            bm.pair_module_inner(phi, psi, THETA, b), pair_inner_every_partner(phi, psi, b)
+        )
+
+    @pytest.mark.parametrize("route", ["closed", "grid"])
+    def test_base_inner(self, route):
+        f1, f2 = coset_pair()
+        self.assert_skips_a_partner(f1, f2)
+        self.assert_same_bits(
+            base_inner(f1, f2, THETA, route), base_inner_every_partner(f1, f2, route)
+        )
+
+    @pytest.mark.parametrize("route", ["closed", "grid"])
+    @pytest.mark.parametrize("b", [1, 2])
+    def test_transformed_inner(self, b, route):
+        f1, f2 = coset_pair()
+        self.assert_skips_a_partner(f1, f2)
+        self.assert_same_bits(
+            transformed_inner(f1, f2, THETA, b, route),
+            transformed_inner_every_partner(f1, f2, b, route),
+        )
+
+
 class TestStandardSet:
     def test_standard_set_decays_at_boundary(self):
         """The quadrature tests rely on the test functions vanishing at the grid edge."""

@@ -182,6 +182,13 @@ def plant_layer_phase_sign(monkeypatch):
     monkeypatch.setattr(bimodules.LayeredProfiles, "eval_at", mutated)
 
 
+def plant_prepared_transformed_factor_unconjugated(monkeypatch):
+    """The transform side's prepared first-slot factor built from g1, not from conj(g1)."""
+    original = duality.transformed_inner
+    mutated = rewritten(duality, original, "g.conjugate().affine(", "g.affine(")
+    replace_everywhere(monkeypatch, original, mutated)
+
+
 def plant_twist_direction(monkeypatch):
     replace_everywhere(monkeypatch, ktheory.twist_matrix, lambda b: IntMatrix2(1, -int(b), 0, 1))
 
@@ -277,6 +284,12 @@ MUTANTS = [
         {"algebra.representation_interior"},
     ),
     ("layer_phase_sign", plant_layer_phase_sign, ("bimodules",), {"bimodules.descent_oracle"}),
+    (
+        "prepared_transformed_factor_unconjugated",
+        plant_prepared_transformed_factor_unconjugated,
+        ("duality",),
+        {"duality.transform_unitarity"},
+    ),
 ]
 
 
