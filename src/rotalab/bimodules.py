@@ -520,9 +520,10 @@ class APairValued:
         reach = max((abs(k[1]) + abs(k[3]) for k, _ in items), default=0)
         return APairValued(multiplied, self.l_max + reach, theta)
 
-    def max_abs_difference(self, other: "APairValued", points: int = 5) -> float:
-        """Largest |self - other| over jumps and a circle mesh; NaN if any is NaN."""
-        xs = [float(x) for x in np.linspace(0.05, 0.95, points)]
+    def max_abs_difference(self, other: "APairValued") -> float:
+        """Largest |self - other| over a 5 x 5 circle mesh at every jump pair
+        within either form's reach; NaN if any is NaN."""
+        xs = [float(x) for x in np.linspace(0.05, 0.95, 5)]
         span = max(self.l_max, other.l_max)
         jumps = range(-span, span + 1)
         return _worst(
@@ -537,13 +538,15 @@ def _coset_offsets(scale: float, reach: float, z_max: int) -> np.ndarray:
     return np.arange(-cut, cut + 1, dtype=float)
 
 
-def _layer_pair_sum(fn1, fn2, layer_pair, l_max: int, theta: float) -> APairValued:
+def _layer_pair_sum(fn1, fn2, layer_pair, theta: float) -> APairValued:
     """The pair-valued form that sums layer_pair over the layers of fn1.
 
     layer_pair(k1, k2, l1, l2, v, w) is the contribution of layer k1 of
     fn1 paired with layer k2 = k1 + l2 - l1 of fn2. It is called only when
     fn2 holds a profile at layer k2: any other partner is the zero function
     (every stored layer lies inside fn2's window), so its pair adds nothing.
+    A nonzero pair has |l2 - l1| <= fn1.z_max + fn2.z_max, so the form's
+    jump reach is twice the wider of the two layer windows.
     """
     layers = fn1.layers()
     partners = set(fn2.layers())
@@ -558,7 +561,7 @@ def _layer_pair_sum(fn1, fn2, layer_pair, l_max: int, theta: float) -> APairValu
         # rounding), a list of them, one per point, for an array of points
         return total.tolist()
 
-    return APairValued(fn, l_max, theta)
+    return APairValued(fn, 2 * max(fn1.z_max, fn2.z_max), theta)
 
 
 def pair_module_inner(
@@ -589,7 +592,7 @@ def pair_module_inner(
         out.imag = np.add.reduce(left.real * right.imag - left.imag * right.real, axis=-1)
         return out
 
-    return _layer_pair_sum(phi, psi, layer_pair, 2 * phi.z_max, theta)
+    return _layer_pair_sum(phi, psi, layer_pair, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,10 @@ TOL_EXACT = 1e-10
 TOL_QUAD = 1e-6
 
 SUITE_NAMES = ("algebra", "oscillator", "groupoids", "bimodules", "duality", "ktheory")
+# the suites whose checks need a nonzero twist degree b and read the radius R and the grid
+TWIST_SUITES = ("bimodules", "duality")
+# the widest layer window of the functions the checks pair over a coset (descent_oracle's)
+COSET_LAYER_WINDOW = 2
 
 _REGISTRY = {name: [] for name in SUITE_NAMES}
 
@@ -536,8 +540,8 @@ def _pair_associativity(cfg, rng):
 def _descent_oracle(cfg, rng):
     grid = _grid_of(cfg)
     theta = cfg.theta
-    f1 = bm.ZTRFunction(2, 8, grid, {(0, 0): _profile(rng), (1, 1): _profile(rng)})
-    f2 = bm.ZTRFunction(2, 8, grid, {(0, 1): _profile(rng), (-1, 0): _profile(rng)})
+    f1 = bm.ZTRFunction(COSET_LAYER_WINDOW, 8, grid, {(0, 0): _profile(rng), (1, 1): _profile(rng)})
+    f2 = bm.ZTRFunction(COSET_LAYER_WINDOW, 8, grid, {(0, 1): _profile(rng), (-1, 0): _profile(rng)})
     inner = bm.descent_inner(f1, f2, theta, 1, "closed")
     oracle = bm.descent_inner_oracle(f1, f2, theta, 1)
     errs = []
@@ -601,7 +605,7 @@ def _resolvent_identity(cfg, rng):
 @_register("duality", "leibniz_creation")
 def _leibniz_creation(cfg, rng):
     grid = _grid_of(cfg)
-    theta, b = cfg.theta, max(1, abs(cfg.b))
+    theta, b = cfg.theta, abs(cfg.b)
     phi = bm.ZTRFunction(4, 8, grid, {(0, 0): _profile(rng), (1, 1): _profile(rng)})
     a = SmoothElement({(1, 1): 0.6 - 0.2j, (0, 1): 0.4}, theta)
     errs = []
@@ -620,11 +624,11 @@ def _leibniz_creation(cfg, rng):
         ) + bm.descended_left(corr, phi, b).scale(b)
         errs.append(lhs2.max_abs_difference(rhs2))
         psi = _profile(rng)
-        outer = du.outer_with_profile(phi, psi, grid)
+        outer = du.outer_with_profile(phi, psi)
         lhs3 = du.transformed_dirac(outer, sign, b) - du.outer_with_profile(
-            phi, du.profile_dirac(psi, sign, b), grid
+            phi, du.profile_dirac(psi, sign, b)
         )
-        rhs3 = du.outer_with_profile(du.layered_line_dirac(phi, sign, b), psi, grid)
+        rhs3 = du.outer_with_profile(du.layered_line_dirac(phi, sign, b), psi)
         errs.append(lhs3.max_abs_difference(rhs3))
     return "product rules for the split operator", {"b": b}, _worst(errs), TOL_QUAD
 
@@ -638,7 +642,7 @@ def _diagonal_lower_bound(cfg, rng):
     worst = _worst(
         (
             du.transformed_lower_bound_gap(f1, cfg.theta, b, samples)
-            for b in sorted({1, abs(cfg.b) or 1})
+            for b in sorted({1, abs(cfg.b)})
         ),
         floor=-math.inf,
     )
@@ -651,7 +655,7 @@ def _duality_dual_routes(cfg, rng):
     f1, f2 = _sb_pair(rng, grid)
     base_grid = du.base_inner(f1, f2, cfg.theta, "grid")
     base_closed = du.base_inner(f1, f2, cfg.theta, "closed")
-    b = max(1, abs(cfg.b))
+    b = abs(cfg.b)
     t_grid = du.transformed_inner(f1, f2, cfg.theta, b, "grid")
     t_closed = du.transformed_inner(f1, f2, cfg.theta, b, "closed")
     worst = _worst(

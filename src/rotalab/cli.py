@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .checks import SUITE_NAMES, run_suite
+from .checks import COSET_LAYER_WINDOW, SUITE_NAMES, TWIST_SUITES, run_suite
 from .errors import ConfigInvalid, IoError
 from .nctorus import basis_labels, nct_dolbeault
 from .oscillator import dirac_matrix, dirac_squared_spectrum
@@ -30,14 +30,8 @@ from .oscillator import dirac_matrix, dirac_squared_spectrum
 SUITE_CHOICES = SUITE_NAMES + ("all",)
 TARGET_CHOICES = ("d_lambda", "d_dolbeault", "d_squared")
 
-# suites whose checks need a nonzero twist degree b and read the radius R and the grid
-_NEEDS_TWIST = {"bimodules", "duality", "all"}
-
 # the largest single array, in bytes, that a configuration may make a run allocate
 MAX_ARRAY_BYTES = 32 * 2**20
-# the widest layer window of the functions the checks pair over a coset
-# (bimodules.descent_oracle's)
-_CHECK_LAYER_WINDOW = 2
 # peak memory per spectrum row with its JSON rendering, measured at about 0.9 kB
 _SPECTRUM_ROW_BYTES = 1024
 
@@ -92,7 +86,8 @@ def validate_config(config: RunConfig, suite: str = None, target: str = None):
             f"theta {config.theta} is within 1e-9 of a rational with denominator {q}; "
             "the sampled checks need a generic angle"
         )
-    if suite in _NEEDS_TWIST and config.b == 0:
+    twisted = suite in TWIST_SUITES + ("all",)
+    if twisted and config.b == 0:
         raise ConfigInvalid(f"suite {suite!r} needs a nonzero twist degree b")
     if config.level_cut < 1 or config.mode_cut < 1:
         raise ConfigInvalid("truncation windows must be positive")
@@ -126,7 +121,7 @@ def validate_config(config: RunConfig, suite: str = None, target: str = None):
     # --R 7.5 and 0.22 at the defaults, against 1.6 at --grid 64 --R 5, 6.9 at --R 10.5
     # and 258 at --R 4
     radius, grid = config.radius, config.grid_nodes
-    if suite in _NEEDS_TWIST and (radius < 5 or grid < 96 or 64 * radius > 5 * grid):
+    if twisted and (radius < 5 or grid < 96 or 64 * radius > 5 * grid):
         raise ConfigInvalid(
             f"--R {radius} and --grid {grid}: the quadrature resolves the check profiles "
             "only for R >= 5, grid >= 96 and node spacing 2R/grid <= 5/32"
@@ -139,7 +134,7 @@ def _largest_arrays(config: RunConfig):
     Sizes use exact integers, so no flag value can overflow the estimate.
     """
     grid = config.grid_nodes
-    cut = max(1, abs(config.b)) * math.ceil(config.radius + 2) + _CHECK_LAYER_WINDOW + 2
+    cut = max(1, abs(config.b)) * math.ceil(config.radius + 2) + COSET_LAYER_WINDOW + 2
     return (
         # resolvent values on the full node mesh (the Legendre rule's companion
         # matrix is grid x grid reals, half of it)

@@ -153,7 +153,7 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
         right = fn2.eval_at(k2, x2, rho[:, None], t)
         return complex(np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right))
 
-    return _layer_pair_sum(fn1, fn2, layer_pair, 2 * max(fn1.z_max, fn2.z_max), theta)
+    return _layer_pair_sum(fn1, fn2, layer_pair, theta)
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +363,7 @@ def transformed_inner(
         right = fn2.eval_at(k2, x2, c0[:, None] - t + l1, t - l2)
         return complex(np.sum(wt * np.conj(left) * right))
 
-    return _layer_pair_sum(fn1, fn2, layer_pair, 2 * max(fn1.z_max, fn2.z_max), theta)
+    return _layer_pair_sum(fn1, fn2, layer_pair, theta)
 
 
 def transformed_lower_bound_gap(fn: SB2Function, theta: float, b: int, samples) -> float:
@@ -430,8 +430,8 @@ def angular_weight_correction(a: SmoothElement, sign: int) -> SmoothElement:
     )
 
 
-def outer_with_profile(phi: ZTRFunction, p: GaussSum, sgrid: RGrid) -> SB2Function:
-    """Tensor a layered cylinder function with a second-slot profile."""
+def outer_with_profile(phi: ZTRFunction, p: GaussSum) -> SB2Function:
+    """Tensor a layered cylinder function with a second-slot profile; both slots on phi's grid."""
     profiles = {key: GaussSum.outer(f, p) for key, f in phi.profiles.items()}
-    return SB2Function(phi.z_max, phi.mode_max, phi.grid, sgrid, profiles)
+    return SB2Function(phi.z_max, phi.mode_max, phi.grid, phi.grid, profiles)
 

@@ -32,7 +32,6 @@ import numpy as np
 
 from .errors import RankAmbiguous
 
-SQRT_PI = math.sqrt(math.pi)
 # relative singular-value cut below which the ladder blocks count a kernel vector
 RANK_TOL = 1e-8
 
@@ -195,11 +194,8 @@ def oracle_radius(lam: float) -> float:
 
 
 def _central_difference(n: int, h: float) -> np.ndarray:
-    d = np.zeros((n, n))
-    for i in range(n - 1):
-        d[i, i + 1] = 1.0 / (2.0 * h)
-        d[i + 1, i] = -1.0 / (2.0 * h)
-    return d
+    d = np.diag(np.full(n - 1, 1.0 / (2.0 * h)), 1)
+    return d - d.T
 
 
 def grid_dirac_plus(lam: float, nodes: np.ndarray) -> np.ndarray:

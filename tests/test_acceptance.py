@@ -533,11 +533,11 @@ def test_criterion_11_product_rules_and_creation():
         ) + bm.descended_left(corr, phi, b).scale(b)
         residuals.append(lhs2.max_abs_difference(rhs2))
         psi = _profile(rng)
-        outer = du.outer_with_profile(phi, psi, GRID)
+        outer = du.outer_with_profile(phi, psi)
         lhs3 = du.transformed_dirac(outer, sign, b) - du.outer_with_profile(
-            phi, du.profile_dirac(psi, sign, b), GRID
+            phi, du.profile_dirac(psi, sign, b)
         )
-        rhs3 = du.outer_with_profile(du.layered_line_dirac(phi, sign, b), psi, GRID)
+        rhs3 = du.outer_with_profile(du.layered_line_dirac(phi, sign, b), psi)
         residuals.append(lhs3.max_abs_difference(rhs3))
     worst = _worst(residuals)
     assert worst < 1e-6

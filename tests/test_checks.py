@@ -1,6 +1,8 @@
 """Each check fixes its own tolerance, and a NaN residual anywhere inside a check body fails it."""
 
+import inspect
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ import pytest
 from rotalab import bimodules as bm
 from rotalab import checks
 from rotalab import duality as du
-from rotalab.cli import RunConfig
+from rotalab.cli import RunConfig, validate_config
+from rotalab.errors import ConfigInvalid
 from rotalab.nctorus import basis_dim
 
 
@@ -103,3 +106,26 @@ PINNED_TOLERANCES = {
 def test_every_check_reports_its_pinned_tolerance(overrides):
     report = checks.run_suite("all", RunConfig(**overrides))
     assert {entry["check_id"]: entry["tolerance"] for entry in report["checks"]} == PINNED_TOLERANCES
+
+
+# a check reads the twist degree, or R and the grid directly or through _grid_of
+_READS_TWIST = re.compile(r"\bcfg\.(b|radius|grid_nodes)\b|\b_grid_of\(cfg\)")
+
+
+def test_twist_suites_are_the_suites_whose_checks_read_b_r_or_the_grid():
+    readers = {
+        suite
+        for suite, items in checks._REGISTRY.items()
+        for _, fn in items
+        if _READS_TWIST.search(inspect.getsource(fn))
+    }
+    assert readers == set(checks.TWIST_SUITES)
+
+
+@pytest.mark.parametrize("suite", checks.SUITE_NAMES + ("all",))
+def test_only_the_twist_suites_reject_a_zero_twist(suite):
+    if suite in checks.TWIST_SUITES + ("all",):
+        with pytest.raises(ConfigInvalid):
+            validate_config(RunConfig(b=0), suite=suite)
+    else:
+        validate_config(RunConfig(b=0), suite=suite)

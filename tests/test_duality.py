@@ -707,11 +707,11 @@ class TestSplitOperators:
         psi = bump(1.4, -0.2, 0.0, (0.3, 1.0))
         b = 2
         for sign in (1, -1):
-            outer = outer_with_profile(phi, psi, GRID)
+            outer = outer_with_profile(phi, psi)
             lhs = transformed_dirac(outer, sign, b) - outer_with_profile(
-                phi, profile_dirac(psi, sign, b), GRID
+                phi, profile_dirac(psi, sign, b)
             )
-            rhs = outer_with_profile(layered_line_dirac(phi, sign, b), psi, GRID)
+            rhs = outer_with_profile(layered_line_dirac(phi, sign, b), psi)
             assert lhs.max_abs_difference(rhs) < 1e-6
 
 
@@ -858,7 +858,7 @@ def test_transform_side_action_is_the_transversal_action_tensored(b):
     p = bump(1.3, -0.1, 0.2)
     for p1, q1, p2, q2 in DOUBLED_TERMS:
         xi = {(p1, q1, p2, q2): 0.7 - 0.4j}
-        lhs = transformed_right_act(outer_with_profile(phi, p, GRID), xi, THETA, b)
+        lhs = transformed_right_act(outer_with_profile(phi, p), xi, THETA, b)
         moved = pair_module_right(phi, xi, THETA, b)
-        rhs = outer_with_profile(moved, p.affine(1.0, float(q2)).modulate(p2 * b), GRID)
+        rhs = outer_with_profile(moved, p.affine(1.0, float(q2)).modulate(p2 * b))
         assert lhs.max_abs_difference(rhs) < 1e-14

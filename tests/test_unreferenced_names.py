@@ -1,9 +1,9 @@
-"""Every public module-level function and class in src/rotalab has a caller.
+"""Every public module-level function, class and constant in src/rotalab has a reader.
 
 A name counts as used when a Name or Attribute node outside its own
-definition refers to it, in src/rotalab or in the benchmark workloads
-under perfbench. An import line alone does not count. The names kept on
-purpose with no caller are listed below, each with its reason.
+definition or assignment refers to it, in src/rotalab or in the benchmark
+workloads under perfbench. An import line alone does not count. The names
+kept on purpose with no reader are listed below, each with its reason.
 """
 
 import ast
@@ -46,18 +46,33 @@ def _references(tree):
     )
 
 
+def _bound_names(node):
+    """The names a module-level statement binds: a def, a class or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [
+            t.id
+            for target in targets
+            for t in ast.walk(target)
+            if isinstance(t, ast.Name) and isinstance(t.ctx, ast.Store)
+        ]
+    return []
+
+
 def unreferenced_public_names():
-    """Public module-level defs and classes of src/rotalab that nothing else names."""
+    """Public module-level defs, classes and constants of src/rotalab that nothing else names."""
     trees = {path: _parse(path) for path in REFERRERS}
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     unused = set()
     for path in SOURCES:
         for node in trees[path].body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
-                continue
-            # a recursive call or a method naming its own class is not a caller
-            if everywhere[node.name] == _references(node)[node.name]:
-                unused.add(node.name)
+            for name in _bound_names(node):
+                # dunders and private names are skipped; a recursive call, a method
+                # naming its own class or an assignment's own target is not a reader
+                if not name.startswith("_") and everywhere[name] == _references(node)[name]:
+                    unused.add(name)
     return unused
 
 
