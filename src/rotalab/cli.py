@@ -25,7 +25,7 @@ import numpy as np
 from .checks import COSET_LAYER_WINDOW, SUITE_NAMES, TWIST_SUITES, run_suite
 from .errors import ConfigInvalid, IoError
 from .nctorus import basis_labels, nct_dolbeault
-from .oscillator import dirac_matrix, dirac_squared_spectrum
+from .oscillator import dirac_eigenvalues, dirac_squared_spectrum
 
 SUITE_CHOICES = SUITE_NAMES + ("all",)
 TARGET_CHOICES = ("d_lambda", "d_dolbeault", "d_squared")
@@ -133,7 +133,7 @@ def _largest_arrays(config: RunConfig):
 
     Sizes use exact integers, so no flag value can overflow the estimate.
     """
-    grid = config.grid_nodes
+    grid, level = config.grid_nodes, config.level_cut
     cut = max(1, abs(config.b)) * math.ceil(config.radius + 2) + COSET_LAYER_WINDOW + 2
     return (
         # resolvent values on the full node mesh (the Legendre rule's companion
@@ -145,8 +145,8 @@ def _largest_arrays(config: RunConfig):
             "the complex coset mesh",
             (2 * cut + 1) * grid * 16,
         ),
-        # spectrum d_lambda's odd ladder matrix; its SVD works on a copy
-        (f"--L {config.level_cut}", "the dense ladder matrix", (2 * config.level_cut - 1) ** 2 * 8),
+        # singular_value_law's (L - 1) x L ladder block; its SVD works on a copy
+        (f"--L {level}", "the ladder block", (level - 1) * level * 8),
         # spectrum d_dolbeault's rows
         (
             f"--K {config.mode_cut}",
@@ -268,7 +268,7 @@ def render_report(report: dict, fmt: str) -> str:
 def spectrum_rows(target: str, config: RunConfig):
     """Sorted (label, value) rows for one of the model operators."""
     if target == "d_lambda":
-        sv = np.sort(np.linalg.svd(dirac_matrix(config.lam, config.level_cut), compute_uv=False))
+        sv = np.sort(np.abs(dirac_eigenvalues(config.lam, config.level_cut)))
         return [(f"sv[{i}]", float(value)) for i, value in enumerate(sv)]
     if target == "d_squared":
         top, bottom = dirac_squared_spectrum(config.lam, config.level_cut)

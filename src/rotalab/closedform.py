@@ -47,6 +47,18 @@ def _poly_add(p, q):
     return out
 
 
+def _convolve(p, q):
+    """The full convolution of two 1-D arrays: one scaled copy of q per entry of p, in order.
+
+    np.convolve on complex arrays sums through BLAS dot products, whose rounding
+    depends on the BLAS kernel; this order does not.
+    """
+    out = np.zeros(len(p) + len(q) - 1, dtype=complex)
+    for i, pi in enumerate(p):
+        out[i : i + len(q)] += pi * q
+    return out
+
+
 def _poly_mul(p, q):
     """The product as one flat convolution (Kronecker substitution).
 
@@ -55,13 +67,13 @@ def _poly_mul(p, q):
     """
     shape = tuple(i + j - 1 for i, j in zip(p.shape, q.shape, strict=True))
     if len(shape) < 2:
-        return np.convolve(p, q) if shape else p * q
+        return _convolve(p, q) if shape else p * q
     flat = []
     for x in (p, q):
         padded = np.zeros((len(x), *shape[1:]), dtype=complex)
         padded[tuple(map(slice, x.shape))] = x
         flat.append(padded.ravel())
-    return np.convolve(*flat)[: math.prod(shape)].reshape(shape)
+    return _convolve(*flat)[: math.prod(shape)].reshape(shape)
 
 
 def _times_linear(flat, const, shifts):

@@ -3,9 +3,11 @@
 The operator acts on pairs of square-integrable functions as the odd
 matrix with entries  lam*(r - t) -/+ d/dr  off the diagonal. In the basis
 of normalized oscillator eigenfunctions centered at t it is one shift
-block with entries sqrt(2*lam*l) and, in the other corner, its transpose,
-so spectra, kernels, the Fredholm index and functional calculus are all
-exact finite computations.
+block with entries sqrt(2*lam*l) and, in the other corner, its transpose.
+Each entry couples one plus vector with one minus vector and nothing
+else, so the operator is a direct sum of 2 x 2 blocks [[0, s], [s, 0]]
+and one kernel line: its spectrum is read off the ladder entries, and no
+dense matrix of it is ever formed.
 
 Truncation policy: the two graded summands keep different basis lengths
 (L and L-1). The block that raises the oscillator index would push the
@@ -15,10 +17,9 @@ that one codomain vector makes the compression faithful: the truncated
 spectrum is symmetric except for the genuine kernel mode and the index
 comes out +-1 as it should.
 
-Every operator here is a plain numpy array. The Hermite basis moves with
-the center t, so the ladder matrices do not depend on it and take no
-center argument; only the basis functions do. The grid oracles sit at
-the center t = 0.
+The Hermite basis moves with the center t, so the ladder block does not
+depend on it and takes no center argument; only the basis functions do.
+The grid oracles sit at the center t = 0.
 
 Uniform-grid discretizations of the same operator serve as independent
 oracles: they know nothing about the ladder algebra.
@@ -95,16 +96,24 @@ def ladder_block(lam: float, L: int) -> np.ndarray:
         raise ValueError("slope must be nonzero")
     if L < 2:
         raise ValueError("need at least two basis functions")
-    lowering = np.diag(np.sqrt(2.0 * abs(lam) * np.arange(1, L)), 1)[:-1]
+    lowering = np.zeros((L - 1, L))
+    # entry (l - 1, l) is sqrt(2*|lam|*l), built in place, so no L x L array is formed
+    np.fill_diagonal(lowering[:, 1:], np.sqrt(2.0 * abs(lam) * np.arange(1, L)))
     # at lam < 0 the negated transpose; 0.0 - x keeps its zero entries at +0.0, -x would not
     return lowering if lam > 0 else 0.0 - lowering.T
 
 
-def dirac_matrix(lam: float, L: int) -> np.ndarray:
-    """Odd matrix of the operator in the Hermite basis, graded (plus, minus)."""
-    a = ladder_block(lam, L)
-    dim_minus, dim_plus = a.shape
-    return np.block([[np.zeros((dim_plus, dim_plus)), a.T], [a, np.zeros((dim_minus, dim_minus))]])
+def dirac_eigenvalues(lam: float, L: int) -> np.ndarray:
+    """Eigenvalues of the odd operator [[0, a_plus.T], [a_plus, 0]]: 0, each |s|, each -|s|.
+
+    Each entry s of a_plus = ladder_block(lam, L) spans one 2 x 2 block [[0, s], [s, 0]],
+    with eigenvalues +-s, in level order; the one basis vector no entry touches is the
+    kernel line.
+    """
+    a_plus = ladder_block(lam, L)
+    # each row and each column of a_plus holds at most one entry, and none is zero
+    s = np.abs(a_plus[a_plus != 0])
+    return np.concatenate(([0.0], s, -s))
 
 
 def dirac_squared_spectrum(lam: float, L: int):
@@ -117,15 +126,6 @@ def dirac_squared_spectrum(lam: float, L: int):
         raise ValueError("positive slope expected for the labeled spectrum")
     l = np.arange(L)
     return 2.0 * l * lam, (2.0 * l + 2.0) * lam
-
-
-def kernel_projector(lam: float, L: int) -> np.ndarray:
-    """Rank-one projector onto the kernel mode inside the truncation."""
-    dim_minus, dim_plus = ladder_block(lam, L).shape
-    mat = np.zeros((dim_plus + dim_minus, dim_plus + dim_minus))
-    i = 0 if lam > 0 else dim_plus
-    mat[i, i] = 1.0
-    return mat
 
 
 def _kernel_dim(block: np.ndarray) -> int:
@@ -145,12 +145,6 @@ def kernel_dims(lam: float, L: int) -> tuple[int, int]:
     """dim ker of the plus block and of the minus block (its transpose), cut at RANK_TOL."""
     a_plus = ladder_block(lam, L)
     return _kernel_dim(a_plus), _kernel_dim(a_plus.T)
-
-
-def functional_calculus(f, lam: float, L: int) -> np.ndarray:
-    """Apply a scalar function through the eigendecomposition of the matrix."""
-    vals, vecs = np.linalg.eigh(dirac_matrix(lam, L))
-    return (vecs * np.asarray(f(vals))) @ vecs.conj().T
 
 
 def equivariance_defect(lam: float, l: int, L: int = 64) -> np.ndarray:

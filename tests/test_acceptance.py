@@ -39,10 +39,9 @@ from rotalab.nctorus import (
     pair_multiply,
 )
 from rotalab.oscillator import (
-    functional_calculus,
+    dirac_eigenvalues,
     grid_dirac_plus_staggered,
     kernel_dims,
-    kernel_projector,
     ladder_block,
     oracle_radius,
 )
@@ -546,11 +545,29 @@ def test_criterion_11_product_rules_and_creation():
 
 def test_criterion_12_heat_damping_trend():
     f = lambda x: np.exp(-(x**2))
-    level = 32
-    norms = []
-    for lam in (1.0, 4.0, 16.0, 64.0):
-        diff = functional_calculus(f, lam, level) - kernel_projector(lam, level)
-        norms.append(float(np.linalg.norm(diff, 2)))
+
+    def dense_norm(lam, level):
+        # test-local reference: f(D) - P through a dense eigh of the odd operator
+        a_plus = ladder_block(lam, level)
+        dim_minus, dim_plus = a_plus.shape
+        d = np.block(
+            [[np.zeros((dim_plus, dim_plus)), a_plus.T], [a_plus, np.zeros((dim_minus, dim_minus))]]
+        )
+        vals, vecs = np.linalg.eigh(d)
+        projector = np.zeros_like(d)
+        i = 0 if lam > 0 else dim_plus
+        projector[i, i] = 1.0
+        return float(np.linalg.norm((vecs * f(vals)) @ vecs.T - projector, 2))
+
+    def block_norm(lam, level):
+        vals = dirac_eigenvalues(lam, level)
+        return float(np.max(np.abs(f(vals) - (vals == 0))))
+
+    for level in (24, 32):
+        for lam in (1.0, 4.0, 16.0, 64.0, -3.0):
+            dense = dense_norm(lam, level)
+            assert abs(block_norm(lam, level) - dense) <= 1e-14 * dense
+    norms = [block_norm(lam, 32) for lam in (1.0, 4.0, 16.0, 64.0)]
     assert all(a > b for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 0.05
     _stamp(12, f"contrast decreases {['%.3f' % v for v in norms]} with tail < 0.05")

@@ -515,6 +515,32 @@ class TestLinearFormKernel:
             assert relative_gap(got, want) < 1e-13
 
 
+class TestPolyProduct:
+    @pytest.mark.parametrize(
+        "p_shape, q_shape", [((1,), (4,)), ((5,), (3,)), ((3, 2), (2, 4)), ((2, 3, 2), (3, 1, 2))]
+    )
+    def test_matches_the_coefficient_loop(self, p_shape, q_shape):
+        # reference: out[i + j] += p[i] * q[j] over the multi-indices of p in row-major order,
+        # the order in which _poly_mul's flat convolution adds its terms
+        rng = np.random.default_rng(len(p_shape) + 3 * p_shape[0])
+        p = rng.normal(size=p_shape) + 1j * rng.normal(size=p_shape)
+        q = rng.normal(size=q_shape) + 1j * rng.normal(size=q_shape)
+        shape = tuple(i + j - 1 for i, j in zip(p_shape, q_shape))
+        want = np.zeros(shape, dtype=complex)
+        scale = np.zeros(shape)
+        for i in np.ndindex(p_shape):
+            for j in np.ndindex(q_shape):
+                k = tuple(a + b for a, b in zip(i, j))
+                want[k] += p[i] * q[j]
+                scale[k] += abs(p[i]) * abs(q[j])
+        got = _poly_mul(p, q)
+        assert got.shape == want.shape
+        # numpy's array product may round each term with a fused multiply-add where the scalar
+        # product does not; either sum of at most p.size terms is within (p.size + 1) eps / 2
+        # of the exact one, relative to the sum of the terms' sizes
+        assert np.all(np.abs(got - want) <= (p.size + 1) * np.finfo(float).eps * scale)
+
+
 # ---------------------------------------------------------------------------
 # residuals on open sample meshes against full ones
 # ---------------------------------------------------------------------------

@@ -12,20 +12,43 @@ from rotalab.errors import RankAmbiguous
 from rotalab.oscillator import (
     _kernel_dim,
     bidiagonal_singular_values,
-    dirac_matrix,
+    dirac_eigenvalues,
     dirac_squared_spectrum,
     equivariance_defect,
-    functional_calculus,
     grid_dirac_plus,
     grid_dirac_plus_staggered,
     hermite_eval,
     hermite_quadrature,
     kernel_dims,
-    kernel_projector,
     ladder_block,
     oracle_radius,
     spectral_derivative,
 )
+
+
+def _dense_dirac(lam, L):
+    """Test-local reference: the odd operator as one dense matrix, graded (plus, minus)."""
+    a_plus = ladder_block(lam, L)
+    dim_minus, dim_plus = a_plus.shape
+    return np.block(
+        [[np.zeros((dim_plus, dim_plus)), a_plus.T], [a_plus, np.zeros((dim_minus, dim_minus))]]
+    )
+
+
+def _dense_contrast_norm(f, lam, L):
+    """Test-local reference: ||f(D) - P||_2 through a dense eigh of D."""
+    d = _dense_dirac(lam, L)
+    vals, vecs = np.linalg.eigh(d)
+    projector = np.zeros_like(d)
+    i = 0 if lam > 0 else ladder_block(lam, L).shape[1]
+    projector[i, i] = 1.0
+    return float(np.linalg.norm((vecs * f(vals)) @ vecs.T - projector, 2))
+
+
+def _block_contrast_norm(f, lam, L):
+    """||f(D) - P||_2 on the 2 x 2 blocks, as the heat-contrast check takes it."""
+    vals = dirac_eigenvalues(lam, L)
+    return float(np.max(np.abs(f(vals) - (vals == 0))))
 
 
 class TestHermiteBasis:
@@ -94,18 +117,24 @@ class TestLadderMatrices:
         dirac = np.zeros((dim, dim))
         dirac[dim_plus:, :dim_plus] = expected
         dirac[:dim_plus, dim_plus:] = expected.T.copy()
-        assert dirac_matrix(lam, L).tobytes() == dirac.tobytes()
         projector = np.zeros((dim, dim))
         if lam > 0:
             projector[0, 0] = 1.0
         else:
             projector[dim_plus, dim_plus] = 1.0
-        assert kernel_projector(lam, L).tobytes() == projector.tobytes()
+        # the eigenvalues read off the blocks are those of the dense matrix
+        vals = dirac_eigenvalues(lam, L)
+        assert vals.shape == (dim,)
+        top = np.max(np.abs(vals))
+        assert np.max(np.abs(np.sort(np.linalg.eigvalsh(dirac)) - np.sort(vals))) <= 1e-15 * top
+        # one zero eigenvalue, and the projector's line is the dense matrix's kernel
+        assert np.count_nonzero(vals == 0) == 1 == np.trace(projector)
+        assert np.max(np.abs(dirac @ projector)) == 0.0
         plus, minus = kernel_dims(lam, L)
         assert plus - minus == (1 if lam > 0 else -1)
 
     def test_kernel_is_ground_state(self):
-        d = dirac_matrix(1.0, 16)
+        d = _dense_dirac(1.0, 16)
         e0 = np.zeros(d.shape[0])
         e0[0] = 1.0
         assert np.max(np.abs(d @ e0)) == 0.0
@@ -114,10 +143,13 @@ class TestLadderMatrices:
 
     def test_spectrum_symmetric_except_kernel_mode(self):
         for lam in (1.0, -2.0):
-            vals = np.sort(np.linalg.eigvalsh(dirac_matrix(lam, 20)))
+            vals = np.sort(np.linalg.eigvalsh(_dense_dirac(lam, 20)))
             nonzero = vals[np.abs(vals) > 1e-10]
             assert np.allclose(np.sort(-nonzero), nonzero, atol=1e-10)
             assert np.sum(np.abs(vals) <= 1e-10) == 1
+            blocks = np.sort(dirac_eigenvalues(lam, 20))
+            assert np.array_equal(-blocks[::-1], blocks)
+            assert np.count_nonzero(blocks == 0) == 1
 
     def test_squared_spectrum_lists(self):
         top, bottom = dirac_squared_spectrum(1.0, 5)
@@ -279,29 +311,48 @@ class TestFredholmIndex:
 
 
 class TestFunctionalCalculus:
+    """||f(D) - P||_2 on the 2 x 2 blocks against a dense eigh of D."""
+
     def test_zero_function(self):
-        out = functional_calculus(lambda x: 0.0 * x, 1.0, 10)
-        assert np.max(np.abs(out)) == 0.0
+        # f(D) = 0 leaves the projector, of norm one
+        zero = lambda x: 0.0 * x
+        assert _block_contrast_norm(zero, 1.0, 10) == 1.0
+        assert _dense_contrast_norm(zero, 1.0, 10) == pytest.approx(1.0, rel=1e-14)
 
     def test_identity_function_recovers_matrix(self):
-        d = dirac_matrix(1.0, 12)
-        out = functional_calculus(lambda x: x, 1.0, 12)
-        assert np.max(np.abs(out - d)) < 1e-10
+        d = _dense_dirac(1.0, 12)
+        vals, vecs = np.linalg.eigh(d)
+        assert np.max(np.abs((vecs * vals) @ vecs.T - d)) < 1e-10
+        # ||D - P|| is the largest ladder entry
+        identity = lambda x: x
+        assert _block_contrast_norm(identity, 1.0, 12) == math.sqrt(2.0 * 11)
+        assert _block_contrast_norm(identity, 1.0, 12) == pytest.approx(
+            _dense_contrast_norm(identity, 1.0, 12), rel=1e-14
+        )
+
+    @pytest.mark.parametrize("lam", [1.0, 4.0, 16.0, 64.0, -3.0])
+    @pytest.mark.parametrize("L", [24, 32])
+    def test_block_norm_matches_dense_eigh(self, lam, L):
+        f = lambda x: np.exp(-(x**2))
+        assert _block_contrast_norm(f, lam, L) == pytest.approx(
+            _dense_contrast_norm(f, lam, L), rel=1e-14
+        )
+
+    def test_check_reports_the_dense_norm(self):
+        _, params, _, _ = checks._heat_contrast_decay(RunConfig(), None)
+        f = lambda x: np.exp(-(x**2))
+        assert params["final_norm"] == pytest.approx(_dense_contrast_norm(f, 64.0, 24), rel=1e-14)
 
     def test_gaussian_concentrates_on_kernel(self):
         # || f(d) - f(0) pr || equals exp(-2 lam) exactly in the truncation
         f = lambda x: np.exp(-(x**2))
         lam, L = 1.0, 24
-        diff = functional_calculus(f, lam, L) - kernel_projector(lam, L)
-        assert np.linalg.norm(diff, 2) == pytest.approx(math.exp(-2.0), abs=1e-8)
+        assert _block_contrast_norm(f, lam, L) == pytest.approx(math.exp(-2.0), abs=1e-8)
 
     def test_norm_decreases_with_slope(self):
         f = lambda x: np.exp(-(x**2))
         L = 24
-        norms = []
-        for lam in (1.0, 4.0, 16.0, 64.0):
-            diff = functional_calculus(f, lam, L) - kernel_projector(lam, L)
-            norms.append(np.linalg.norm(diff, 2))
+        norms = [_block_contrast_norm(f, lam, L) for lam in (1.0, 4.0, 16.0, 64.0)]
         assert all(a > b for a, b in zip(norms, norms[1:]))
         assert norms[-1] < 0.05
 
