@@ -40,7 +40,7 @@ import numpy as np
 
 from .closedform import GaussSum
 from .errors import GridMismatch, TruncationTooSmall
-from .nctorus import SmoothElement, _worst, lambda_power
+from .nctorus import SmoothElement, _distance, _worst, lambda_power
 
 TWO_PI = 2.0 * math.pi
 # first-circle-slot samples that descent_inner_oracle averages over
@@ -257,7 +257,7 @@ class CTValued:
     def max_abs_difference(self, other: "CTValued") -> float:
         """Largest coefficient difference; NaN if any difference is NaN."""
         keys = set(self.coeffs) | set(other.coeffs)
-        return _worst(abs(self.coefficient(m) - other.coefficient(m)) for m in keys)
+        return _worst(_distance(self.coefficient(m), other.coefficient(m)) for m in keys)
 
 
 # ---------------------------------------------------------------------------
@@ -527,7 +527,7 @@ class APairValued:
         span = max(self.l_max, other.l_max)
         jumps = range(-span, span + 1)
         return _worst(
-            abs(self.value(l1, l2, v, w) - other.value(l1, l2, v, w))
+            _distance(self.value(l1, l2, v, w), other.value(l1, l2, v, w))
             for l1, l2, v, w in itertools.product(jumps, jumps, xs, xs)
         )
 

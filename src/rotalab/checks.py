@@ -35,6 +35,7 @@ from .groupoids import (
 from .ktheory import KClass, twist_apply, twist_compose, twist_matrix
 from .nctorus import (
     SmoothElement,
+    _distance,
     _worst,
     basis_labels,
     interior_mask,
@@ -137,7 +138,7 @@ _PAIR_SAMPLES = [(0, 0, 0.15, 0.4), (1, 0, 0.7, 0.2), (0, 1, 0.3, 0.8), (-1, 1, 
 
 def _pair_difference(left, right):
     """Largest |left - right| over the sample points; NaN if any is NaN."""
-    return _worst(abs(left.value(*s) - right.value(*s)) for s in _PAIR_SAMPLES)
+    return _worst(_distance(left.value(*s), right.value(*s)) for s in _PAIR_SAMPLES)
 
 
 # ---------------------------------------------------------------------------
@@ -205,7 +206,7 @@ def _trace_properties(cfg, rng):
         a = _random_element(rng, cfg.theta)
         b = _random_element(rng, cfg.theta)
         square = nct_trace(nct_multiply(nct_adjoint(a), a))
-        centrality = abs(nct_trace(nct_multiply(a, b)) - nct_trace(nct_multiply(b, a)))
+        centrality = _distance(nct_trace(nct_multiply(a, b)), nct_trace(nct_multiply(b, a)))
         # against the floor 0, -square.real counts only its negative part
         errs += [abs(square.imag), -square.real, centrality]
     return "trace positivity and centrality", {"trials": 10}, _worst(errs), TOL_EXACT
@@ -552,7 +553,7 @@ def _descent_oracle(cfg, rng):
     for l in (-1, 0, 1):
         layer = bm.CTValued({m: c for (m, ll), c in inner.coeffs.items() if ll == l})
         for x in (0.15, 0.6):
-            errs.append(abs(layer.value_at(x) - oracle(x, l)))
+            errs.append(_distance(layer.value_at(x), oracle(x, l)))
     worst = _worst(errs)
     return "descent pairing against the fiber average", {"theta": theta}, worst, 1e-8
 

@@ -286,15 +286,15 @@ def resolvent_residual(psi1: SB2Function, psi2: SB2Function, sign: int) -> float
     component and r - is on the first, so phi = (D - sign i) psi / (1 + r^2 + s^2),
     not a closed form: psi and phi are value pairs on the grid mesh, solved
     key by key. The defect is |(D + sign i) phi - psi|, per key and component.
-    The profiles are evaluated on the open mesh (r, s), which gives the same bits.
+    Everything is formed on the open mesh, an r column and an s row, and broadcast
+    where it meets a profile's values; that gives the same bits as the full mesh.
     """
     _require_sign(sign)
     r, s = np.meshgrid(psi1.rgrid.nodes(), psi1.sgrid.nodes(), indexing="ij", sparse=True)
-    rr, ss = np.broadcast_arrays(r, s)
-    quad = 1.0 + rr * rr + ss * ss
+    quad = 1.0 + r * r + s * s
 
     def shift(f, c):
-        return (rr + 1j * ss) * f[1] - c * 1j * f[0], (rr - 1j * ss) * f[0] - c * 1j * f[1]
+        return (r + 1j * s) * f[1] - c * 1j * f[0], (r - 1j * s) * f[0] - c * 1j * f[1]
 
     defects = []
     for key in set(psi1.profiles) | set(psi2.profiles):

@@ -9,7 +9,8 @@ Dirac operator that pairs with them is odd with diagonal blocks, so it
 is kept as its two block diagonals, never as a dense matrix.
 
 Residuals throughout the package reduce through `_worst`, which keeps a
-NaN where `max()` would drop it.
+NaN where `max()` would drop it, and complex differences are measured by
+`_distance`, which keeps a NaN where `abs()` may raise.
 
 Phase convention: lambda = e^{2 pi i theta}, and the covariance phases of
 the two representations are derived from the single rule that the group
@@ -19,6 +20,7 @@ hand anywhere else in the package.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 
@@ -37,6 +39,17 @@ def _worst(values, floor: float = 0.0) -> float:
             return math.nan
         top = max(top, x)
     return top
+
+
+def _distance(x, y) -> float:
+    """|x - y|; NaN if either part of the difference is NaN.
+
+    CPython 3.11's complex abs() returns NaN for a NaN part but leaves errno
+    as it was, so after an earlier overflow anywhere in the process it
+    raises OverflowError instead. A NaN never reaches abs() here.
+    """
+    d = x - y
+    return math.nan if cmath.isnan(d) else abs(d)
 
 
 def lambda_power(theta: float, exponent: float) -> complex:
@@ -103,7 +116,7 @@ class SmoothElement:
     def max_abs_difference(self, other: "SmoothElement") -> float:
         _check_theta(self, other)
         keys = set(self.coeffs) | set(other.coeffs)
-        return _worst(abs(self.coefficient(*k) - other.coefficient(*k)) for k in keys)
+        return _worst(_distance(self.coefficient(*k), other.coefficient(*k)) for k in keys)
 
     def __repr__(self) -> str:
         terms = ", ".join(

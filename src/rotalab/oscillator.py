@@ -6,8 +6,10 @@ of normalized oscillator eigenfunctions centered at t it is one shift
 block with entries sqrt(2*lam*l) and, in the other corner, its transpose.
 Each entry couples one plus vector with one minus vector and nothing
 else, so the operator is a direct sum of 2 x 2 blocks [[0, s], [s, 0]]
-and one kernel line: its spectrum is read off the ladder entries, and no
-dense matrix of it is ever formed.
+and one kernel line: its spectrum is read off the ladder entries
+themselves, so no matrix of it is formed, dense or block. The
+(L-1) x L block is formed only where its SVD is the point: the
+singular-value law and the kernel dimensions.
 
 Truncation policy: the two graded summands keep different basis lengths
 (L and L-1). The block that raises the oscillator index would push the
@@ -83,6 +85,15 @@ def hermite_quadrature(lam: float, t: float):
 # ---------------------------------------------------------------------------
 
 
+def _ladder_entries(lam: float, L: int) -> np.ndarray:
+    """The ladder entries sqrt(2*|lam|*l) for l = 1..L-1, each the coupling of one 2 x 2 block."""
+    if lam == 0:
+        raise ValueError("slope must be nonzero")
+    if L < 2:
+        raise ValueError("need at least two basis functions")
+    return np.sqrt(2.0 * abs(lam) * np.arange(1, L))
+
+
 def ladder_block(lam: float, L: int) -> np.ndarray:
     """The block a_plus of the odd operator, from the plus summand to the minus one.
 
@@ -92,27 +103,23 @@ def ladder_block(lam: float, L: int) -> np.ndarray:
     for lam < 0 the roles swap and a sign appears, which is what flips the
     index.
     """
-    if lam == 0:
-        raise ValueError("slope must be nonzero")
-    if L < 2:
-        raise ValueError("need at least two basis functions")
+    entries = _ladder_entries(lam, L)
     lowering = np.zeros((L - 1, L))
     # entry (l - 1, l) is sqrt(2*|lam|*l), built in place, so no L x L array is formed
-    np.fill_diagonal(lowering[:, 1:], np.sqrt(2.0 * abs(lam) * np.arange(1, L)))
+    np.fill_diagonal(lowering[:, 1:], entries)
     # at lam < 0 the negated transpose; 0.0 - x keeps its zero entries at +0.0, -x would not
     return lowering if lam > 0 else 0.0 - lowering.T
 
 
 def dirac_eigenvalues(lam: float, L: int) -> np.ndarray:
-    """Eigenvalues of the odd operator [[0, a_plus.T], [a_plus, 0]]: 0, each |s|, each -|s|.
+    """Eigenvalues of the odd operator [[0, a_plus.T], [a_plus, 0]]: 0, each s, each -s.
 
-    Each entry s of a_plus = ladder_block(lam, L) spans one 2 x 2 block [[0, s], [s, 0]],
-    with eigenvalues +-s, in level order; the one basis vector no entry touches is the
-    kernel line.
+    Each ladder entry s of a_plus = ladder_block(lam, L) spans one 2 x 2 block
+    [[0, s], [s, 0]], with eigenvalues +-s, in level order; the one basis vector no
+    entry touches is the kernel line. The sign that a_plus carries at lam < 0 drops
+    out of +-s, so the entries are read directly and a_plus is never formed.
     """
-    a_plus = ladder_block(lam, L)
-    # each row and each column of a_plus holds at most one entry, and none is zero
-    s = np.abs(a_plus[a_plus != 0])
+    s = _ladder_entries(lam, L)
     return np.concatenate(([0.0], s, -s))
 
 
@@ -150,31 +157,22 @@ def kernel_dims(lam: float, L: int) -> tuple[int, int]:
 def equivariance_defect(lam: float, l: int, L: int = 64) -> np.ndarray:
     """Difference between the operator and its integer-translate conjugate.
 
-    Built on a uniform grid with spacing 1/64 so that translation by the
-    integer l is an exact node shift. On the L x L interior block the
-    difference collapses to the constant lam*l times the identity in each
-    off-diagonal corner, because the derivative stencil is translation
-    invariant and the position factor moves by exactly l. The result is
-    the odd 2L x 2L matrix, graded (plus, minus).
+    grid_dirac_plus on a uniform grid with spacing 1/64, so translation by
+    the integer l is an exact shift by 64*l nodes. On the L x L interior
+    block the difference collapses to the constant lam*l times the identity
+    in each off-diagonal corner, because the derivative stencil is
+    translation invariant and the position factor moves by exactly l. The
+    result is the odd 2L x 2L matrix, graded (plus, minus).
     """
     shift = 64 * abs(l)
     n = L + 2 * shift
     center = (n - 1) / 2.0
-    nodes = (np.arange(n) - center) / 64.0
-    d_grid = _central_difference(n, 1.0 / 64.0)
-    d_plus = lam * np.diag(nodes) + d_grid
-    s = 64 * l
+    d_plus = grid_dirac_plus(lam, (np.arange(n) - center) / 64.0)
     inner = slice(shift, shift + L)
-    translated = np.zeros_like(d_plus)
-    # conjugation by the shift: row i, col j of the translate is entry
-    # (i - s, j - s) of the original wherever that entry exists
-    lo = max(0, s)
-    hi = n + min(0, s)
-    translated[lo:hi, lo:hi] = d_plus[lo - s : hi - s, lo - s : hi - s]
-    defect_plus = (d_plus - translated)[inner, inner]
-    defect_minus = defect_plus.T
+    moved = slice(shift - 64 * l, shift - 64 * l + L)
+    defect_plus = d_plus[inner, inner] - d_plus[moved, moved]
     zero = np.zeros((L, L))
-    return np.block([[zero, defect_minus], [defect_plus, zero]])
+    return np.block([[zero, defect_plus.T], [defect_plus, zero]])
 
 
 # ---------------------------------------------------------------------------
@@ -187,11 +185,6 @@ def oracle_radius(lam: float) -> float:
     return 8.0 / math.sqrt(abs(lam))
 
 
-def _central_difference(n: int, h: float) -> np.ndarray:
-    d = np.diag(np.full(n - 1, 1.0 / (2.0 * h)), 1)
-    return d - d.T
-
-
 def grid_dirac_plus(lam: float, nodes: np.ndarray) -> np.ndarray:
     """Collocated central-difference discretization of lam*r + d/dr.
 
@@ -200,7 +193,8 @@ def grid_dirac_plus(lam: float, nodes: np.ndarray) -> np.ndarray:
     use the staggered form when individual singular values matter.
     """
     h = nodes[1] - nodes[0]
-    return lam * np.diag(nodes) + _central_difference(len(nodes), h)
+    d = np.diag(np.full(len(nodes) - 1, 1.0 / (2.0 * h)), 1)
+    return lam * np.diag(nodes) + (d - d.T)
 
 
 def grid_dirac_plus_staggered(lam: float, nodes: np.ndarray) -> np.ndarray:

@@ -12,7 +12,7 @@ from rotalab import checks
 from rotalab import duality as du
 from rotalab.cli import RunConfig, validate_config
 from rotalab.errors import ConfigInvalid
-from rotalab.nctorus import basis_dim
+from rotalab.nctorus import SmoothElement, basis_dim
 
 
 def _nan_matrix(a, which, L, K):
@@ -45,19 +45,68 @@ NAN_FEEDS = [
 ]
 
 
+def _run_alone(monkeypatch, check_id, config):
+    """The report of check_id's suite with every other check of it removed."""
+    suite = check_id.split(".")[0]
+    only = [item for item in checks._REGISTRY[suite] if item[0] == check_id]
+    monkeypatch.setitem(checks._REGISTRY, suite, only)
+    return checks.run_suite(suite, config)
+
+
 @pytest.mark.parametrize(
     "check_id, owner, name, replacement", NAN_FEEDS, ids=[feed[0] for feed in NAN_FEEDS]
 )
 def test_nan_residual_fails_the_check(monkeypatch, check_id, owner, name, replacement):
-    suite = check_id.split(".")[0]
-    only = [item for item in checks._REGISTRY[suite] if item[0] == check_id]
-    monkeypatch.setitem(checks._REGISTRY, suite, only)
     monkeypatch.setattr(owner, name, replacement)
-    report = checks.run_suite(suite, RunConfig())
+    report = _run_alone(monkeypatch, check_id, RunConfig())
     (entry,) = report["checks"]
     assert math.isnan(entry["max_error"])
     assert entry["pass"] is False
     assert report["all_pass"] is False
+
+
+def _nan_pair():
+    return bm.APairValued(lambda l1, l2, v, w: complex(math.nan, 0.0), 1, 0.3)
+
+
+def _one_pair():
+    return bm.APairValued(lambda l1, l2, v, w: 1.0 + 0.0j, 1, 0.3)
+
+
+# each reducer of a complex difference, on a NaN-valued input and a finite one
+NAN_DIFFERENCES = {
+    "pair_difference": lambda: checks._pair_difference(_nan_pair(), _one_pair()),
+    "smooth_element": lambda: SmoothElement({(0, 0): complex(math.nan, 0.0)}, 0.3).max_abs_difference(
+        SmoothElement({(0, 0): 1.0}, 0.3)
+    ),
+    "ct_valued": lambda: bm.CTValued({0: complex(math.nan, 0.0)}).max_abs_difference(bm.CTValued({0: 1.0})),
+    "pair_valued": lambda: _nan_pair().max_abs_difference(_one_pair()),
+}
+
+
+@pytest.mark.parametrize("difference", NAN_DIFFERENCES.values(), ids=NAN_DIFFERENCES.keys())
+def test_nan_difference_does_not_raise_after_an_overflow(difference):
+    # CPython 3.11's complex abs() leaves errno alone on a NaN part, so an ERANGE
+    # left by any earlier caught overflow in the process makes it raise OverflowError
+    try:
+        math.exp(1000.0)
+    except OverflowError:
+        pass
+    assert math.isnan(difference())
+
+
+# The two live failures at accepted configs. Each is strict, so its mend must
+# turn it into a plain passing test.
+@pytest.mark.xfail(strict=True, reason="quadrature resolution at seed 1785 (ROADMAP item 1)")
+def test_line_inner_dual_routes_passes_at_seed_1785(monkeypatch):
+    report = _run_alone(monkeypatch, "bimodules.line_inner_dual_routes", RunConfig(seed=1785))
+    assert report["all_pass"]
+
+
+@pytest.mark.xfail(strict=True, reason="Gaussian constants overflow from |b| = 19 (ROADMAP item 2)")
+def test_transform_unitarity_passes_at_b_19_seed_31(monkeypatch):
+    report = _run_alone(monkeypatch, "duality.transform_unitarity", RunConfig(b=19, seed=31))
+    assert report["all_pass"]
 
 
 # every check's tolerance at lambda = 1, where grid_oracle's 1e-5 * sqrt|lambda| reads 1e-5;

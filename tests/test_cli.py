@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import pytest
@@ -235,6 +236,17 @@ class TestVerifyCommand:
         assert main(["verify", "algebra", "--output", str(out2), "--seed", "3"]) == 0
         assert out1.read_bytes() == out2.read_bytes()
 
+    def test_a_repeated_run_in_one_process_raises_nothing_and_keeps_its_bytes(self, tmp_path):
+        # transform_unitarity overflows at this config (ROADMAP item 2) and leaves errno at
+        # ERANGE; with no warning shown, nothing resets it before the report's reducers run
+        outs = [tmp_path / f"run{i}.json" for i in range(3)]
+        argv = ["verify", "duality", "--b", "19", "--seed", "31", "--output"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert len({main([*argv, str(out)]) for out in outs}) == 1
+        assert len({out.read_bytes() for out in outs}) == 1
+        assert not [entry for entry in json.loads(outs[0].read_text())["checks"] if "error" in entry]
+
     def test_report_bytes_do_not_depend_on_the_blas_kernel(self):
         # each run in its own child process, which alone sees OPENBLAS_CORETYPE
         src = str(Path(rotalab.__file__).resolve().parents[1])
@@ -402,6 +414,17 @@ class TestSpectrumCommand:
         finally:
             tracemalloc.stop()
         assert len(rows) == 25 * 25
+        assert peak < 2 * 1024 * 1024
+
+    def test_ladder_rows_allocate_no_block(self):
+        # at the cap the (L - 1) x L ladder block would take 32 MiB
+        tracemalloc.start()
+        try:
+            rows = spectrum_rows("d_lambda", RunConfig(level_cut=2048))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(rows) == 2 * 2048 - 1
         assert peak < 2 * 1024 * 1024
 
     def test_ladder_singular_values(self):

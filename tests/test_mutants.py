@@ -137,7 +137,7 @@ def plant_kernel_dim_rank_sign(monkeypatch):
 def plant_resolvent_denominator_s_dropped(monkeypatch):
     """The resolvent's denominator 1 + r^2 + s^2 taken without its s^2."""
     original = duality.resolvent_residual
-    mutated = rewritten(duality, original, "1.0 + rr * rr + ss * ss", "1.0 + rr * rr")
+    mutated = rewritten(duality, original, "1.0 + r * r + s * s", "1.0 + r * r")
     replace_everywhere(monkeypatch, original, mutated)
 
 

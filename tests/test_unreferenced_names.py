@@ -14,19 +14,18 @@ ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "rotalab").glob("*.py"))
 REFERRERS = SOURCES + sorted((ROOT / "perfbench").glob("*.py"))
 
-EQUIVALENCE = "kept for the Muhly-Renault-Williams equivalence checks (ROADMAP item 5)"
+EQUIVALENCE = "kept for the Muhly-Renault-Williams equivalence checks (ROADMAP item 7)"
 KEPT_ON_PURPOSE = {
-    "base_right_act": "kept for the module axioms of the right action (ROADMAP item 5)",
-    "transformed_right_act": "kept for the module axioms of the right action (ROADMAP item 5)",
-    "descent_left": "kept for the module axioms of the descent bimodule (ROADMAP item 5)",
-    "descent_right": "kept for the module axioms of the descent bimodule (ROADMAP item 5)",
+    "base_right_act": "kept for the module axioms of the right action (ROADMAP item 7)",
+    "transformed_right_act": "kept for the module axioms of the right action (ROADMAP item 7)",
+    "descent_left": "kept for the module axioms of the descent bimodule (ROADMAP item 7)",
+    "descent_right": "kept for the module axioms of the descent bimodule (ROADMAP item 7)",
     "lattice_act_on_transversal": EQUIVALENCE,
     "rotation_pair_act_on_transversal": EQUIVALENCE,
     "rotation_act_on_line_orbit": EQUIVALENCE,
     "reduction_iso": EQUIVALENCE,
-    "equivariance_defect": "kept for the lattice-equivariance check (ROADMAP item 7)",
-    "grid_dirac_plus": "kept for the lattice-equivariance check (ROADMAP item 7)",
-    "lattice_times_to_labels_numeric": "kept for exact arithmetic at every g (ROADMAP item 11)",
+    "equivariance_defect": "kept for the lattice-equivariance check (ROADMAP item 9)",
+    "lattice_times_to_labels_numeric": "deleted once exact arithmetic covers every g (ROADMAP item 13)",
     "hermite_eval": "an independent reference that tests compare the ladder algebra against",
     "hermite_quadrature": "an independent reference that tests compare the ladder algebra against",
     "spectral_derivative": "an independent reference that tests compare the grid oracles against",
