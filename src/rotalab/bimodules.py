@@ -42,7 +42,6 @@ from .closedform import GaussSum
 from .errors import GridMismatch, TruncationTooSmall
 from .nctorus import SmoothElement, _distance, _worst, lambda_power
 
-TWO_PI = 2.0 * math.pi
 # first-circle-slot samples that descent_inner_oracle averages over
 ORACLE_Y_COUNT = 48
 
@@ -203,7 +202,7 @@ class LayeredProfiles(KeyedProfiles):
         points = np.asarray(x, dtype=float)
         total = 0j
         for m, p in self.layer_profiles(k).items():
-            total += p(*line) * np.exp(TWO_PI * 1j * m * points)
+            total += p(*line) * np.exp(math.tau * 1j * m * points)
         return total
 
 
@@ -235,7 +234,7 @@ class CTValued:
 
     def value_at(self, x: float) -> complex:
         return sum(
-            c * cmath.exp(TWO_PI * 1j * m * x) for m, c in self.coeffs.items()
+            c * cmath.exp(math.tau * 1j * m * x) for m, c in self.coeffs.items()
         )
 
     def star(self) -> "CTValued":
@@ -335,7 +334,7 @@ def sheared_module_inner(
     if route == "closed":
         return CTValued({m: abs(b) * p.modulate(-m * b).integral() for m, p in products.items()})
     r, w = phi.grid.nodes(), phi.grid.weights()
-    sums = {m: np.sum(w * p(r / b) * np.exp(-TWO_PI * 1j * m * r)) for m, p in products.items()}
+    sums = {m: np.sum(w * p(r / b) * np.exp(-math.tau * 1j * m * r)) for m, p in products.items()}
     return CTValued(sums)
 
 
@@ -362,8 +361,8 @@ def sheared_dirac(phi: TRFunction, sign: int, b: int) -> TRFunction:
 
     def op(m, p):
         radial = p.derivative().scale(-sign / b)
-        angular = p.scale(sign * TWO_PI * 1j * m)
-        return radial + angular + p.mul_poly((0.0, -TWO_PI))
+        angular = p.scale(sign * math.tau * 1j * m)
+        return radial + angular + p.mul_poly((0.0, -math.tau))
 
     return phi.map(op)
 
@@ -508,10 +507,10 @@ class APairValued:
             total = 0j
             for (p1, q1, p2, q2), c in items:
                 base = self.fn(l1 - q1, l2 - q2, v, w)
-                phase1 = cmath.exp(TWO_PI * 1j * p1 * v) * lambda_power(
+                phase1 = cmath.exp(math.tau * 1j * p1 * v) * lambda_power(
                     theta, -p1 * (l1 - q1)
                 )
-                phase2 = cmath.exp(TWO_PI * 1j * p2 * w) * lambda_power(
+                phase2 = cmath.exp(math.tau * 1j * p2 * w) * lambda_power(
                     theta, -p2 * (l2 - q2)
                 )
                 total += c * base * phase1 * phase2
@@ -580,6 +579,7 @@ def pair_module_inner(
     alone. The coset window is centred for theta in [0, 1).
     """
     _require_shear(b)
+    _require_same_grid(phi, psi)
     offsets = _coset_offsets(abs(b), phi.grid.radius + 2, phi.z_max)
 
     def layer_pair(k1, k2, l1, l2, v, w):

@@ -67,7 +67,6 @@ from .sampling import (
 )
 from .scalars import THETA, IntMatrix2, ThetaScalar, torus_reduce
 
-TWO_PI = 2.0 * math.pi
 # tolerances of the closed-form checks and of the checks that route through quadrature
 TOL_EXACT = 1e-10
 TOL_QUAD = 1e-6
@@ -181,7 +180,7 @@ def _generator_commutation(cfg, rng):
     u = SmoothElement.u_power(1, theta)
     v = SmoothElement.v_power(1, theta)
     vu = nct_multiply(v, u)
-    uv = nct_multiply(u, v).scale(cmath.exp(TWO_PI * 1j * theta))
+    uv = nct_multiply(u, v).scale(cmath.exp(math.tau * 1j * theta))
     err = vu.max_abs_difference(uv)
     return "generator exchange relation", {"theta": theta}, err, TOL_EXACT
 
@@ -279,7 +278,7 @@ def _grid_oracle(cfg, rng):
 @_register("oscillator", "index_signs")
 def _index_signs(cfg, rng):
     bad = 0
-    for lam in (0.5, 1.0, TWO_PI):
+    for lam in (0.5, 1.0, math.tau):
         for slope, index, kernels in ((lam, 1, (1, 0)), (-lam, -1, (0, 1))):
             pair = kernel_dims(slope, 32)
             if pair[0] - pair[1] != index:
@@ -287,7 +286,7 @@ def _index_signs(cfg, rng):
             # the index alone is cols - rows for any block; each kernel is not
             if pair != kernels:
                 bad += 1
-    return "kernel imbalance of the split operator", {"slopes": [0.5, 1.0, TWO_PI]}, float(bad), 0.0
+    return "kernel imbalance of the split operator", {"slopes": [0.5, 1.0, math.tau]}, float(bad), 0.0
 
 
 @_register("oscillator", "dolbeault_square")
@@ -295,7 +294,7 @@ def _dolbeault_square(cfg, rng):
     size = min(cfg.mode_cut, 8)
     upper, lower = nct_dolbeault(size, size)
     labels = basis_labels(size, size)
-    expected = np.array([(TWO_PI * k) ** 2 + (TWO_PI * l) ** 2 for l, k in labels])
+    expected = np.array([(math.tau * k) ** 2 + (math.tau * l) ** 2 for l, k in labels])
     diag_err = float(np.max(np.abs(upper * lower - expected)))
     # self-adjoint: the lower block diagonal is the conjugate of the upper
     sym_err = float(np.max(np.abs(lower - upper.conj())))
@@ -491,7 +490,7 @@ def _dirac_conjugation(cfg, rng):
             inner_op = bm.sheared_dirac(bm.shear_unitary(phi, b), sign, b)
             conjugated = bm.shear_unitary(inner_op, b, inverse=True).scale(b)
             expected = phi.map(
-                lambda m, p: p.mul_poly((0.0, TWO_PI * b)) + p.derivative().scale(sign)
+                lambda m, p: p.mul_poly((0.0, math.tau * b)) + p.derivative().scale(sign)
             )
             errs.append(conjugated.max_abs_difference(expected))
     return (
@@ -538,7 +537,7 @@ def _pair_associativity(cfg, rng):
     stacked = bm.pair_module_right(bm.pair_module_right(phi, xi, theta, b), eta, theta, b)
     direct = bm.pair_module_right(phi, pair_multiply(xi, eta, theta), theta, b)
     worst = stacked.max_abs_difference(direct)
-    return "doubled action is associative", {"theta": theta, "b": b}, worst, 1e-10
+    return "doubled action is associative", {"theta": theta, "b": b}, worst, TOL_EXACT
 
 
 @_register("bimodules", "descent_oracle")

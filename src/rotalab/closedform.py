@@ -30,8 +30,6 @@ import math
 
 import numpy as np
 
-TWO_PI = 2.0 * math.pi
-
 
 # ---------------------------------------------------------------------------
 # dense polynomials: complex arrays with one axis per variable
@@ -155,7 +153,7 @@ def _integrate_slot(a, b, p, j):
     for k in range(len(q) - 2, -1, -1):
         step = slices[k] + _times_linear(acc, bj / ajj, shifts)
         acc, prev = step + ((k + 1) / ajj) * prev, acc
-    pref = math.sqrt(TWO_PI) / cmath.sqrt(ajj) * cmath.exp(bj * bj / (2 * ajj))
+    pref = math.sqrt(math.tau) / cmath.sqrt(ajj) * cmath.exp(bj * bj / (2 * ajj))
     return new_a, new_b, acc.reshape(shape) * pref
 
 
@@ -201,7 +199,7 @@ class GaussSum:
     def bump(cls, width=1.0, center=0.0, freq=0.0, poly=(1,)) -> "GaussSum":
         """P(r) * exp(-width*(r-center)^2/2 + 2 pi i freq r)."""
         a = complex(width)
-        b = a * center + TWO_PI * 1j * freq
+        b = a * center + math.tau * 1j * freq
         pref = cmath.exp(-a * center * center / 2)
         return cls([([[a]], [b], np.asarray(poly, dtype=complex) * pref)])
 
@@ -264,7 +262,7 @@ class GaussSum:
 
     def modulate(self, *freqs) -> "GaussSum":
         """Multiply by the plane wave exp(2 pi i sum_j freqs[j] x_j)."""
-        shift = TWO_PI * 1j * np.asarray(freqs, dtype=float)
+        shift = math.tau * 1j * np.asarray(freqs, dtype=float)
         if any(len(b) != len(shift) for _, b, _ in self.terms):
             raise ValueError("modulate needs one frequency per variable")
         return GaussSum._of((a, b + shift, p) for a, b, p in self.terms)
@@ -305,7 +303,7 @@ class GaussSum:
             keep = [k for k in range(n) if k != dual]
             wide, wide_b = np.zeros((n, n), dtype=complex), np.zeros(n, dtype=complex)
             wide[np.ix_(keep, keep)], wide_b[keep] = a, b
-            wide[slot, dual] = wide[dual, slot] = -sign * TWO_PI * 1j
+            wide[slot, dual] = wide[dual, slot] = -sign * math.tau * 1j
             out.append(_integrate_slot(wide, wide_b, np.expand_dims(p, dual), slot))
         return GaussSum._of(out)
 

@@ -29,12 +29,11 @@ import numpy as np
 
 from .bimodules import APairValued, LayeredProfiles, RGrid, ZTRFunction, doubled_right_act
 from .bimodules import _coset_offsets, _layer_pair_sum, _require_route, _require_shear
-from .bimodules import _require_sign
+from .bimodules import _require_same_grid, _require_sign
 from .closedform import GaussSum
 from .errors import AliasingDetected
 from .nctorus import SmoothElement, _worst, lambda_power
 
-TWO_PI = 2.0 * math.pi
 # grid nodes per slot that SB2Function residuals and norms sample
 MESH_PER_SLOT = 24
 
@@ -113,8 +112,8 @@ def _closed_coset_sum(lefts: SB2Function, fn2: SB2Function, k1, k2, line, jumps,
     for m1, left in lefts.layer_profiles(k1).items():
         for m2, g2 in fn2.layer_profiles(k2).items():
             h = line(left, g2, *jumps)
-            ph1 = cmath.exp(-TWO_PI * 1j * m1 * x1)
-            ph2 = cmath.exp(TWO_PI * 1j * m2 * x2)
+            ph1 = cmath.exp(-math.tau * 1j * m1 * x1)
+            ph2 = cmath.exp(math.tau * 1j * m2 * x2)
             total += ph1 * ph2 * complex(np.add.reduce(h(offsets)))
     return total
 
@@ -137,6 +136,7 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
     window is centred for theta in [0, 1).
     """
     _require_route(route)
+    _require_same_grid(fn1, fn2)
     offsets = _coset_offsets(1, fn1.rgrid.radius, fn1.z_max)
     t = fn1.sgrid.nodes()
     wt = fn1.sgrid.weights()
@@ -151,7 +151,7 @@ def base_inner(fn1: SB2Function, fn2: SB2Function, theta: float, route="grid") -
             return _closed_coset_sum(lefts, fn2, k1, k2, _base_line, (l2,), x1, x2, rho)
         left = fn1.eval_at(k1, x1, rho[:, None], t)
         right = fn2.eval_at(k2, x2, rho[:, None], t)
-        return complex(np.sum(wt * np.exp(TWO_PI * 1j * t * l2) * np.conj(left) * right))
+        return complex(np.sum(wt * np.exp(math.tau * 1j * t * l2) * np.conj(left) * right))
 
     return _layer_pair_sum(fn1, fn2, layer_pair, theta)
 
@@ -183,7 +183,7 @@ def fourier_slot_quadrature(fn: SB2Function, k: int, x: float, r: float, s_value
     t = fn.sgrid.nodes()
     wt = fn.sgrid.weights()
     samples = fn.eval_at(k, x, r, t)
-    kernel = np.exp(-TWO_PI * 1j * np.outer(s_values, t))
+    kernel = np.exp(-math.tau * 1j * np.outer(s_values, t))
     return kernel @ (wt * samples)
 
 
@@ -234,8 +234,8 @@ def transformed_dirac(fn: SB2Function, sign: int, b: int) -> SB2Function:
     _require_sign(sign)
 
     def op(key, g):
-        radial = g.derivative(0).scale(-sign / TWO_PI)
-        dual = g.derivative(1).scale(sign / TWO_PI)
+        radial = g.derivative(0).scale(-sign / math.tau)
+        dual = g.derivative(1).scale(sign / math.tau)
         return _sheared_weight(b, key, g) + radial + dual
 
     return fn.map(op)
@@ -261,7 +261,7 @@ def conjugation_report(fn: SB2Function, b: int, theta: float) -> dict:
         return f.map(lambda key, g: g.mul_poly([[0.0, 1.0]]))
 
     expected_r = fn.map(lambda key, g: _sheared_weight(b, key, g))
-    expected_s = fn.map(lambda key, g: (g.derivative(1) - g.derivative(0)).scale(1j / TWO_PI))
+    expected_s = fn.map(lambda key, g: (g.derivative(1) - g.derivative(0)).scale(1j / math.tau))
     report = {
         "first_slot": conjugate(mul_r).max_abs_difference(expected_r),
         "second_slot": conjugate(mul_s).max_abs_difference(expected_s),
@@ -339,8 +339,8 @@ def transformed_inner(
 
     The first slot is pinned to the b-scaled coset points minus the
     integration variable, which runs through the second slot, on all
-    truncated offsets at once. Route "grid" integrates with the stored
-    rule on the offset x node mesh. Route "closed" builds each profile's
+    truncated offsets at once. Route "grid" integrates with the second
+    slot's rule on the offset x node mesh. Route "closed" builds each profile's
     first-slot factor conj(g1)(c - s, s) once per evaluator and integrates
     the second slot per profile pair at each evaluation, leaving a closed
     form in the coset offset that it sums over the offsets. The coset
@@ -348,9 +348,10 @@ def transformed_inner(
     """
     _require_route(route)
     _require_shear(b)
+    _require_same_grid(fn1, fn2)
     offsets = _coset_offsets(abs(b), fn1.rgrid.radius + 2, fn1.z_max)
-    t = fn1.rgrid.nodes()
-    wt = fn1.rgrid.weights()
+    t = fn1.sgrid.nodes()
+    wt = fn1.sgrid.weights()
     if route == "closed":
         lefts = fn1.map(lambda key, g: g.conjugate().affine(1.0, -1.0, 0.0, 1.0, 0.0, 0.0))
 
@@ -385,7 +386,7 @@ def transformed_lower_bound_gap(fn: SB2Function, theta: float, b: int, samples) 
             line1 = g1.conjugate().restrict_line((-1.0, 1.0), (float(s), 0.0))
             for m2, g2 in layer.items():
                 line2 = g2.restrict_line((-1.0, 1.0), (float(s), 0.0))
-                phase = cmath.exp(TWO_PI * 1j * (m2 - m1) * v)
+                phase = cmath.exp(math.tau * 1j * (m2 - m1) * v)
                 single += phase * (line1 * line2).integral()
         gaps.append(single.real - diag)
     return _worst(gaps, floor=-math.inf)
@@ -401,14 +402,14 @@ def layered_line_dirac(phi: ZTRFunction, sign: int, b: int) -> ZTRFunction:
     _require_sign(sign)
     return phi.map(
         lambda key, p: p.mul_poly((float(b * key[0]), float(b)))
-        + p.derivative().scale(-sign / TWO_PI)
+        + p.derivative().scale(-sign / math.tau)
     )
 
 
 def profile_dirac(p: GaussSum, sign: int, b: int) -> GaussSum:
     """b M +- (1/2pi) d_r on a single line profile."""
     _require_sign(sign)
-    return p.mul_poly((0.0, float(b))) + p.derivative().scale(sign / TWO_PI)
+    return p.mul_poly((0.0, float(b))) + p.derivative().scale(sign / math.tau)
 
 
 def descended_line_dirac(psi: ZTRFunction, sign: int, b: int) -> ZTRFunction:

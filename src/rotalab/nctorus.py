@@ -28,8 +28,6 @@ import numpy as np
 
 from .errors import TruncationTooSmall
 
-TWO_PI = 2.0 * math.pi
-
 
 def _worst(values, floor: float = 0.0) -> float:
     """Largest of the floor and the values; NaN if any value is NaN, unlike max()."""
@@ -56,7 +54,7 @@ def lambda_power(theta: float, exponent: float) -> complex:
     """e^{2 pi i theta * exponent}; the only site that exponentiates lambda."""
     # only theta mod 1 matters; reducing first keeps the argument small at large |theta|
     theta = theta - math.floor(theta)
-    return complex(math.cos(TWO_PI * theta * exponent), math.sin(TWO_PI * theta * exponent))
+    return complex(math.cos(math.tau * theta * exponent), math.sin(math.tau * theta * exponent))
 
 
 class SmoothElement:
@@ -262,6 +260,6 @@ def nct_dolbeault(L: int, K: int) -> tuple[np.ndarray, np.ndarray]:
     lower is the conjugate of upper, so the operator is self-adjoint and
     its square is (2 pi)^2 (l^2 + k^2) on each graded summand.
     """
-    dz = TWO_PI * np.arange(-K, K + 1)
-    dt = TWO_PI * np.arange(-L, L + 1)[:, None]
+    dz = math.tau * np.arange(-K, K + 1)
+    dt = math.tau * np.arange(-L, L + 1)[:, None]
     return (dz - 1j * dt).ravel(), (dz + 1j * dt).ravel()

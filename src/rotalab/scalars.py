@@ -105,16 +105,7 @@ class ThetaScalar(tuple):
         return _make(-a, -b, -c, d)
 
     def __sub__(self, other) -> "ThetaScalar":
-        a1, b1, c1, d1 = self
-        a2, b2, c2, d2 = other if other.__class__ is ThetaScalar else ThetaScalar.of(other)
-        if d1 == d2:
-            return _make(a1 - a2, b1 - b2, c1 - c2, d1)
-        return _make(
-            a1 * d2 - a2 * d1,
-            b1 * d2 - b2 * d1,
-            c1 * d2 - c2 * d1,
-            d1 * d2,
-        )
+        return self + -ThetaScalar.of(other)
 
     def __rsub__(self, other) -> "ThetaScalar":
         return ThetaScalar.of(other) - self
@@ -236,9 +227,6 @@ class TorusPoint(tuple):
         return _circle_shift(self[0], -a, -b, -c, d)
 
     __mul__ = __rmul__ = _no_tuple_arithmetic
-
-    def evalf(self, theta: float) -> float:
-        return self.x.evalf(theta) % 1.0
 
     def __repr__(self) -> str:
         return f"[{self.x}]"

@@ -760,6 +760,23 @@ def test_layer_inner_products_reject_mixed_grids(inner, profiles):
             inner(*pair)
 
 
+@pytest.mark.parametrize(
+    "inner, cls",
+    [
+        (lambda f, g: pair_module_inner(f, g, THETA, 2), ZTRFunction),
+        (lambda f, g: base_inner(f, g, THETA), SB2Function),
+        (lambda f, g: transformed_inner(f, g, THETA, 2), SB2Function),
+    ],
+    ids=["pair", "base", "transformed"],
+)
+def test_pair_valued_inner_products_reject_mixed_grids(inner, cls):
+    f = single_profile(cls, (0, 0))
+    g = single_profile(cls, (1, 0), grid=RGrid(10.0, 64))
+    for pair in ((f, g), (g, f)):
+        with pytest.raises(GridMismatch):
+            inner(*pair)
+
+
 EMPTY_TR = TRFunction(2, GRID, {})
 EMPTY_ZTR = ZTRFunction(2, 2, GRID, {})
 EMPTY_SB2 = SB2Function(2, 2, GRID, GRID, {})

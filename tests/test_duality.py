@@ -243,7 +243,7 @@ def base_inner_per_offset(fn1, fn2, theta, l1, l2, v, w):
 def transformed_inner_per_offset(fn1, fn2, theta, b, l1, l2, v, w):
     """The quadrature route of transformed_inner, one coset offset at a time."""
     cut = int(math.ceil(abs(b) * (fn1.rgrid.radius + 2) + fn1.z_max + 2))
-    t, wt = fn1.rgrid.nodes(), fn1.rgrid.weights()
+    t, wt = fn1.sgrid.nodes(), fn1.sgrid.weights()
     total = 0j
     for k1 in range(-fn1.z_max, fn1.z_max + 1):
         k_other = k1 + l2 - l1
@@ -284,6 +284,31 @@ class TestQuadratureCosetSums:
     def test_slot_quadrature_of_a_missing_layer_is_zero(self):
         got = fourier_slot_quadrature(standard_function(), 2, 0.2, 0.1, [0.5, -1.0])
         assert got.dtype == complex and np.array_equal(got, np.zeros(2))
+
+
+def split_grid_pair(seed):
+    """Random profile pairs whose first slot has a coarse rule and whose second slot a fine one."""
+    rng = random.Random(seed)
+    rgrid, sgrid = RGrid(10.0, 24), RGrid(10.0, 128)
+
+    def outer():
+        return GaussSum.outer(checks._profile(rng), checks._profile(rng))
+
+    f1 = SB2Function(1, 4, rgrid, sgrid, {(0, 0): outer(), (1, 1): outer()})
+    f2 = SB2Function(1, 4, rgrid, sgrid, {(0, 1): outer(), (-1, 0): outer()})
+    return f1, f2
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_quadrature_integrates_the_second_slot_on_its_own_rule(seed):
+    """Both pairings integrate over the second slot, so a coarse first-slot rule costs nothing."""
+    f1, f2 = split_grid_pair(seed)
+    pairings = (
+        lambda route: base_inner(f1, f2, THETA, route),
+        lambda route: transformed_inner(f1, f2, THETA, 2, route),
+    )
+    for pairing in pairings:
+        assert _pair_difference(pairing("grid"), pairing("closed")) < 1e-8
 
 
 def windowed_pair_sum(fn1, fn2, layer_pair, l_max):
@@ -357,7 +382,7 @@ def base_inner_every_partner(fn1, fn2, route):
 def transformed_inner_every_partner(fn1, fn2, b, route):
     """transformed_inner on windowed_pair_sum, its closed route building every factor per call."""
     offsets = bm._coset_offsets(abs(b), fn1.rgrid.radius + 2, fn1.z_max)
-    t, wt = fn1.rgrid.nodes(), fn1.rgrid.weights()
+    t, wt = fn1.sgrid.nodes(), fn1.sgrid.weights()
 
     def layer_pair(k1, k2, l1, l2, v, w):
         x2 = v - l1 * THETA

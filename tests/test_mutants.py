@@ -178,7 +178,7 @@ def plant_right_representation_phase_sign(monkeypatch):
 def plant_layer_phase_sign(monkeypatch):
     """Each point's circle phase in a layer evaluation taken as e^{-2 pi i m x}."""
     method = bimodules.LayeredProfiles.eval_at
-    mutated = rewritten(bimodules, method, "exp(TWO_PI * 1j * m * points)", "exp(-TWO_PI * 1j * m * points)")
+    mutated = rewritten(bimodules, method, "exp(math.tau * 1j * m * points)", "exp(-math.tau * 1j * m * points)")
     monkeypatch.setattr(bimodules.LayeredProfiles, "eval_at", mutated)
 
 

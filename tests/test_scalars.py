@@ -98,7 +98,7 @@ class TestTorusReduction:
     def test_numeric_value_reduced_mod_one(self):
         theta = 0.7071067811865476
         p = torus_reduce(ThetaScalar(0, 2))
-        assert p.evalf(theta) == pytest.approx((2 * theta) % 1.0, abs=1e-15)
+        assert p.x.evalf(theta) % 1.0 == pytest.approx((2 * theta) % 1.0, abs=1e-15)
 
 
 class TestMatrixLayer:

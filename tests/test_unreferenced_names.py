@@ -1,9 +1,11 @@
-"""Every public module-level function, class and constant in src/rotalab has a reader.
+"""Every public module-level function, class and constant in src/rotalab has a reader,
+and so does every public method and property of its classes.
 
 A name counts as used when a Name or Attribute node outside its own
 definition or assignment refers to it, in src/rotalab or in the benchmark
-workloads under perfbench. An import line alone does not count. The names
-kept on purpose with no reader are listed below, each with its reason.
+workloads under perfbench. An import line alone does not count. A method
+is listed as Class.method. The names kept on purpose with no reader are
+listed below, each with its reason.
 """
 
 import ast
@@ -30,6 +32,8 @@ KEPT_ON_PURPOSE = {
     "hermite_quadrature": "an independent reference that tests compare the ladder algebra against",
     "spectral_derivative": "an independent reference that tests compare the grid oracles against",
     "fourier_slot_quadrature": "an independent reference that tests compare the closed route against",
+    "GaussSum.l2_inner": "kept for the trace of the transversal module (ROADMAP item 10)",
+    "ThetaScalar.evalf": "the float value of an exact scalar, which tests compare exact results through",
 }
 
 
@@ -60,18 +64,28 @@ def _bound_names(node):
     return []
 
 
+def _definitions(tree):
+    """(label, name, node) for each module-level binding and each method of a module-level class."""
+    for node in tree.body:
+        for name in _bound_names(node):
+            yield name, name, node
+        if isinstance(node, ast.ClassDef):
+            for method in node.body:
+                if isinstance(method, ast.FunctionDef):
+                    yield f"{node.name}.{method.name}", method.name, method
+
+
 def unreferenced_public_names():
-    """Public module-level defs, classes and constants of src/rotalab that nothing else names."""
+    """Public defs, classes, constants and methods of src/rotalab that nothing else names."""
     trees = {path: _parse(path) for path in REFERRERS}
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
     unused = set()
     for path in SOURCES:
-        for node in trees[path].body:
-            for name in _bound_names(node):
-                # dunders and private names are skipped; a recursive call, a method
-                # naming its own class or an assignment's own target is not a reader
-                if not name.startswith("_") and everywhere[name] == _references(node)[name]:
-                    unused.add(name)
+        for label, name, node in _definitions(trees[path]):
+            # dunders and private names are skipped; a recursive call, a method
+            # naming its own class or an assignment's own target is not a reader
+            if not name.startswith("_") and everywhere[name] == _references(node)[name]:
+                unused.add(label)
     return unused
 
 
