@@ -261,7 +261,7 @@ def _grid_oracle(cfg, rng):
     levels = np.arange(1, 11) if lam > 0 else np.arange(11)
     coarse, fine = (
         bidiagonal_singular_values(
-            grid_dirac_plus_staggered(lam, np.linspace(-radius, radius, n))
+            *grid_dirac_plus_staggered(lam, np.linspace(-radius, radius, n))
         )[: len(levels)]
         for n in (257, 513)
     )

@@ -135,23 +135,24 @@ def dirac_squared_spectrum(lam: float, L: int):
     return 2.0 * l * lam, (2.0 * l + 2.0) * lam
 
 
-def _kernel_dim(block: np.ndarray) -> int:
-    """Columns minus rank, with an ambiguity guard at the rank cut."""
+def _kernel_dims(block: np.ndarray) -> tuple[int, int]:
+    """Columns minus rank and rows minus rank (the transpose's kernel), with an ambiguity
+    guard at the rank cut: a block and its transpose share one SVD's rank."""
+    rows, cols = block.shape
     sv = np.linalg.svd(block, compute_uv=False)
     top = sv[0] if sv.size else 0.0
     if top == 0.0:
-        return block.shape[1]
+        return cols, rows
     cut = RANK_TOL * top
     if np.any((sv > 0.1 * cut) & (sv < 10.0 * cut)):
         raise RankAmbiguous(f"singular values cluster at the rank cut {cut:.3e}")
     rank = int(np.sum(sv >= cut))
-    return block.shape[1] - rank
+    return cols - rank, rows - rank
 
 
 def kernel_dims(lam: float, L: int) -> tuple[int, int]:
     """dim ker of the plus block and of the minus block (its transpose), cut at RANK_TOL."""
-    a_plus = ladder_block(lam, L)
-    return _kernel_dim(a_plus), _kernel_dim(a_plus.T)
+    return _kernel_dims(ladder_block(lam, L))
 
 
 def equivariance_defect(lam: float, l: int, L: int = 64) -> np.ndarray:
@@ -197,52 +198,37 @@ def grid_dirac_plus(lam: float, nodes: np.ndarray) -> np.ndarray:
     return lam * np.diag(nodes) + (d - d.T)
 
 
-def grid_dirac_plus_staggered(lam: float, nodes: np.ndarray) -> np.ndarray:
-    """Central differencing evaluated at midpoints: an (n-1) x n block.
+def grid_dirac_plus_staggered(lam: float, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Central differencing evaluated at midpoints: an (n-1) x n block, as its two bands.
 
-    The block is upper bidiagonal: row i has entries only in columns i
-    and i + 1, so `bidiagonal_singular_values` reads its spectrum. Both
-    the derivative and the position factor are second-order accurate at
-    the midpoints and adjacent nodes stay coupled, so the singular values
+    The block is upper bidiagonal, so it is returned as its main and its
+    upper band, which `bidiagonal_singular_values` reads. Both the
+    derivative and the position factor are second-order accurate at the
+    midpoints and adjacent nodes stay coupled, so the singular values
     approximate the continuum ones without sublattice doubling.
     """
-    n = len(nodes)
     h = nodes[1] - nodes[0]
     mid = 0.5 * (nodes[:-1] + nodes[1:])
-    mat = np.zeros((n - 1, n))
-    idx = np.arange(n - 1)
     # lam * mid first: 0.5 * lam underflows to zero at the smallest subnormal slope
-    mat[idx, idx] = 0.5 * (lam * mid) - 1.0 / h
-    mat[idx, idx + 1] = 0.5 * (lam * mid) + 1.0 / h
-    return mat
+    return 0.5 * (lam * mid) - 1.0 / h, 0.5 * (lam * mid) + 1.0 / h
 
 
-def bidiagonal_singular_values(block: np.ndarray) -> np.ndarray:
-    """Ascending singular values of an upper bidiagonal (n-1) x n block.
+def bidiagonal_singular_values(main: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Ascending singular values of the upper bidiagonal (n-1) x n block with these bands.
 
-    They are the square roots of the eigenvalues of the tridiagonal
-    B B^T (Golub and Kahan, SIAM J. Numer. Anal. B 2 (1965)), which has
-    d_i^2 + f_i^2 on its diagonal and f_i d_{i+1} beside it, for d the
-    main and f the first upper diagonal of B. A nonzero entry off those
-    two bands raises ValueError, so no part of the operator is ignored.
-    Both bands are first scaled by an exact power of two that brings the
-    largest entry into [1/2, 1), so no square overflows, even at a slope
-    near the cap, and the scaling itself rounds nothing.
+    Row i holds d_i = main[i] in column i and f_i = upper[i] in column
+    i + 1, so bands of unequal length raise ValueError. The values are the
+    square roots of the eigenvalues of the tridiagonal B B^T (Golub and
+    Kahan, SIAM J. Numer. Anal. B 2 (1965)), which has d_i^2 + f_i^2 on its
+    diagonal and f_i d_{i+1} beside it. Both bands are first scaled by an
+    exact power of two that brings the largest entry into [1/2, 1), so no
+    square overflows, even near the slope cap, and the scaling rounds nothing.
     """
-    rows, cols = block.shape
-    if cols != rows + 1:
-        raise ValueError(f"expected an (n-1) x n block, got {rows} x {cols}")
-    d = np.diagonal(block)
-    f = np.diagonal(block, 1)
-    if np.count_nonzero(block) != np.count_nonzero(d) + np.count_nonzero(f):
-        raise ValueError("block has nonzero entries off its two upper bands")
-    scale = 2.0 ** -math.frexp(float(np.max(np.maximum(np.abs(d), np.abs(f)))))[1]
-    d = scale * d
-    f = scale * f
-    # a block passed as a temporary (CPython 3.11 hands the argument to this
-    # frame) is freed here: it is never resident beside the Gram matrix and
-    # eigvalsh's copy of it, so the peak stays that of a dense SVD
-    del block
+    rows = len(main)
+    if len(upper) != rows:
+        raise ValueError(f"bands of unequal length: main {rows}, upper {len(upper)}")
+    scale = 2.0 ** -math.frexp(float(np.max(np.maximum(np.abs(main), np.abs(upper)))))[1]
+    d, f = scale * main, scale * upper
     gram = np.zeros((rows, rows))
     idx = np.arange(rows)
     gram[idx, idx] = d * d + f * f

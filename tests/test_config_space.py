@@ -161,20 +161,31 @@ def test_squared_spectrum_at_a_negative_slope_exits_two_with_one_line():
 
 def test_planted_one_percent_defect_fails_the_grid_oracle_at_a_tiny_slope(monkeypatch):
     original = checks.grid_dirac_plus_staggered
-    monkeypatch.setattr(checks, "grid_dirac_plus_staggered", lambda *args: 1.01 * original(*args))
+    monkeypatch.setattr(
+        checks,
+        "grid_dirac_plus_staggered",
+        lambda *args: tuple(1.01 * band for band in original(*args)),
+    )
     _, _, max_error, tolerance = checks._grid_oracle(RunConfig(lam=1e-300), None)
     assert np.isfinite(max_error) and max_error > tolerance
 
 
-# (3, 4) lies on the upper band, (3, 0) off both bands
-@pytest.mark.parametrize("row, col, value", [(3, 4, math.nan), (3, 0, 1.0)], ids=["nan", "off-band"])
-def test_a_nan_or_off_band_grid_block_fails_the_grid_oracle(monkeypatch, row, col, value):
+def _nan_in_upper(main, upper):
+    # upper[3] is the (3, 4) entry of the block
+    upper[3] = math.nan
+    return main, upper
+
+
+def _upper_short(main, upper):
+    return main, upper[:-1]
+
+
+@pytest.mark.parametrize("plant_bands", [_nan_in_upper, _upper_short], ids=["nan", "short-band"])
+def test_a_nan_or_short_band_fails_the_grid_oracle(monkeypatch, plant_bands):
     original = checks.grid_dirac_plus_staggered
 
     def plant(*args):
-        block = original(*args)
-        block[row, col] = value
-        return block
+        return plant_bands(*original(*args))
 
     monkeypatch.setattr(checks, "grid_dirac_plus_staggered", plant)
     report = checks.run_suite("oscillator", RunConfig())

@@ -115,22 +115,21 @@ def plant_staggered_derivative_scale_small(monkeypatch):
     replace_everywhere(monkeypatch, original, mutated)
 
 
-def plant_staggered_off_band(monkeypatch):
-    """One entry of the grid block planted off its two upper bands."""
+def plant_staggered_band_short(monkeypatch):
+    """The grid block's upper band returned without its last entry."""
     original = oscillator.grid_dirac_plus_staggered
 
     def planted(lam, nodes):
-        block = original(lam, nodes)
-        block[-1, 0] = block[0, 0]
-        return block
+        main, upper = original(lam, nodes)
+        return main, upper[:-1]
 
     replace_everywhere(monkeypatch, original, planted)
 
 
 def plant_kernel_dim_rank_sign(monkeypatch):
     """Columns plus rank in place of columns minus rank."""
-    original = oscillator._kernel_dim
-    mutated = rewritten(oscillator, original, "block.shape[1] - rank", "block.shape[1] + rank")
+    original = oscillator._kernel_dims
+    mutated = rewritten(oscillator, original, "cols - rank", "cols + rank")
     replace_everywhere(monkeypatch, original, mutated)
 
 
@@ -251,7 +250,7 @@ MUTANTS = [
         ("oscillator",),
         {"oscillator.grid_oracle"},
     ),
-    ("staggered_off_band", plant_staggered_off_band, ("oscillator",), {"oscillator.grid_oracle"}),
+    ("staggered_band_short", plant_staggered_band_short, ("oscillator",), {"oscillator.grid_oracle"}),
     ("kernel_dim_rank_sign", plant_kernel_dim_rank_sign, ("oscillator",), {"oscillator.index_signs"}),
     (
         "resolvent_denominator_s_dropped",

@@ -10,7 +10,7 @@ from rotalab import checks, oscillator
 from rotalab.cli import RunConfig
 from rotalab.errors import RankAmbiguous
 from rotalab.oscillator import (
-    _kernel_dim,
+    _kernel_dims,
     bidiagonal_singular_values,
     dirac_eigenvalues,
     dirac_squared_spectrum,
@@ -43,6 +43,15 @@ def _dense_contrast_norm(f, lam, L):
     i = 0 if lam > 0 else ladder_block(lam, L).shape[1]
     projector[i, i] = 1.0
     return float(np.linalg.norm((vecs * f(vals)) @ vecs.T - projector, 2))
+
+
+def _dense_staggered(lam, nodes):
+    """Test-local reference: the staggered grid operator as one dense (n-1) x n block."""
+    main, upper = grid_dirac_plus_staggered(lam, nodes)
+    block = np.zeros((len(main), len(main) + 1))
+    np.fill_diagonal(block, main)
+    np.fill_diagonal(block[:, 1:], upper)
+    return block
 
 
 def _block_contrast_norm(f, lam, L):
@@ -201,7 +210,7 @@ class TestLadderIdentityGridOracle:
         lam = 1.0
         radius = oracle_radius(lam)
         nodes = np.linspace(-radius, radius, 1024)
-        grid_op = grid_dirac_plus_staggered(lam, nodes)
+        grid_op = _dense_staggered(lam, nodes)
         sv = np.sort(np.linalg.svd(grid_op, compute_uv=False))
         # the rectangular block has full row rank: its singular values are
         # exactly the nonzero series, the kernel does not contribute a zero
@@ -211,17 +220,16 @@ class TestLadderIdentityGridOracle:
 
 class TestBidiagonalSingularValues:
     @staticmethod
-    def staggered_block(lam):
+    def nodes(lam):
         radius = oracle_radius(lam)
-        return grid_dirac_plus_staggered(lam, np.linspace(-radius, radius, 1024))
+        return np.linspace(-radius, radius, 1024)
 
     @pytest.mark.parametrize(
         "lam", [1.0, -1.0, 0.3, 16.0, 1e6, 1e-300, -1e-300, 1e305, 1e306, -1e306]
     )
     def test_matches_the_dense_svd(self, lam):
-        block = self.staggered_block(lam)
-        dense = np.sort(np.linalg.svd(block, compute_uv=False))
-        fast = bidiagonal_singular_values(block)
+        dense = np.sort(np.linalg.svd(_dense_staggered(lam, self.nodes(lam)), compute_uv=False))
+        fast = bidiagonal_singular_values(*grid_dirac_plus_staggered(lam, self.nodes(lam)))
         assert fast.shape == dense.shape
         # the squares of the Gram matrix resolve a singular value only down
         # to about sqrt(machine epsilon) of the largest; at a negative slope
@@ -232,15 +240,14 @@ class TestBidiagonalSingularValues:
         assert np.all(fast[~resolved] <= floor)
         assert np.count_nonzero(~resolved) == (1 if lam < 0 else 0)
 
-    def test_rejects_an_entry_off_the_two_bands(self):
-        block = self.staggered_block(1.0)
-        block[-1, 0] = 1e-12
-        with pytest.raises(ValueError, match="off its two upper bands"):
-            bidiagonal_singular_values(block)
-
     def test_rejects_a_square_block(self):
-        with pytest.raises(ValueError, match="n-1"):
-            bidiagonal_singular_values(np.eye(4))
+        # an n x n upper bidiagonal block has n main and n - 1 upper entries, so its bands
+        # differ in length; held as bands, no block can carry an entry off them
+        main, upper = grid_dirac_plus_staggered(1.0, self.nodes(1.0))
+        with pytest.raises(ValueError, match="main 1023, upper 1022"):
+            bidiagonal_singular_values(main, upper[:-1])
+        with pytest.raises(ValueError, match="main 1022, upper 1023"):
+            bidiagonal_singular_values(main[:-1], upper)
 
 
 class TestRichardsonGridOracle:
@@ -256,8 +263,8 @@ class TestRichardsonGridOracle:
     @classmethod
     def level_values(cls, lam, n):
         radius = oracle_radius(lam)
-        block = grid_dirac_plus_staggered(lam, np.linspace(-radius, radius, n))
-        return bidiagonal_singular_values(block)[: len(cls.levels(lam))]
+        bands = grid_dirac_plus_staggered(lam, np.linspace(-radius, radius, n))
+        return bidiagonal_singular_values(*bands)[: len(cls.levels(lam))]
 
     @classmethod
     def expected(cls, lam):
@@ -296,6 +303,27 @@ class TestFredholmIndex:
         assert plus - minus == -1
         assert (plus, minus) == (0, 1)
 
+    @pytest.mark.parametrize(
+        "lam, L",
+        [
+            (sign * size, L)
+            for sign in (1.0, -1.0)
+            for size in (5e-324, 1e-300, 1.0, 1e306)
+            for L in (2, 3, 32)
+        ]
+        + [(1.0, 257), (-1.0, 257)],
+    )
+    def test_one_svd_gives_both_kernels_at_the_checked_slopes(self, lam, L):
+        # reference: one SVD of the plus block and one of its transpose, each cut at RANK_TOL
+        def kernel_dim(block):
+            sv = np.linalg.svd(block, compute_uv=False)
+            return block.shape[1] - int(np.sum(sv >= oscillator.RANK_TOL * sv[0]))
+
+        a_plus = ladder_block(lam, L)
+        pair = kernel_dims(lam, L)
+        assert pair == (kernel_dim(a_plus), kernel_dim(a_plus.T))
+        assert pair == ((1, 0) if lam > 0 else (0, 1))
+
     def test_rank_ambiguity_guard(self, monkeypatch):
         # a rank cut placed on top of a genuine singular value must refuse
         lam, L = 1.0, 8
@@ -303,11 +331,12 @@ class TestFredholmIndex:
         sv = np.linalg.svd(a_plus, compute_uv=False)
         monkeypatch.setattr(oscillator, "RANK_TOL", math.sqrt(2.0 * lam) / sv[0])
         with pytest.raises(RankAmbiguous):
-            _kernel_dim(a_plus)
+            _kernel_dims(a_plus)
 
     @pytest.mark.parametrize("shape", [(3, 4), (4, 3), (0, 2)])
     def test_zero_block_has_full_kernel(self, shape):
-        assert _kernel_dim(np.zeros(shape)) == shape[1]
+        rows, cols = shape
+        assert _kernel_dims(np.zeros(shape)) == (cols, rows)
 
 
 class TestFunctionalCalculus:
@@ -361,7 +390,7 @@ class TestFunctionalCalculus:
         # spectral gap above the kernel, which the staggered oracle sees
         lam = 64.0
         nodes = np.linspace(-8.0, 8.0, 512)
-        grid_op = grid_dirac_plus_staggered(lam, nodes)
+        grid_op = _dense_staggered(lam, nodes)
         sv = np.sort(np.linalg.svd(grid_op, compute_uv=False))
         # f = exp(-x^2) on the first nonzero singular value; the rectangular
         # block has no zero singular value to exclude
