@@ -32,11 +32,21 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not valid JSON")
 
 
+def _cpu_has_avx512():
+    cpuinfo = Path("/proc/cpuinfo")
+    return cpuinfo.exists() and "avx512f" in cpuinfo.read_text()
+
+
 def _blas_kernels():
     """OpenBLAS kernels to force: SkylakeX executes AVX-512, so only on a CPU that has it."""
-    cpuinfo = Path("/proc/cpuinfo")
-    avx512 = cpuinfo.exists() and "avx512f" in cpuinfo.read_text()
-    return ("SkylakeX",) * avx512 + ("Haswell", "Sandybridge", "Nehalem")
+    return ("SkylakeX",) * _cpu_has_avx512() + ("Haswell", "Sandybridge", "Nehalem")
+
+
+def _child_env(**extra):
+    """The environment of a child rotalab run: this checkout's src first, plus extra."""
+    src = str(Path(rotalab.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 class TestConfigValidation:
@@ -249,12 +259,10 @@ class TestVerifyCommand:
 
     def test_report_bytes_do_not_depend_on_the_blas_kernel(self):
         # each run in its own child process, which alone sees OPENBLAS_CORETYPE
-        src = str(Path(rotalab.__file__).resolve().parents[1])
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         children = {
             kernel: subprocess.Popen(
                 [sys.executable, "-m", "rotalab", "verify", "all", "--seed", "0"],
-                env=dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONPATH=path),
+                env=_child_env(OPENBLAS_CORETYPE=kernel),
                 stdout=subprocess.PIPE,
                 stderr=subprocess.PIPE,
             )
@@ -267,6 +275,27 @@ class TestVerifyCommand:
             reports[kernel] = out
         assert len(set(reports.values())) == 1, sorted(reports)
         assert json.loads(reports["Nehalem"])["all_pass"] is True
+
+    @pytest.mark.skipif(not _cpu_has_avx512(), reason="numpy runs AVX-512 code only where the CPU has it")
+    def test_report_bytes_do_not_depend_on_numpy_avx512_dispatch(self):
+        # numpy refuses to import when asked to disable a feature it does not dispatch to
+        dispatch = pytest.importorskip("numpy._core._multiarray_umath").__cpu_dispatch__
+        disabled = " ".join(name for name in dispatch if "AVX512" in name or name == "X86_V4")
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-m", "rotalab", "verify", "oscillator", "--seed", "0"],
+                env=_child_env(NPY_DISABLE_CPU_FEATURES=features),
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+            )
+            for features in ("", disabled)
+        ]
+        reports = []
+        for child in children:
+            out, err = child.communicate(timeout=300)
+            assert child.returncode == 0, err.decode()
+            reports.append(out)
+        assert reports[0] == reports[1]
 
     def test_seed_changes_sampled_numbers(self, tmp_path):
         out1, out2 = tmp_path / "r1.json", tmp_path / "r2.json"
