@@ -65,10 +65,6 @@ class RotationArrow(NamedTuple):
     def inverse(self) -> "RotationArrow":
         return RotationArrow(self.source, -self.n)
 
-    @classmethod
-    def unit(cls, x: TorusPoint) -> "RotationArrow":
-        return cls(x, 0)
-
     @property
     def is_unit(self) -> bool:
         return self.n == 0
@@ -120,10 +116,6 @@ class FlowArrow(NamedTuple):
     def inverse(self) -> "FlowArrow":
         sx, sy = self.source
         return FlowArrow(sx, sy, -self.dx, -self.dy)
-
-    @classmethod
-    def unit(cls, x: TorusPoint, y: TorusPoint) -> "FlowArrow":
-        return cls(x, y, ZERO, ZERO)
 
     @property
     def is_unit(self) -> bool:

@@ -4,7 +4,10 @@ and so does every public method and property of its classes.
 A name counts as used when a Name or Attribute node outside its own
 definition or assignment refers to it, in src/rotalab or in the benchmark
 workloads under perfbench. An import line alone does not count. A method
-is listed as Class.method. The names kept on purpose with no reader are
+is listed as Class.method, and matched by name alone, except a classmethod:
+it counts as read only where it is named through its own class, as
+Class.m, module.Class.m, Alias.m for a module-level alias of the class, or
+cls.m inside the class. The names kept on purpose with no reader are
 listed below, each with its reason.
 """
 
@@ -49,6 +52,52 @@ def _references(tree):
     )
 
 
+class _ClassReads(ast.NodeVisitor):
+    """Class.method for each attribute read through a class, an alias of it, or cls inside it."""
+
+    def __init__(self, aliases, owner=None):
+        self.aliases, self.owner, self.reads = aliases, owner, Counter()
+
+    def visit_ClassDef(self, node):
+        outer, self.owner = self.owner, node.name
+        self.generic_visit(node)
+        self.owner = outer
+
+    def visit_Attribute(self, node):
+        value = node.value
+        # Class.m reads a Name, module.Class.m an Attribute
+        name = getattr(value, "id", None) or getattr(value, "attr", None)
+        cls = self.owner if name == "cls" else self.aliases.get(name)
+        if cls:
+            self.reads[f"{cls}.{node.attr}"] += 1
+        self.generic_visit(node)
+
+
+def _class_reads(node, aliases, owner=None):
+    visitor = _ClassReads(aliases, owner)
+    visitor.visit(node)
+    return visitor.reads
+
+
+def _class_aliases(trees):
+    """Each class of src/rotalab by its own name, and each module-level alias of it."""
+    classes = {
+        node.name for path in SOURCES for node in trees[path].body if isinstance(node, ast.ClassDef)
+    }
+    aliases = {name: name for name in classes}
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and getattr(node.value, "id", None) in classes:
+                aliases.update((name, node.value.id) for name in _bound_names(node))
+    return aliases
+
+
+def _is_classmethod(node):
+    return isinstance(node, ast.FunctionDef) and any(
+        getattr(d, "id", None) == "classmethod" for d in node.decorator_list
+    )
+
+
 def _bound_names(node):
     """The names a module-level statement binds: a def, a class or an assignment's targets."""
     if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
@@ -79,12 +128,21 @@ def unreferenced_public_names():
     """Public defs, classes, constants and methods of src/rotalab that nothing else names."""
     trees = {path: _parse(path) for path in REFERRERS}
     everywhere = sum((_references(tree) for tree in trees.values()), Counter())
+    aliases = _class_aliases(trees)
+    through_class = sum((_class_reads(tree, aliases) for tree in trees.values()), Counter())
     unused = set()
     for path in SOURCES:
         for label, name, node in _definitions(trees[path]):
             # dunders and private names are skipped; a recursive call, a method
             # naming its own class or an assignment's own target is not a reader
-            if not name.startswith("_") and everywhere[name] == _references(node)[name]:
+            if name.startswith("_"):
+                continue
+            if _is_classmethod(node):
+                owner = label.split(".")[0]
+                unread = through_class[label] == _class_reads(node, aliases, owner)[label]
+            else:
+                unread = everywhere[name] == _references(node)[name]
+            if unread:
                 unused.add(label)
     return unused
 
