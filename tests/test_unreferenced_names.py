@@ -52,31 +52,23 @@ def _references(tree):
     )
 
 
-class _ClassReads(ast.NodeVisitor):
-    """Class.method for each attribute read through a class, an alias of it, or cls inside it."""
-
-    def __init__(self, aliases, owner=None):
-        self.aliases, self.owner, self.reads = aliases, owner, Counter()
-
-    def visit_ClassDef(self, node):
-        outer, self.owner = self.owner, node.name
-        self.generic_visit(node)
-        self.owner = outer
-
-    def visit_Attribute(self, node):
-        value = node.value
-        # Class.m reads a Name, module.Class.m an Attribute
-        name = getattr(value, "id", None) or getattr(value, "attr", None)
-        cls = self.owner if name == "cls" else self.aliases.get(name)
-        if cls:
-            self.reads[f"{cls}.{node.attr}"] += 1
-        self.generic_visit(node)
-
-
 def _class_reads(node, aliases, owner=None):
-    visitor = _ClassReads(aliases, owner)
-    visitor.visit(node)
-    return visitor.reads
+    """Class.method for each attribute read under node through a class, a module-level
+    alias of it, or cls inside it; owner is the class that encloses node."""
+    reads = Counter()
+    stack = [(node, owner)]
+    while stack:
+        node, owner = stack.pop()
+        if isinstance(node, ast.ClassDef):
+            owner = node.name
+        elif isinstance(node, ast.Attribute):
+            # Class.m reads a Name, module.Class.m an Attribute
+            name = getattr(node.value, "id", None) or getattr(node.value, "attr", None)
+            cls = owner if name == "cls" else aliases.get(name)
+            if cls:
+                reads[f"{cls}.{node.attr}"] += 1
+        stack.extend((child, owner) for child in ast.iter_child_nodes(node))
+    return reads
 
 
 def _class_aliases(trees):
